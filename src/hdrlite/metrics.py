@@ -6,8 +6,10 @@ before comparison, and every report carries that tag.
 """
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import scipy.ndimage
@@ -145,14 +147,30 @@ def bench_forward(cfg: ModelConfig, h: int, w: int, repeats: int = 3,
         t0 = time.perf_counter()
         net.forward(x)
         times.append(time.perf_counter() - t0)
-    import os
+    median = float(np.median(times))
     return {
         "resolution": f"{w}x{h}",
         "repeats": repeats,
-        "median_seconds": float(np.median(times)),
+        "median_seconds": median,
         "all_seconds": times,
-        "threads": os.cpu_count(),
+        "gmac_per_s": count_macs(cfg, h, w) / median / 1e9,
+        "threads": blas_threads(),
     }
+
+
+def blas_threads() -> int | str:
+    """Thread count of numpy's bundled OpenBLAS, read from the library
+    itself; "unknown" when that library is not present."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("libscipy_openblas64_*.so")):
+        try:
+            fn = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes = []
+        fn.restype = ctypes.c_int
+        return int(fn())
+    return "unknown"
 
 
 # ---------------------------------------------------------------------------

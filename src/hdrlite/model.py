@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .tensor import ConvSpec, Tensor
+from .tensor import ConvSpec, Tensor, _pool2
 
 CHECKPOINT_MAGIC = b"LHDR"
 CHECKPOINT_VERSION = 1
@@ -157,23 +157,22 @@ def count_params(cfg: ModelConfig) -> int:
 
 
 def count_macs(cfg: ModelConfig, h: int, w: int) -> int:
-    """Analytic multiply-accumulate count for one forward pass at h x w."""
-    total = 0
-    for li in layer_table(cfg):
-        s = li.spec
-        oh = -(-h // li.scale)  # ceil: padded-up spatial dims
-        ow = -(-w // li.scale)
-        total += oh * ow * s.out_channels * (s.in_channels // s.groups) * s.kernel ** 2
-    return total
+    """Multiply-accumulate count of the convs one forward pass at h x w runs."""
+    return sum(macs for _, _, macs in layer_breakdown(cfg, h, w))
 
 
 def layer_breakdown(cfg: ModelConfig, h: int, w: int):
-    """(name, params, macs) per layer; sums match the counters exactly."""
+    """(name, params, macs) per layer, at the size the forward pass runs it:
+    local layers on the frame reflect-padded to a multiple of
+    2**unet_levels, global layers on the unpadded frame."""
+    mult = 1 << cfg.unet_levels
+    padded = (-(-h // mult) * mult, -(-w // mult) * mult)
     rows = []
     for li in layer_table(cfg):
         s = li.spec
-        oh, ow = -(-h // li.scale), -(-w // li.scale)
-        macs = oh * ow * s.out_channels * (s.in_channels // s.groups) * s.kernel ** 2
+        fh, fw = padded if li.name.startswith("local.") else (h, w)
+        macs = (fh // li.scale) * (fw // li.scale) * s.out_channels \
+            * (s.in_channels // s.groups) * s.kernel ** 2
         rows.append((li.name, s.weight_count + s.bias_count, macs))
     return rows
 
@@ -189,19 +188,17 @@ class Network:
         cfg.validate()
         self.cfg = cfg
         self.layers = {li.name: li for li in layer_table(cfg)}
-        expected = set()
+        expected = {f"{name}.{kind}" for name in self.layers for kind in ("weight", "bias")}
+        if set(weights) != expected:
+            raise ValueError(f"weight names do not match the layer table: "
+                             f"extra={set(weights) - expected}, missing={expected - set(weights)}")
         for name, li in self.layers.items():
-            expected.add(f"{name}.weight")
-            expected.add(f"{name}.bias")
             w = weights[f"{name}.weight"]
             if w.shape != li.spec.weight_shape:
                 raise ValueError(f"{name}: weight shape {w.shape} != {li.spec.weight_shape}")
             b = weights[f"{name}.bias"]
             if b.shape != (1, li.spec.out_channels, 1, 1):
                 raise ValueError(f"{name}: bad bias shape {b.shape}")
-        if set(weights) != expected:
-            raise ValueError(f"weight names do not match the layer table: "
-                             f"extra={set(weights) - expected}, missing={expected - set(weights)}")
         self.weights = weights
 
     @classmethod
@@ -294,9 +291,7 @@ class Network:
         # level-wise constant inputs for SFT branches / partial-conv gating
         mp_levels = [masked_prior]
         for _ in range(cfg.unet_levels):
-            m = mp_levels[-1]
-            mp_levels.append(m.reshape(m.shape[0], m.shape[1],
-                                       m.shape[2] // 2, 2, m.shape[3] // 2, 2).mean(axis=(3, 5)))
+            mp_levels.append(_pool2(mp_levels[-1]))
         mp_levels = [Tensor(m.astype(x.dtype)) for m in mp_levels]
 
         # dense branch
@@ -321,8 +316,7 @@ class Network:
                     hT = self._sft_rb(f"local.enc{lvl}.rb{r}", hT, mp_levels[lvl])
             skips.append(hT)
             hT = self.lrelu(self.conv(f"local.down{lvl}", T.down2(hT)))
-            m = mask
-            mask = m.reshape(m.shape[0], 1, m.shape[2] // 2, 2, m.shape[3] // 2, 2).mean(axis=(3, 5))
+            mask = _pool2(mask)
         hT = self._plain_rb("local.mid.rb0", hT)
         for lvl in reversed(range(cfg.unet_levels)):
             hT = self.lrelu(self.conv(f"local.up{lvl}", T.up2(hT)))

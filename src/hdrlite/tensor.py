@@ -220,32 +220,32 @@ def mul_const(x: Tensor, arr) -> Tensor:
 
 
 def abs_(x: Tensor) -> Tensor:
-    sign = np.sign(x.data)
-
     def bwd(g):
-        _accum(x, g * sign)
+        _accum(x, g * np.sign(x.data))
 
     return _node(np.abs(x.data), "abs", (x,), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
-    keep = x.data > 0
-
     def bwd(g):
-        _accum(x, g * keep)
+        _accum(x, g * (x.data > 0))
 
-    return _node(np.where(keep, x.data, 0), "relu", (x,), bwd)
+    return _node(np.maximum(x.data, 0), "relu", (x,), bwd)
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky slope must lie in (0,1), got {slope}")
-    pos = x.data > 0
 
     def bwd(g):
-        _accum(x, g * np.where(pos, 1.0, slope))
+        # branch-free (x > 0 ? 1 : slope) factor, kept in g's dtype
+        factor = (x.data > 0).astype(g.dtype)
+        np.maximum(factor, slope, out=factor)
+        factor *= g
+        _accum(x, factor)
 
-    return _node(np.where(pos, x.data, x.data * slope), "leaky_relu", (x,), bwd)
+    out = x.data * slope
+    return _node(np.maximum(x.data, out, out=out), "leaky_relu", (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,15 @@ def narrow_channels(x: Tensor, start: int, length: int) -> Tensor:
         full[:, start:start + length] = g
         _accum(x, full)
 
-    return _node(x.data[:, start:start + length].copy(), "narrow", (x,), bwd)
+    return _node(x.data[:, start:start + length], "narrow", (x,), bwd)
+
+
+def _pool2(a):
+    """2x2 average of an (n,c,h,w) array with even h and w (plain numpy)."""
+    rows = a[:, :, 0::2] + a[:, :, 1::2]
+    out = rows[..., 0::2] + rows[..., 1::2]
+    out *= 0.25
+    return out
 
 
 def down2(x: Tensor) -> Tensor:
@@ -312,13 +320,11 @@ def down2(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"down2 needs even spatial dims, got {h}x{w}")
-    pooled = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
     def bwd(g):
-        gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
-        _accum(x, gx)
+        _accum(x, np.repeat(np.repeat(g * 0.25, 2, axis=2), 2, axis=3))
 
-    return _node(pooled, "down2", (x,), bwd)
+    return _node(_pool2(x.data), "down2", (x,), bwd)
 
 
 def up2(x: Tensor) -> Tensor:
@@ -334,8 +340,6 @@ def up2(x: Tensor) -> Tensor:
 
 
 def _reflect_index(n: int, pad: int):
-    if pad >= n:
-        raise ValueError(f"reflect pad {pad} too large for size {n}")
     idx = np.arange(n + pad)
     return np.where(idx >= n, 2 * (n - 1) - idx, idx)
 
@@ -345,15 +349,15 @@ def pad_reflect(x: Tensor, ph: int, pw: int) -> Tensor:
     if ph == 0 and pw == 0:
         return x
     n, c, h, w = x.shape
-    iy = _reflect_index(h, ph)
-    ix = _reflect_index(w, pw)
+    if ph >= h or pw >= w:
+        raise ValueError(f"reflect pad ({ph}, {pw}) too large for size {h}x{w}")
     out = np.pad(x.data, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
 
     def bwd(g):
         tmp = np.zeros((n, c, h, w + pw), dtype=g.dtype)
-        np.add.at(tmp, (slice(None), slice(None), iy), g)
+        np.add.at(tmp, (slice(None), slice(None), _reflect_index(h, ph)), g)
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), slice(None), slice(None), ix), tmp)
+        np.add.at(gx, (slice(None), slice(None), slice(None), _reflect_index(w, pw)), tmp)
         _accum(x, gx)
 
     return _node(out, "pad_reflect", (x,), bwd)
@@ -401,27 +405,52 @@ def grad_map(x: Tensor) -> Tensor:
 # Convolution
 # ---------------------------------------------------------------------------
 
-def _conv_forward(xp, weight, stride, oh, ow, groups):
-    """Direct convolution on pre-padded input, accumulating over kernel offsets."""
-    n = xp.shape[0]
-    oc, icg, k, _ = weight.shape
-    out = np.zeros((n, oc, oh, ow), dtype=xp.dtype)
-    ocg = oc // groups
-    for g in range(groups):
-        xg = xp[:, g * icg:(g + 1) * icg]
-        og = out[:, g * ocg:(g + 1) * ocg]
-        wg = weight[g * ocg:(g + 1) * ocg]
-        for i in range(k):
-            for j in range(k):
-                patch = xg[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-                # (ocg, icg) x (n, icg, oh, ow) -> (ocg, n, oh, ow)
-                og += np.tensordot(wg[:, :, i, j], patch, axes=([1], [1])).transpose(1, 0, 2, 3)
-    return out
+# Byte bound on the column buffer of one band of output rows (at least one
+# row is gathered, whatever its size).
+_COL_BYTES = 2 << 20
+
+
+def _taps(k: int, stride: int, r0: int, r1: int, ow: int):
+    """(i, j, index): the padded-input window kernel tap (i, j) reads for
+    output rows [r0, r1) of one image, all channels."""
+    for i in range(k):
+        rows = slice(i + stride * r0, i + stride * (r1 - 1) + 1, stride)
+        for j in range(k):
+            yield i, j, (slice(None), rows, slice(j, j + stride * (ow - 1) + 1, stride))
+
+
+def _im2col(buf, xb, k: int, stride: int, r0: int, r1: int, ow: int):
+    """Column matrix (c*k*k, (r1-r0)*ow) of output rows [r0, r1) of image xb.
+
+    For a 1x1 stride-1 conv the input rows already are the columns (no copy);
+    otherwise the k*k shifted windows are gathered into buf.
+    """
+    c = xb.shape[0]
+    if k == 1 and stride == 1:
+        return xb[:, r0:r1].reshape(c, -1)
+    cols = buf[:c * k * k * (r1 - r0) * ow].reshape(c, k, k, r1 - r0, ow)
+    for i, j, win in _taps(k, stride, r0, r1, ow):
+        cols[:, i, j] = xb[win]
+    return cols.reshape(c * k * k, -1)
+
+
+def _col2im(dxb, dcols, k: int, stride: int, r0: int, r1: int, ow: int):
+    """Scatter-add column gradients back through the taps _im2col read."""
+    d = dcols.reshape(dxb.shape[0], k, k, r1 - r0, ow)
+    for i, j, win in _taps(k, stride, r0, r1, ow):
+        dxb[win] += d[:, i, j]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Grouped 2-D convolution; pointwise and grouped cases share this path."""
+    """Grouped 2-D convolution; plain, grouped, pointwise and partial convs
+    all run this one im2col + GEMM kernel.
+
+    Output rows are processed in bands whose column matrix fits _COL_BYTES.
+    Per band, one matmul batched over groups computes
+    W[g].reshape(ocg, icg*k*k) @ cols[g]; backward reuses the same bands for
+    dW += g @ cols^T and dcols = W^T @ g, scattered back through the taps.
+    """
     n, c, h, w = x.shape
     oc, icg, k, k2 = weight.shape
     if k != k2:
@@ -439,35 +468,42 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     ow = (w + 2 * padding - k) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"conv output would be empty for input {h}x{w}, kernel {k}")
-    out = _conv_forward(xp, weight.data, stride, oh, ow, groups)
+    ocg, kk = oc // groups, k * k
+    wmat = weight.data.reshape(groups, ocg, icg * kk)
+    if k == 1 and stride == 1:
+        rows, buf_size = oh, 0
+    else:
+        rows = max(1, min(oh, _COL_BYTES // (c * kk * ow * xp.itemsize)))
+        buf_size = c * kk * rows * ow
+    bands = [(b, r0, min(r0 + rows, oh)) for b in range(n) for r0 in range(0, oh, rows)]
+
+    buf = np.empty(buf_size, dtype=xp.dtype)
+    out = np.empty((n, oc, oh, ow), dtype=xp.dtype)
+    for b, r0, r1 in bands:
+        cols = _im2col(buf, xp[b], k, stride, r0, r1, ow)
+        np.matmul(wmat, cols.reshape(groups, icg * kk, -1),
+                  out=out[b, :, r0:r1].reshape(groups, ocg, -1))
     if bias is not None:
-        out = out + bias.data
+        out += bias.data
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g):
-        ocg = oc // groups
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
-        dw = np.zeros_like(weight.data) if weight.requires_grad else None
+        dw = np.zeros_like(wmat) if weight.requires_grad else None
         dxp = np.zeros_like(xp) if x.requires_grad else None
-        for gi in range(groups):
-            xg = xp[:, gi * icg:(gi + 1) * icg]
-            gg = g[:, gi * ocg:(gi + 1) * ocg]
-            wg = weight.data[gi * ocg:(gi + 1) * ocg]
-            for i in range(k):
-                for j in range(k):
-                    sl_h = slice(i, i + stride * oh, stride)
-                    sl_w = slice(j, j + stride * ow, stride)
-                    if dw is not None:
-                        # (n, ocg, oh, ow) x (n, icg, oh, ow) summed over n,oh,ow
-                        dw[gi * ocg:(gi + 1) * ocg, :, i, j] += np.tensordot(
-                            gg, xg[:, :, sl_h, sl_w], axes=([0, 2, 3], [0, 2, 3]))
-                    if dxp is not None:
-                        dxp[:, gi * icg:(gi + 1) * icg, sl_h, sl_w] += np.tensordot(
-                            wg[:, :, i, j], gg, axes=([0], [1])).transpose(1, 0, 2, 3)
+        wt = wmat.transpose(0, 2, 1)
+        buf = np.empty(buf_size, dtype=xp.dtype)  # not kept alive by the tape
+        for b, r0, r1 in bands:
+            gb = g[b, :, r0:r1].reshape(groups, ocg, -1)
+            if dw is not None:
+                cols = _im2col(buf, xp[b], k, stride, r0, r1, ow)
+                dw += gb @ cols.reshape(groups, icg * kk, -1).transpose(0, 2, 1)
+            if dxp is not None:
+                _col2im(dxp[b], wt @ gb, k, stride, r0, r1, ow)
         if dw is not None:
-            _accum(weight, dw)
+            _accum(weight, dw.reshape(weight.shape))
         if dxp is not None:
             gx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
             _accum(x, gx)

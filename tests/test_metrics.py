@@ -4,11 +4,11 @@ import pytest
 from hdrlite.degrade import DegradationConfig
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR
 from hdrlite.metrics import (
-    METRIC_DOMAIN, MetricsReport, ablation_table, bench_forward,
+    METRIC_DOMAIN, MetricsReport, ablation_table, bench_forward, blas_threads,
     evaluate_on_degraded, hdr_pair_metrics, psnr, reconstruct_hdr, ssim,
     to_metric_domain, tonemap_preview,
 )
-from hdrlite.model import ModelConfig
+from hdrlite.model import ModelConfig, count_macs
 from hdrlite.training import kaiming_init
 from tests.conftest import make_hdr_scene, make_pairs
 
@@ -147,6 +147,10 @@ def test_bench_forward_contract():
     assert len(rep["all_seconds"]) == 3
     assert rep["median_seconds"] == pytest.approx(
         float(np.median(rep["all_seconds"])))
+    assert rep["gmac_per_s"] == pytest.approx(
+        count_macs(TINY, 16, 24) / rep["median_seconds"] / 1e9)
+    assert rep["threads"] == blas_threads()
+    assert rep["threads"] == "unknown" or rep["threads"] >= 1
     with pytest.raises(ValueError):
         bench_forward(TINY, 8, 8, repeats=2)
 

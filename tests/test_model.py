@@ -136,6 +136,27 @@ def test_breakdown_sums_match_totals():
     assert sum(r[2] for r in rows) == count_macs(cfg, 48, 48)
 
 
+def test_count_macs_matches_executed_convs(monkeypatch):
+    # 270 is not a multiple of 4: the local net runs on 272 padded rows and
+    # the global net on the 270 cropped ones; count_macs must count both
+    cfg = ModelConfig()
+    net = Network.zeros(cfg)
+    conv = T.conv2d
+    executed = []
+
+    def counting_conv(x, weight, *args, **kw):
+        out = conv(x, weight, *args, **kw)
+        n, oc, oh, ow = out.shape
+        _, icg, k, _ = weight.shape
+        executed.append(n * oc * oh * ow * icg * k * k)
+        return out
+
+    monkeypatch.setattr(T, "conv2d", counting_conv)
+    net.forward(Tensor(np.zeros((1, 3, 270, 480), dtype=np.float32)))
+    assert len(executed) == len(layer_table(cfg)) == 33
+    assert sum(executed) == count_macs(cfg, 270, 480) == 10_367_385_600
+
+
 def test_ablation_param_directions():
     base = count_params(ModelConfig())
     assert count_params(ablation_config(ModelConfig(), "no_group_conv")) > base
@@ -290,6 +311,13 @@ def test_checkpoint_magic_and_truncation(tmp_path):
     bad.write_bytes(b"NOPE" + raw[4:])
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(bad)
+
+
+def test_network_missing_weight_names_the_key():
+    weights = dict(make_net(small_cfg()).weights)
+    del weights["local.head.weight"]
+    with pytest.raises(ValueError, match="local.head.weight"):
+        Network(small_cfg(), weights)
 
 
 def test_config_validation():

@@ -63,6 +63,72 @@ def test_grouped_conv_matches_blockwise_dense():
         np.testing.assert_allclose(y.data[:, 3 * g:3 * g + 3], yg.data, rtol=1e-12)
 
 
+def conv_reference(x, w, b, stride, padding, groups):
+    """Nested-loop float64 convolution: one dot product per output value."""
+    n, c, h, wd = x.shape
+    oc, icg, k, _ = w.shape
+    ocg = oc // groups
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((n, oc, oh, ow))
+    for bi in range(n):
+        for o in range(oc):
+            g = o // ocg
+            for y in range(oh):
+                for xx in range(ow):
+                    patch = xp[bi, g * icg:(g + 1) * icg,
+                               y * stride:y * stride + k, xx * stride:xx * stride + k]
+                    out[bi, o, y, xx] = np.sum(patch * w[o]) + b[0, o, 0, 0]
+    return out
+
+
+def set_band_rows(monkeypatch, rows, c, k, ow, dtype):
+    """Shrink the column buffer so conv2d gathers `rows` output rows per band."""
+    monkeypatch.setattr(T, "_COL_BYTES", rows * c * k * k * ow * np.dtype(dtype).itemsize)
+
+
+@pytest.mark.parametrize("band_rows", [None, 2])
+@pytest.mark.parametrize("groups", [1, 2, 4])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv_matches_nested_loop_reference(monkeypatch, k, stride, groups, band_rows):
+    rng = np.random.default_rng(k * 100 + stride * 10 + groups)
+    tol = {np.float32: 1e-5, np.float64: 1e-12}
+    for dtype in (np.float32, np.float64):
+        for batch in (1, 2):
+            for padding in (0, 1, 2):
+                x = rng.normal(0, 1, (batch, 4, 7, 9)).astype(dtype)
+                w = rng.normal(0, 1, (4, 4 // groups, k, k)).astype(dtype)
+                b = rng.normal(0, 1, (1, 4, 1, 1)).astype(dtype)
+                ref = conv_reference(x, w, b, stride, padding, groups)
+                if band_rows:
+                    set_band_rows(monkeypatch, band_rows, 4, k, ref.shape[3], dtype)
+                y = T.conv2d(Tensor(x), Tensor(w), Tensor(b),
+                             stride=stride, padding=padding, groups=groups)
+                assert y.dtype == dtype
+                np.testing.assert_allclose(y.data, ref, rtol=tol[dtype], atol=tol[dtype])
+
+
+def test_conv_gradients_do_not_depend_on_bands(monkeypatch):
+    # backward walks the same bands as forward; one-row bands must give the
+    # same gradients as a single band
+    rng = np.random.default_rng(7)
+    x, w, b = t64(rng, (2, 4, 9, 8)), t64(rng, (6, 2, 3, 3)), t64(rng, (1, 6, 1, 1))
+    grads = []
+    for rows in (None, 1):
+        if rows:
+            set_band_rows(monkeypatch, rows, 4, 3, 4, np.float64)
+        for t in (x, w, b):
+            t.zero_grad()
+        y = T.conv2d(x, w, b, stride=2, padding=1, groups=2)
+        assert y.shape == (2, 6, 5, 4)
+        T.backward(T.mean_all(T.mul(y, y)))
+        grads.append([t.grad.copy() for t in (x, w, b)])
+    for g_one, g_banded in zip(*grads):
+        np.testing.assert_allclose(g_banded, g_one, rtol=1e-12, atol=1e-15)
+
+
 def test_activations():
     x = Tensor(np.array([-1.0, 3.5]).reshape(1, 1, 1, 2).astype(np.float32))
     assert T.relu(x).data[0, 0, 0, 0] == 0.0
@@ -201,6 +267,19 @@ def _(rng):
 def _(rng):
     x, w, b = t64(rng, (1, 4, 4, 4)), t64(rng, (6, 4, 1, 1)), t64(rng, (1, 6, 1, 1))
     return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b))), [x, w, b]
+
+
+@case("conv_stride2")
+def _(rng):
+    x, w, b = t64(rng, (1, 4, 7, 6)), t64(rng, (4, 2, 3, 3)), t64(rng, (1, 4, 1, 1))
+    return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b, stride=2, padding=1,
+                                                      groups=2))), [x, w, b]
+
+
+@case("conv_batch2")
+def _(rng):
+    x, w, b = t64(rng, (2, 2, 5, 5)), t64(rng, (3, 2, 5, 5)), t64(rng, (1, 3, 1, 1))
+    return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b, padding=2))), [x, w, b]
 
 
 @case("partial_conv")

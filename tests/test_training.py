@@ -16,6 +16,25 @@ TINY = ModelConfig(dense_layers=2, dense_growth=4, unet_base_channels=4,
                    global_mlp_channels=4, groups=2)
 
 
+def backward_grad_dtypes(dtype) -> set:
+    net = kaiming_init(TINY, np.random.default_rng(3))
+    for t in net.weights.values():
+        t.data = t.data.astype(dtype)
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.random((2, 3, 16, 16)).astype(dtype), requires_grad=True)
+    y = Tensor(rng.random((2, 3, 16, 16)).astype(dtype))
+    total, _, _ = loss_terms(net.forward(x), y)
+    T.backward(total)
+    return {t.grad.dtype for t in [x, *net.weights.values()]}
+
+
+def test_backward_keeps_the_graph_dtype():
+    # float32 training must not drift to float64 gradients (and Adam state);
+    # the float64 check mode must stay float64
+    assert backward_grad_dtypes(np.float32) == {np.dtype(np.float32)}
+    assert backward_grad_dtypes(np.float64) == {np.dtype(np.float64)}
+
+
 # ---------------------------------------------------------------------------
 # Gamma pre/post-processing
 # ---------------------------------------------------------------------------
