@@ -50,6 +50,20 @@ class DegradationConfig:
         if m.shape != (3, 3) or abs(np.linalg.det(m)) < 1e-12:
             raise ValueError("cst_matrix must be an invertible 3x3 matrix")
         self.cst_matrix = m
+        if self.quant_bits < 1:
+            raise ValueError(f"quant_bits must be >= 1, got {self.quant_bits}")
+        for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} must have lo <= hi, got ({lo}, {hi})")
+        if self.noise_sigma_range[0] < 0:
+            raise ValueError(f"noise_sigma_range must be >= 0, got {self.noise_sigma_range}")
+        if not all(1 <= q <= 100 for q in self.jpeg_qf1_range):
+            raise ValueError(f"jpeg_qf1_range must lie in [1, 100], got {self.jpeg_qf1_range}")
+        if not 1 <= self.jpeg_qf2 <= 100:
+            raise ValueError(f"jpeg_qf2 must lie in [1, 100], got {self.jpeg_qf2}")
+        if self.rescale_range[0] <= 0:
+            raise ValueError(f"rescale_range must be > 0, got {self.rescale_range}")
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         return np.random.default_rng([self.seed, stream])

@@ -119,23 +119,20 @@ def rgbe_to_float(rgbe: np.ndarray) -> np.ndarray:
 def float_to_rgbe(rgb: np.ndarray) -> np.ndarray:
     rgb = np.maximum(np.asarray(rgb, dtype=np.float32), 0.0)
     v = rgb.max(axis=-1)
-    out = np.zeros(rgb.shape[:-1] + (4,), dtype=np.uint8)
-    nz = v >= 1e-32
-    if not nz.any():
-        return out
-    _, e = np.frexp(v[nz])
+    _, e = np.frexp(v)
     scale = np.ldexp(np.float64(256.0), -e)
-    bytes_ = np.rint(rgb[nz] * scale[..., None])
+    bytes_ = np.rint(rgb * scale[..., None])
     # a max channel rounding up to 256 does not fit a byte: bump the exponent
     over = bytes_.max(axis=-1) >= 256
     if over.any():
-        e = e + over.astype(e.dtype)
-        scale = np.ldexp(np.float64(256.0), -e)
-        bytes_ = np.rint(rgb[nz] * scale[..., None])
-    out_nz = np.empty(bytes_.shape[:-1] + (4,), dtype=np.uint8)
-    out_nz[..., :3] = bytes_.astype(np.uint8)
-    out_nz[..., 3] = (e + 128).astype(np.uint8)
-    out[nz] = out_nz
+        e[over] += 1
+        bytes_[over] = np.rint(rgb[over] * np.ldexp(np.float64(256.0), -e[over])[..., None])
+    out = np.empty(rgb.shape[:-1] + (4,), dtype=np.uint8)
+    zero = ~(v >= 1e-32)  # NaN maxima are zeroed too
+    bytes_[zero] = 0
+    out[..., :3] = bytes_
+    out[..., 3] = e + 128
+    out[zero] = 0
     return out
 
 
@@ -197,33 +194,54 @@ def read_rgbe(data: bytes) -> Image:
     return Image(rgbe_to_float(rgbe), LINEAR_HDR)
 
 
-def _rle_encode_component(comp: np.ndarray, out: bytearray):
-    w = comp.size
-    pos = 0
-    while pos < w:
-        # locate the next run of >= 4 identical bytes at or after pos
-        run_start, run_len = pos, 0
-        while run_start < w:
-            run_len = 1
-            while (run_start + run_len < w and run_len < 127
-                   and comp[run_start + run_len] == comp[run_start]):
-                run_len += 1
-            if run_len >= 4:
-                break
-            run_start += run_len
-            run_len = 0
-        lit = pos
-        while lit < run_start:
-            n = min(128, run_start - lit)
-            out.append(n)
-            out += comp[lit:lit + n].tobytes()
-            lit += n
-        if run_len:
-            out.append(128 + run_len)
-            out.append(int(comp[run_start]))
-            pos = run_start + run_len
-        else:
-            pos = run_start
+def _rle_encode_scanlines(lines: np.ndarray, out: bytearray):
+    """Run-length encode (h, 4, w) component scanlines, each row preceded by
+    its new-style header.
+
+    Numpy finds the maximal runs of every scanline; only runs of >= 4 bytes
+    reach the Python loop. A run is cut into 127-byte chunks from its start:
+    chunks of >= 4 bytes become run codes, a shorter tail joins the literals
+    that follow, and literals go out in slices of at most 128 bytes.
+    """
+    h, _, w = lines.shape
+    flat = lines.reshape(-1)
+    starts = np.empty(flat.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::w] = True  # runs never cross a scanline
+    starts = np.flatnonzero(starts)
+    lens = np.diff(starts, append=flat.size)
+    keep = lens >= 4
+    run_starts, run_lens = starts[keep].tolist(), lens[keep].tolist()
+    run_starts.append(flat.size)  # sentinel
+    data = flat.tobytes()
+    head = bytes((2, 2, w >> 8, w & 255))
+    j = 0
+    for y in range(h):
+        out += head
+        for c in range(4):
+            pos = (4 * y + c) * w
+            end = pos + w
+            while run_starts[j] < end:
+                s, n = run_starts[j], run_lens[j]
+                j += 1
+                while n >= 4:
+                    while pos < s:
+                        k = min(128, s - pos)
+                        out.append(k)
+                        out += data[pos:pos + k]
+                        pos += k
+                    k = min(127, n)
+                    out.append(128 + k)
+                    out.append(data[s])
+                    s += k
+                    n -= k
+                    pos = s
+            while pos < end:
+                k = min(128, end - pos)
+                out.append(k)
+                out += data[pos:pos + k]
+                pos += k
 
 
 def write_rgbe(img: Image) -> bytes:
@@ -232,14 +250,10 @@ def write_rgbe(img: Image) -> bytes:
     out += b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n"
     out += f"-Y {h} +X {w}\n".encode("ascii")
     rgbe = float_to_rgbe(img.data)
-    use_rle = 8 <= w <= 32767
-    for y in range(h):
-        if use_rle:
-            out += bytes((2, 2, w >> 8, w & 255))
-            for comp in range(4):
-                _rle_encode_component(np.ascontiguousarray(rgbe[y, :, comp]), out)
-        else:
-            out += rgbe[y].tobytes()
+    if 8 <= w <= 32767:
+        _rle_encode_scanlines(np.ascontiguousarray(rgbe.transpose(0, 2, 1)), out)
+    else:
+        out += rgbe.tobytes()
     return bytes(out)
 
 

@@ -58,25 +58,31 @@ def psnr(a: Image, b: Image, peak: float = 1.0) -> float:
 
 
 def _ssim_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    """1-D taps of the normalized Gaussian; the 2-D window is their outer
+    product."""
     ax = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(ax ** 2) / (2 * sigma * sigma))
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
 def ssim(a: Image, b: Image, peak: float = 1.0) -> float:
-    """Single-scale SSIM, 11x11 Gaussian window sigma 1.5, channel-averaged."""
+    """Single-scale SSIM, 11x11 Gaussian window sigma 1.5, channel-averaged.
+
+    The Gaussian is separable (Wang et al. 2004) and mirror extension acts
+    per axis, so two 1-D passes give the 2-D windowed means.
+    """
     if a.data.shape != b.data.shape:
         raise ValueError("ssim dims differ")
     h, w = a.data.shape[:2]
     if h < 11 or w < 11:
         raise ValueError(f"image {w}x{h} smaller than the 11x11 SSIM window")
-    win = _ssim_window()
+    g = _ssim_window()
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
 
     def filt(x):
-        return scipy.ndimage.convolve(x, win, mode="mirror")
+        x = scipy.ndimage.correlate1d(x, g, axis=0, mode="mirror")
+        return scipy.ndimage.correlate1d(x, g, axis=1, mode="mirror")
 
     vals = []
     for c in range(3):

@@ -348,6 +348,10 @@ def _config_text(cfg: ModelConfig, extra: dict | None = None) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+_BOOL_WORDS = {"true": True, "1": True, "yes": True,
+               "false": False, "0": False, "no": False}
+
+
 def _parse_config_text(text: str):
     raw = {}
     for line in text.splitlines():
@@ -364,7 +368,9 @@ def _parse_config_text(text: str):
             continue
         v = raw.pop(f.name)
         if f.type == "bool":
-            kwargs[f.name] = v.lower() in ("1", "true", "yes")
+            if v.lower() not in _BOOL_WORDS:
+                raise ValueError(f"{f.name} must be one of true/false/1/0/yes/no, got {v!r}")
+            kwargs[f.name] = _BOOL_WORDS[v.lower()]
         elif f.type == "int":
             kwargs[f.name] = int(v)
         elif f.type == "float":
@@ -431,11 +437,6 @@ def load_checkpoint(path, requires_grad: bool = False):
     if off != len(data):
         raise ValueError("trailing bytes after last checkpoint record")
     return Network(cfg, weights), extra
-
-
-def checkpoint_element_count(path) -> int:
-    net, _ = load_checkpoint(path)
-    return sum(t.data.size for t in net.weights.values())
 
 
 def ablation_config(cfg: ModelConfig, which: str) -> ModelConfig:

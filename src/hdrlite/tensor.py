@@ -61,9 +61,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError("item() requires a scalar tensor")

@@ -235,3 +235,12 @@ def test_unknown_model_config_key(tmp_path, capsys):
     rc = main(["info", "--model-config", str(bad)])
     assert rc == EXIT_FAIL
     assert "unknown model config keys" in capsys.readouterr().err
+
+
+def test_model_config_bool_typo(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("use_partial_conv=ture\n")
+    rc = main(["info", "--model-config", str(bad)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "use_partial_conv" in err and "ture" in err

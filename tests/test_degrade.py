@@ -240,6 +240,32 @@ def test_config_validation():
         DegradationConfig(cst_matrix=np.zeros((3, 3))).validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("quant_bits", 0),
+    ("noise_sigma_range", (0.003, 0.001)),
+    ("jpeg_qf1_range", (80, 60)),
+    ("rescale_range", (1.0, 0.7)),
+    ("noise_sigma_range", (-0.001, 0.002)),
+    ("jpeg_qf1_range", (0, 50)),
+    ("jpeg_qf1_range", (60, 101)),
+    ("jpeg_qf2", 0),
+    ("jpeg_qf2", 101),
+    ("rescale_range", (0.0, 1.0)),
+])
+def test_config_validation_names_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        DegradationConfig(**{field: value}).validate()
+
+
+def test_config_validation_accepts_edge_recipes():
+    DegradationConfig().validate()
+    DegradationConfig(quant_bits=1, noise_sigma_range=(0.0, 0.0),
+                      jpeg_qf1_range=(100, 100), jpeg_qf2=100,
+                      rescale_range=(1.0, 1.0)).validate()
+    DegradationConfig(noise_sigma_range=(0.03, 0.05), jpeg_qf1_range=(1, 40),
+                      jpeg_qf2=1, rescale_range=(0.7, 0.9)).validate()
+
+
 def test_manifest_serialization():
     text = manifest_to_kv({"sigma": 0.002, "qf1": 70})
     assert "sigma=0.002" in text and "qf1=70" in text

@@ -5,7 +5,7 @@ from hdrlite.imgio import (
     Image, ImageFormatError, LINEAR_HDR, NONLINEAR_SDR, dataset_stats,
     extract_patches, float_to_code, float_to_rgbe, read_image, read_pfm,
     read_ppm, read_rgbe, rgbe_to_float, write_image, write_pfm, write_ppm,
-    write_rgbe,
+    write_rgbe, _rle_encode_scanlines,
 )
 from tests.conftest import make_hdr_scene
 
@@ -114,6 +114,162 @@ def test_rgbe_runs_compress():
     blob = write_rgbe(img)
     assert len(blob) < 8 * 128 * 4  # flat rows must RLE well
     np.testing.assert_allclose(read_rgbe(blob).data, 2.0)
+
+
+# Oracles: scalar reference versions of float_to_rgbe and of the RLE
+# scanner, one byte at a time. The writer must reproduce their bytes exactly.
+
+def oracle_float_to_rgbe(rgb):
+    rgb = np.maximum(np.asarray(rgb, dtype=np.float32), 0.0)
+    v = rgb.max(axis=-1)
+    out = np.zeros(rgb.shape[:-1] + (4,), dtype=np.uint8)
+    nz = v >= 1e-32
+    if not nz.any():
+        return out
+    _, e = np.frexp(v[nz])
+    scale = np.ldexp(np.float64(256.0), -e)
+    bytes_ = np.rint(rgb[nz] * scale[..., None])
+    over = bytes_.max(axis=-1) >= 256
+    if over.any():
+        e = e + over.astype(e.dtype)
+        scale = np.ldexp(np.float64(256.0), -e)
+        bytes_ = np.rint(rgb[nz] * scale[..., None])
+    out_nz = np.empty(bytes_.shape[:-1] + (4,), dtype=np.uint8)
+    out_nz[..., :3] = bytes_.astype(np.uint8)
+    out_nz[..., 3] = (e + 128).astype(np.uint8)
+    out[nz] = out_nz
+    return out
+
+
+def oracle_rle_component(comp, out):
+    w = comp.size
+    pos = 0
+    while pos < w:
+        run_start, run_len = pos, 0
+        while run_start < w:
+            run_len = 1
+            while (run_start + run_len < w and run_len < 127
+                   and comp[run_start + run_len] == comp[run_start]):
+                run_len += 1
+            if run_len >= 4:
+                break
+            run_start += run_len
+            run_len = 0
+        lit = pos
+        while lit < run_start:
+            n = min(128, run_start - lit)
+            out.append(n)
+            out += comp[lit:lit + n].tobytes()
+            lit += n
+        if run_len:
+            out.append(128 + run_len)
+            out.append(int(comp[run_start]))
+            pos = run_start + run_len
+        else:
+            pos = run_start
+
+
+def oracle_write_rgbe(img):
+    h, w = img.height, img.width
+    out = bytearray(b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n")
+    out += f"-Y {h} +X {w}\n".encode("ascii")
+    rgbe = oracle_float_to_rgbe(img.data)
+    for y in range(h):
+        if 8 <= w <= 32767:
+            out += bytes((2, 2, w >> 8, w & 255))
+            for comp in range(4):
+                oracle_rle_component(np.ascontiguousarray(rgbe[y, :, comp]), out)
+        else:
+            out += rgbe[y].tobytes()
+    return bytes(out)
+
+
+def literals(n, start=0):
+    """n bytes in which no two neighbours are equal."""
+    return [(start + i) % 200 + 1 for i in range(n)]
+
+
+def crafted_scanlines():
+    """Scanlines around every boundary of the encoder, as pytest params."""
+    lines = []
+    for w in (8, 9, 33, 480):
+        lines.append((f"equal{w}", [7] * w))
+        lines.append((f"alternating{w}", [3, 9] * (w // 2) + [3] * (w % 2)))
+        for n in (3, 4, 5, 126, 127, 128, 129, 130, 131, 254, 255, 256):
+            for pre in (0, 1, 5):
+                if pre + n <= w:
+                    row = literals(pre) + [0] * n
+                    lines.append((f"run{n}@{pre}w{w}", row + literals(w - len(row), 50)))
+        for n in (127, 128, 129, 257):
+            if n + 4 <= w:
+                row = literals(n) + [0] * 4
+                lines.append((f"lit{n}w{w}", row + literals(w - len(row), 90)))
+    return [pytest.param(row, id=name) for name, row in lines]
+
+
+@pytest.mark.parametrize("row", crafted_scanlines())
+def test_rle_encoder_matches_scalar_scanner_on_crafted_scanlines(row):
+    comp = np.array(row, dtype=np.uint8)
+    w = comp.size
+    want = bytearray(bytes((2, 2, w >> 8, w & 255)))
+    for c in range(4):
+        oracle_rle_component(np.roll(comp, c), want)
+    got = bytearray()
+    _rle_encode_scanlines(np.stack([np.roll(comp, c) for c in range(4)])[None], got)
+    assert bytes(got) == bytes(want)
+
+
+def run_and_noise_image(rng, h, w):
+    """Rows that mix pixel runs of 1..300 with noise, from a small palette."""
+    palette = rng.random((6, 3)).astype(np.float32) * 4.0
+    data = np.empty((h, w, 3), dtype=np.float32)
+    for y in range(h):
+        x = 0
+        while x < w:
+            n = int(rng.integers(1, 300)) if rng.random() < 0.5 else int(rng.integers(1, 20))
+            if rng.random() < 0.5:
+                data[y, x:x + n] = palette[rng.integers(0, len(palette))]
+            else:
+                data[y, x:x + n] = rng.random((min(n, w - x), 3)) * 4.0
+            x += n
+    return Image(data, LINEAR_HDR)
+
+
+@pytest.mark.parametrize("w", [8, 9, 33, 480])
+def test_write_rgbe_matches_scalar_writer_on_crafted_rows(w):
+    rows = [np.full((w, 3), 0.5), np.tile([[0.5] * 3, [0.25] * 3], (w, 1))[:w]]
+    for n in (3, 4, 5, 126, 127, 128, 129, 130, 131, 254, 255, 256):
+        if n < w:
+            row = np.linspace(0.1, 3.0, w * 3).reshape(w, 3)
+            row[1:n + 1] = 2.0
+            rows.append(row)
+    img = Image(np.stack(rows).astype(np.float32), LINEAR_HDR)
+    assert write_rgbe(img) == oracle_write_rgbe(img)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_write_rgbe_matches_scalar_writer_on_random_rows(seed):
+    rng = np.random.default_rng(seed)
+    w = int(rng.choice([8, 9, 33, 127, 128, 129, 257, 480]))
+    img = run_and_noise_image(rng, int(rng.integers(1, 6)), w)
+    assert write_rgbe(img) == oracle_write_rgbe(img)
+    assert read_rgbe(write_rgbe(img)).data.shape == img.data.shape
+
+
+def test_float_to_rgbe_matches_scalar_encoder():
+    rng = np.random.default_rng(11)
+    wide = 10.0 ** rng.uniform(-40, 30, (64, 64, 3))
+    wide[rng.random(wide.shape) < 0.1] = 0.0
+    wide[rng.random(wide.shape[:2]) < 0.05] = 0.0  # whole zero pixels
+    wide[rng.random(wide.shape) < 0.05] *= -1.0
+    # max channels whose 8-bit mantissa rounds up to 256
+    up = np.array([255.5, 255.75, 255.999, 255.49]) / 256.0
+    near = np.stack([up, up / 2, up / 3], axis=-1)[None] * 2.0 ** np.arange(-20, 20)[:, None, None]
+    for rgb in (wide.astype(np.float32), near.astype(np.float32),
+                np.zeros((3, 5, 3), np.float32)):
+        np.testing.assert_array_equal(float_to_rgbe(rgb), oracle_float_to_rgbe(rgb))
+    # 255.5/256 rounds to 256 and moves to the next exponent as mantissa 128
+    assert (oracle_float_to_rgbe(near.astype(np.float32))[..., 0] == 128).any()
 
 
 def test_rgbe_rejects_bad_headers():

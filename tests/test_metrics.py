@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from hdrlite.degrade import DegradationConfig
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR
@@ -74,6 +75,42 @@ def test_ssim_rejects_tiny_images():
     a = sdr_image(7, 8, 8)
     with pytest.raises(ValueError, match="11x11"):
         ssim(a, a)
+
+
+def ssim_2d_reference(a, b, peak=1.0):
+    """SSIM with the full 11x11 window as one 2-D convolution per channel."""
+    ax = np.arange(11) - 5.0
+    g = np.exp(-(ax ** 2) / (2 * 1.5 * 1.5))
+    win = np.outer(g, g)
+    win /= win.sum()
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+
+    def filt(x):
+        return scipy.ndimage.convolve(x, win, mode="mirror")
+
+    vals = []
+    for c in range(3):
+        x = np.asarray(a.data[..., c], np.float64)
+        y = np.asarray(b.data[..., c], np.float64)
+        mx, my = filt(x), filt(y)
+        vxx = filt(x * x) - mx * mx
+        vyy = filt(y * y) - my * my
+        vxy = filt(x * y) - mx * my
+        num = (2 * mx * my + c1) * (2 * vxy + c2)
+        den = (mx * mx + my * my + c1) * (vxx + vyy + c2)
+        vals.append(np.mean(num / den))
+    return float(np.mean(vals))
+
+
+@pytest.mark.parametrize("h,w,sigma", [(32, 32, 0.05), (11, 11, 0.1), (11, 40, 0.02),
+                                       (57, 13, 0.3), (64, 96, 0.01)])
+def test_separable_ssim_matches_2d_window(h, w, sigma):
+    r = np.random.default_rng(h * w)
+    a = sdr_image(h + w, h, w)
+    b = Image(np.clip(a.data + sigma * r.standard_normal(a.data.shape), 0, 1)
+              .astype(np.float32), NONLINEAR_SDR)
+    assert abs(ssim(a, b) - ssim_2d_reference(a, b)) <= 1e-12
+    assert abs(ssim(a, b, peak=2.0) - ssim_2d_reference(a, b, peak=2.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
