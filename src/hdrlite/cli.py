@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import degrade as D
 from . import imgio
+from . import kvtext
 from . import metrics as M
 from . import model as mod
 from . import training as TR
@@ -32,22 +33,22 @@ def _echo(title: str, kv: dict):
         print(f"  {k} = {v}")
 
 
-def _load_model_config(path) -> mod.ModelConfig:
+def _read_config(cls, path, what: str):
     if path is None:
-        return mod.ModelConfig()
-    cfg, extra = mod._parse_config_text(Path(path).read_text())
+        return cls()
+    cfg, extra = kvtext.loads(cls, Path(path).read_text())
     if extra:
-        raise ValueError(f"unknown model config keys: {sorted(extra)}")
-    cfg.validate()
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
     return cfg
+
+
+def _load_model_config(path) -> mod.ModelConfig:
+    return _read_config(mod.ModelConfig, path, "model config")
 
 
 def _load_degrade_config(path, seed=None) -> D.DegradationConfig:
-    cfg = D.config_from_kv(Path(path).read_text()) if path else D.DegradationConfig()
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    cfg.validate()
-    return cfg
+    cfg = _read_config(D.DegradationConfig, path, "recipe")
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _list_images(directory) -> list[Path]:
@@ -74,7 +75,7 @@ def _parse_resolution(text: str):
 def cmd_degrade(args) -> int:
     cfg = _load_degrade_config(args.config, args.seed)
     _echo("degrade", {"in": args.in_dir, "out": args.out_dir,
-                      **dict(l.split("=", 1) for l in D.config_to_kv(cfg).splitlines())})
+                      **dict(kvtext.items(cfg))})
     files = _list_images(args.in_dir)
     if not files:
         print("error: no input images", file=sys.stderr)
@@ -90,7 +91,7 @@ def cmd_degrade(args) -> int:
             out_path = out_dir / (path.stem + ".ppm")
             imgio.write_image(out_path, degraded)
             (out_dir / (path.stem + ".manifest.txt")).write_text(
-                D.manifest_to_kv(manifest))
+                kvtext.dumps(manifest))
             print(f"degraded {path.name} -> {out_path.name} "
                   f"(sigma={manifest['sigma']:.5f} qf1={manifest['qf1']} "
                   f"scale={manifest['rescale']:.3f})")

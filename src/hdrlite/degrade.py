@@ -10,7 +10,7 @@ seed reproduces outputs bit-exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -34,10 +34,10 @@ class DegradationConfig:
     clip_low: float = 0.0
     clip_high: float = 1.0
     quant_bits: int = 8
-    noise_sigma_range: tuple = (0.001, 0.003)
-    jpeg_qf1_range: tuple = (60, 80)
+    noise_sigma_range: tuple[float, float] = (0.001, 0.003)
+    jpeg_qf1_range: tuple[int, int] = (60, 80)
     jpeg_qf2: int = 75
-    rescale_range: tuple = (0.7, 1.0)
+    rescale_range: tuple[float, float] = (0.7, 1.0)
     cst_matrix: np.ndarray = field(default_factory=lambda: DEFAULT_CST.copy())
     seed: int = 0
 
@@ -262,59 +262,3 @@ def exposure_stats(codes: np.ndarray, over_code: int = 255, under_code: int = 0)
     p = codes.max(axis=2)
     n = p.size
     return float((p <= under_code).sum() / n), float((p >= over_code).sum() / n)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text recipes and manifests
-# ---------------------------------------------------------------------------
-
-def config_to_kv(cfg: DegradationConfig) -> str:
-    cfg.validate()
-    lines = [
-        f"exposure_scale={cfg.exposure_scale}",
-        f"crf_gamma={cfg.crf_gamma}",
-        f"clip_low={cfg.clip_low}",
-        f"clip_high={cfg.clip_high}",
-        f"quant_bits={cfg.quant_bits}",
-        f"noise_sigma_range={cfg.noise_sigma_range[0]},{cfg.noise_sigma_range[1]}",
-        f"jpeg_qf1_range={cfg.jpeg_qf1_range[0]},{cfg.jpeg_qf1_range[1]}",
-        f"jpeg_qf2={cfg.jpeg_qf2}",
-        f"rescale_range={cfg.rescale_range[0]},{cfg.rescale_range[1]}",
-        "cst_matrix=" + ",".join(f"{v:.6f}" for v in cfg.cst_matrix.reshape(-1)),
-        f"seed={cfg.seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def config_from_kv(text: str) -> DegradationConfig:
-    cfg = DegradationConfig()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed recipe line: {line!r}")
-        k, v = (s.strip() for s in line.split("=", 1))
-        if k in ("exposure_scale", "crf_gamma", "clip_low", "clip_high"):
-            cfg = replace(cfg, **{k: float(v)})
-        elif k in ("quant_bits", "jpeg_qf2", "seed"):
-            cfg = replace(cfg, **{k: int(v)})
-        elif k in ("noise_sigma_range", "rescale_range"):
-            a, b = (float(s) for s in v.split(","))
-            cfg = replace(cfg, **{k: (a, b)})
-        elif k == "jpeg_qf1_range":
-            a, b = (int(float(s)) for s in v.split(","))
-            cfg = replace(cfg, jpeg_qf1_range=(a, b))
-        elif k == "cst_matrix":
-            vals = [float(s) for s in v.split(",")]
-            if len(vals) != 9:
-                raise ValueError("cst_matrix needs 9 comma-separated values")
-            cfg = replace(cfg, cst_matrix=np.array(vals).reshape(3, 3))
-        else:
-            raise ValueError(f"unknown recipe key {k!r}")
-    cfg.validate()
-    return cfg
-
-
-def manifest_to_kv(manifest: dict) -> str:
-    return "\n".join(f"{k}={v}" for k, v in manifest.items()) + "\n"

@@ -245,6 +245,8 @@ def _rle_encode_scanlines(lines: np.ndarray, out: bytearray):
 
 
 def write_rgbe(img: Image) -> bytes:
+    if not np.isfinite(img.data).all():
+        raise ValueError("RGBE cannot encode non-finite pixels")
     h, w = img.height, img.width
     out = bytearray()
     out += b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n"

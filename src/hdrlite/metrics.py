@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import ctypes
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,31 +21,6 @@ from .tensor import Tensor
 from .training import TrainConfig, postprocess_gamma, preprocess_gamma, train_loop
 
 METRIC_DOMAIN = "gamma045"
-
-
-@dataclass
-class MetricsReport:
-    psnr: float
-    ssim: float
-    params: int
-    macs: int
-    macs_resolution: str
-    runtime: float | None = None
-    metric_domain: str = METRIC_DOMAIN
-
-    def to_kv(self) -> str:
-        psnr = "inf" if np.isinf(self.psnr) else f"{self.psnr:.4f}"
-        lines = [
-            f"psnr={psnr}",
-            f"ssim={self.ssim:.4f}",
-            f"params={self.params}",
-            f"macs={self.macs}",
-            f"macs_resolution={self.macs_resolution}",
-            f"metric_domain={self.metric_domain}",
-        ]
-        if self.runtime is not None:
-            lines.append(f"runtime={self.runtime:.4f}")
-        return "\n".join(lines)
 
 
 def psnr(a: Image, b: Image, peak: float = 1.0) -> float:

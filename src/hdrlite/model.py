@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kvtext
 from . import tensor as T
 from .tensor import ConvSpec, Tensor, _pool2
 
@@ -341,52 +342,13 @@ class Network:
 # Checkpoint serialization
 # ---------------------------------------------------------------------------
 
-def _config_text(cfg: ModelConfig, extra: dict | None = None) -> bytes:
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)]
-    for k, v in (extra or {}).items():
-        lines.append(f"{k}={v}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-_BOOL_WORDS = {"true": True, "1": True, "yes": True,
-               "false": False, "0": False, "no": False}
-
-
-def _parse_config_text(text: str):
-    raw = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {line!r}")
-        k, v = line.split("=", 1)
-        raw[k.strip()] = v.strip()
-    kwargs = {}
-    for f in fields(ModelConfig):
-        if f.name not in raw:
-            continue
-        v = raw.pop(f.name)
-        if f.type == "bool":
-            if v.lower() not in _BOOL_WORDS:
-                raise ValueError(f"{f.name} must be one of true/false/1/0/yes/no, got {v!r}")
-            kwargs[f.name] = _BOOL_WORDS[v.lower()]
-        elif f.type == "int":
-            kwargs[f.name] = int(v)
-        elif f.type == "float":
-            kwargs[f.name] = float(v)
-        else:
-            kwargs[f.name] = v
-    return ModelConfig(**kwargs), raw
-
-
 def save_checkpoint(path, net: Network, extra: dict | None = None):
     """Binary layout: magic, u16 version, length-prefixed config text, then
     per-tensor records (u32 name length, name, 4 x u32 dims, f32-LE data)."""
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<H", CHECKPOINT_VERSION))
-    cfg_bytes = _config_text(net.cfg, extra)
+    cfg_bytes = (kvtext.dumps(net.cfg) + kvtext.dumps(extra or {})).encode("utf-8")
     buf.write(struct.pack("<I", len(cfg_bytes)))
     buf.write(cfg_bytes)
     names = sorted(net.weights)
@@ -424,7 +386,7 @@ def load_checkpoint(path, requires_grad: bool = False):
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
-    cfg, extra = _parse_config_text(take(cfg_len).decode("utf-8"))
+    cfg, extra = kvtext.loads(ModelConfig, take(cfg_len).decode("utf-8"))
     (count,) = struct.unpack("<I", take(4))
     weights = {}
     for _ in range(count):

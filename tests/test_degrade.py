@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from hdrlite.cli import _load_degrade_config
 from hdrlite.degrade import (
-    DEFAULT_CST, DegradationConfig, add_camera_noise, config_from_kv,
-    config_to_kv, conventional_degrade, cst_apply, exposure_stats, jpeg_sim,
-    manifest_to_kv, srgb_decode, srgb_encode, virtual_shot,
+    DEFAULT_CST, DegradationConfig, add_camera_noise, conventional_degrade,
+    cst_apply, exposure_stats, jpeg_sim, srgb_decode, srgb_encode, virtual_shot,
 )
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
+from hdrlite.kvtext import dumps, loads
 from tests.conftest import make_hdr_scene
 
 
@@ -211,7 +212,7 @@ def test_config_kv_roundtrip():
                             noise_sigma_range=(0.002, 0.004),
                             jpeg_qf1_range=(50, 90), jpeg_qf2=60,
                             rescale_range=(0.8, 0.9), seed=7)
-    back = config_from_kv(config_to_kv(cfg))
+    back, _ = loads(DegradationConfig, dumps(cfg))
     assert back.exposure_scale == cfg.exposure_scale
     assert back.quant_bits == cfg.quant_bits
     assert back.noise_sigma_range == cfg.noise_sigma_range
@@ -222,13 +223,18 @@ def test_config_kv_roundtrip():
     np.testing.assert_allclose(back.cst_matrix, cfg.cst_matrix, atol=1e-6)
 
 
-def test_config_kv_comments_and_errors():
-    cfg = config_from_kv("# comment\n\nexposure_scale=2.0\n")
+def test_config_kv_comments_and_errors(tmp_path):
+    def recipe(text):
+        path = tmp_path / "recipe.txt"
+        path.write_text(text)
+        return _load_degrade_config(path)
+
+    cfg = recipe("# comment\n\nexposure_scale=2.0\n")
     assert cfg.exposure_scale == 2.0
     with pytest.raises(ValueError, match="unknown"):
-        config_from_kv("bogus_key=1\n")
+        recipe("bogus_key=1\n")
     with pytest.raises(ValueError, match="malformed"):
-        config_from_kv("no equals sign\n")
+        recipe("no equals sign\n")
 
 
 def test_config_validation():
@@ -267,5 +273,5 @@ def test_config_validation_accepts_edge_recipes():
 
 
 def test_manifest_serialization():
-    text = manifest_to_kv({"sigma": 0.002, "qf1": 70})
+    text = dumps({"sigma": 0.002, "qf1": 70})
     assert "sigma=0.002" in text and "qf1=70" in text

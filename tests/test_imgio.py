@@ -256,6 +256,19 @@ def test_write_rgbe_matches_scalar_writer_on_random_rows(seed):
     assert read_rgbe(write_rgbe(img)).data.shape == img.data.shape
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_write_rgbe_rejects_non_finite_pixels(bad, tmp_path):
+    img = random_hdr(5, h=2, w=8)
+    assert write_rgbe(img) == oracle_write_rgbe(img)
+    data = img.data.copy()
+    data[1, 3, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        write_rgbe(Image(data, LINEAR_HDR))
+    with pytest.raises(ValueError, match="non-finite"):
+        write_image(tmp_path / "bad.hdr", Image(data, LINEAR_HDR))
+    assert not (tmp_path / "bad.hdr").exists()
+
+
 def test_float_to_rgbe_matches_scalar_encoder():
     rng = np.random.default_rng(11)
     wide = 10.0 ** rng.uniform(-40, 30, (64, 64, 3))

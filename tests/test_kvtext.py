@@ -1,0 +1,109 @@
+import numpy as np
+import pytest
+
+from hdrlite import training as TR
+from hdrlite.cli import EXIT_FAIL, main
+from hdrlite.degrade import DegradationConfig
+from hdrlite.kvtext import dumps, items, loads
+from hdrlite.model import ModelConfig, load_checkpoint, save_checkpoint
+
+# The header block that checkpoints written by `hdrlite train` carry: the
+# default ModelConfig followed by the optimizer and seed extras.
+PINNED_CHECKPOINT_HEADER = (
+    "dense_layers=5\ndense_growth=16\nunet_levels=2\nunet_base_channels=20\n"
+    "unet_rb_per_level=1\ngroups=4\nglobal_mlp_channels=48\nglobal_mlp_layers=4\n"
+    "mask_threshold=0.9\nleaky_slope=0.2\nuse_partial_conv=True\n"
+    "modulation_after_layer=2\nopt.beta1=0.9\nopt.beta2=0.999\nopt.eps=1e-08\n"
+    "train.seed=0\n"
+)
+
+
+def test_model_config_roundtrip_every_field():
+    cfg = ModelConfig(dense_layers=3, dense_growth=8, unet_levels=3,
+                      unet_base_channels=12, unet_rb_per_level=2, groups=3,
+                      global_mlp_channels=24, global_mlp_layers=5,
+                      mask_threshold=0.85, leaky_slope=0.1,
+                      use_partial_conv=False, modulation_after_layer=3)
+    assert all(getattr(cfg, k) != v for k, v in vars(ModelConfig()).items())
+    back, extra = loads(ModelConfig, dumps(cfg))
+    assert back == cfg and extra == {}
+
+
+def test_degradation_config_roundtrip_is_exact():
+    cst = np.array([[1.0 / 3.0, 0.1, -0.2], [0.05, 0.9, 0.05], [-0.01, 0.2, 1.1]])
+    cfg = DegradationConfig(exposure_scale=0.3, crf_gamma=0.5, clip_low=0.01,
+                            clip_high=0.99, quant_bits=10,
+                            noise_sigma_range=(0.002, 0.004),
+                            jpeg_qf1_range=(50, 90), jpeg_qf2=60,
+                            rescale_range=(0.8, 0.9), cst_matrix=cst, seed=7)
+    back, extra = loads(DegradationConfig, dumps(cfg))
+    assert extra == {}
+    for k, v in vars(cfg).items():
+        np.testing.assert_array_equal(getattr(back, k), v, err_msg=k)
+    assert back.jpeg_qf1_range == (50, 90) and isinstance(back.jpeg_qf1_range[0], int)
+
+
+def test_dumps_writes_one_line_per_field_in_order():
+    text = dumps(DegradationConfig())
+    assert [line.split("=", 1)[0] for line in text.splitlines()] == list(vars(DegradationConfig()))
+    assert "noise_sigma_range=0.001,0.003\n" in text
+    assert "cst_matrix=1.6605,-0.5876,-0.0728,-0.1246,1.1329,-0.0083,-0.0182,-0.1006,1.1187\n" in text
+    assert dict(items({"a": (1, 2), "b": True})) == {"a": "1,2", "b": "True"}
+
+
+def test_manifest_text_is_pinned():
+    manifest = {"sigma": 0.0021, "qf1": 70, "qf2": 75, "rescale": 0.85}
+    assert dumps(manifest) == "sigma=0.0021\nqf1=70\nqf2=75\nrescale=0.85\n"
+
+
+def test_checkpoint_header_is_pinned(tmp_path):
+    net = TR.kaiming_init(ModelConfig(), np.random.default_rng(0))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, net, extra={"opt.beta1": TR.ADAM_BETA1, "opt.beta2": TR.ADAM_BETA2,
+                                      "opt.eps": TR.ADAM_EPS, "train.seed": 0})
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[6:10], "little")
+    assert raw[10:10 + n].decode("utf-8") == PINNED_CHECKPOINT_HEADER
+    back, extra = load_checkpoint(path)
+    assert back.cfg == ModelConfig()
+    assert extra == {"opt.beta1": "0.9", "opt.beta2": "0.999", "opt.eps": "1e-08",
+                     "train.seed": "0"}
+
+
+def test_loads_skips_comments_and_returns_unknown_keys():
+    cfg, extra = loads(ModelConfig, "# note\n\n  groups = 2 \nunet_base_channels=8\nfoo=a=b\n")
+    assert (cfg.groups, cfg.unet_base_channels) == (2, 8)
+    assert extra == {"foo": "a=b"}
+    with pytest.raises(ValueError, match="malformed"):
+        loads(ModelConfig, "groups\n")
+    with pytest.raises(ValueError, match="unet_base_channels must be divisible"):
+        loads(ModelConfig, "groups=3\n")
+
+
+@pytest.mark.parametrize("cls,line", [
+    (DegradationConfig, "jpeg_qf1_range=60.7,80.9"),
+    (DegradationConfig, "quant_bits=abc"),
+    (DegradationConfig, "noise_sigma_range=0.1"),
+    (DegradationConfig, "rescale_range=0.7,0.8,0.9"),
+    (DegradationConfig, "cst_matrix=1,0,0,0,1,0,0,0"),
+    (ModelConfig, "groups=2.0"),
+    (ModelConfig, "mask_threshold=high"),
+    (ModelConfig, "use_partial_conv=ture"),
+])
+def test_conversion_errors_name_the_key(cls, line):
+    key = line.split("=", 1)[0]
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        loads(cls, line + "\n")
+
+
+def test_degrade_echo_roundtrips_the_recipe(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    rc = main(["degrade", "--in", str(empty), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_FAIL
+    fields = vars(DegradationConfig())
+    echoed = [line.strip().split(" = ", 1) for line in capsys.readouterr().out.splitlines()]
+    text = "".join(f"{k}={v}\n" for k, v in (pair for pair in echoed if pair[0] in fields))
+    back, _ = loads(DegradationConfig, text)
+    np.testing.assert_array_equal(back.cst_matrix, DegradationConfig().cst_matrix)
+    assert dumps(back) == dumps(DegradationConfig())

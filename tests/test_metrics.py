@@ -5,7 +5,7 @@ import scipy.ndimage
 from hdrlite.degrade import DegradationConfig
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR
 from hdrlite.metrics import (
-    METRIC_DOMAIN, MetricsReport, ablation_table, bench_forward, blas_threads,
+    ablation_table, bench_forward, blas_threads,
     evaluate_on_degraded, hdr_pair_metrics, psnr, reconstruct_hdr, ssim,
     to_metric_domain, tonemap_preview,
 )
@@ -136,17 +136,6 @@ def test_hdr_pair_metrics_scale_handling():
     p2, s2 = hdr_pair_metrics(off, hdr)
     assert np.isfinite(p2) and p2 > 20
     assert s2 < 1.0
-
-
-def test_metrics_report_serialization():
-    rep = MetricsReport(psnr=np.inf, ssim=0.5, params=10, macs=20,
-                        macs_resolution="8x8")
-    kv = dict(line.split("=", 1) for line in rep.to_kv().splitlines())
-    assert kv["psnr"] == "inf"
-    assert kv["metric_domain"] == METRIC_DOMAIN == "gamma045"
-    rep2 = MetricsReport(psnr=30.0, ssim=0.5, params=10, macs=20,
-                         macs_resolution="8x8", runtime=1.25)
-    assert "runtime=1.2500" in rep2.to_kv()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hdrlite import tensor as T
+from hdrlite.kvtext import loads
 from hdrlite.model import (
     ModelConfig, Network, ablation_config, bright_invalid_mask, bright_valid_mask,
     channel_modulation, count_macs, count_params, layer_breakdown, layer_table,
-    _parse_config_text, load_checkpoint, prior_scalar, save_checkpoint, sft_modulation,
+    load_checkpoint, prior_scalar, save_checkpoint, sft_modulation,
 )
 from hdrlite.tensor import Tensor
 from hdrlite.training import kaiming_init
@@ -332,11 +333,11 @@ def test_config_validation():
 @pytest.mark.parametrize("word,value", [("true", True), ("False", False), ("1", True),
                                         ("0", False), ("YES", True), ("no", False)])
 def test_config_text_bool_words(word, value):
-    cfg, extra = _parse_config_text(f"use_partial_conv={word}\n")
+    cfg, extra = loads(ModelConfig, f"use_partial_conv={word}\n")
     assert cfg.use_partial_conv is value and extra == {}
 
 
 @pytest.mark.parametrize("word", ["ture", "", "2", "on", "enabled"])
 def test_config_text_rejects_other_bool_words(word):
     with pytest.raises(ValueError, match=f"use_partial_conv.*{word!r}"):
-        _parse_config_text(f"use_partial_conv={word}\n")
+        loads(ModelConfig, f"use_partial_conv={word}\n")
