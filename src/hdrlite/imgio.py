@@ -51,6 +51,11 @@ def _require(cond: bool, msg: str):
         raise ImageFormatError(msg)
 
 
+def _require_finite(img: Image, fmt: str):
+    if not np.isfinite(img.data).all():
+        raise ValueError(f"{fmt} cannot encode non-finite pixels")
+
+
 _MAX_DIM = 1 << 20  # parser sanity bound on either dimension
 
 
@@ -99,6 +104,7 @@ def read_pfm(data: bytes, domain: str = LINEAR_HDR) -> Image:
 
 
 def write_pfm(img: Image) -> bytes:
+    _require_finite(img, "PFM")
     header = f"PF\n{img.width} {img.height}\n-1.0\n".encode("ascii")
     return header + img.data[::-1].astype("<f4").tobytes()
 
@@ -245,8 +251,7 @@ def _rle_encode_scanlines(lines: np.ndarray, out: bytearray):
 
 
 def write_rgbe(img: Image) -> bytes:
-    if not np.isfinite(img.data).all():
-        raise ValueError("RGBE cannot encode non-finite pixels")
+    _require_finite(img, "RGBE")
     h, w = img.height, img.width
     out = bytearray()
     out += b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n"
@@ -310,6 +315,7 @@ def float_to_code(x: np.ndarray, maxval: int) -> np.ndarray:
 def write_ppm(img: Image, bit_depth: int = 8) -> bytes:
     if bit_depth not in (8, 16):
         raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth}")
+    _require_finite(img, "PPM")
     maxval = (1 << bit_depth) - 1
     header = f"P6\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
     codes = float_to_code(img.data, maxval)

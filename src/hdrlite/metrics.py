@@ -187,16 +187,10 @@ def ablation_suite(model_cfg: ModelConfig, train_cfg: TrainConfig,
     """
     rows = []
     for name in variants:
-        cfg = model_cfg
-        tcfg = train_cfg
         if name == "no_conventional_degradation":
-            tcfg = replace(train_cfg, apply_degradation=False)
-        elif name == "no_partial_conv":
-            cfg = ablation_config(model_cfg, "no_partial_conv")
-        elif name == "no_group_conv":
-            cfg = ablation_config(model_cfg, "no_group_conv")
-        elif name != "baseline":
-            raise ValueError(f"unknown ablation variant {name!r}")
+            cfg, tcfg = model_cfg, replace(train_cfg, apply_degradation=False)
+        else:
+            cfg, tcfg = ablation_config(model_cfg, name), train_cfg
         net, _ = train_loop(cfg, tcfg, dataset, degrade_cfg)
         p, s = evaluate_on_degraded(net, test_pairs, degrade_cfg, train_cfg.seed,
                                     train_cfg.gamma)

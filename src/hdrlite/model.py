@@ -108,8 +108,8 @@ def _rb_layers(cfg: ModelConfig, prefix: str, ch: int, scale: int, sft: bool):
     if sft:
         out.append(LayerInfo(f"{prefix}.sft0", ConvSpec(3, ch, 1), scale))
         out.append(LayerInfo(f"{prefix}.sft1", ConvSpec(ch, 2 * ch, 1), scale))
-    out.append(LayerInfo(f"{prefix}.conv1", ConvSpec(ch, ch, 3, padding=1), scale))
-    out.append(LayerInfo(f"{prefix}.conv2", ConvSpec(ch, ch, 3, padding=1, groups=cfg.groups), scale))
+    out.append(LayerInfo(f"{prefix}.conv1", ConvSpec(ch, ch, 3), scale))
+    out.append(LayerInfo(f"{prefix}.conv2", ConvSpec(ch, ch, 3, groups=cfg.groups), scale))
     return out
 
 
@@ -123,20 +123,20 @@ def layer_table(cfg: ModelConfig) -> list[LayerInfo]:
     # local net: dense small-scale branch
     for i in range(cfg.dense_layers):
         layers.append(LayerInfo(f"local.dense{i}",
-                                ConvSpec(3 + i * cfg.dense_growth, cfg.dense_growth, 3, padding=1), 1))
+                                ConvSpec(3 + i * cfg.dense_growth, cfg.dense_growth, 3), 1))
 
     # local net: encoder-decoder branch
-    layers.append(LayerInfo("local.head", ConvSpec(3, C, 3, padding=1), 1))
+    layers.append(LayerInfo("local.head", ConvSpec(3, C, 3), 1))
     for lvl in range(cfg.unet_levels):
         ch, sc = C << lvl, 1 << lvl
         for r in range(cfg.unet_rb_per_level):
             layers += _rb_layers(cfg, f"local.enc{lvl}.rb{r}", ch, sc, sft=not cfg.use_partial_conv)
-        layers.append(LayerInfo(f"local.down{lvl}", ConvSpec(ch, 2 * ch, 3, padding=1), sc * 2))
+        layers.append(LayerInfo(f"local.down{lvl}", ConvSpec(ch, 2 * ch, 3), sc * 2))
     mid_ch, mid_sc = C << cfg.unet_levels, 1 << cfg.unet_levels
     layers += _rb_layers(cfg, "local.mid.rb0", mid_ch, mid_sc, sft=False)
     for lvl in reversed(range(cfg.unet_levels)):
         ch, sc = C << lvl, 1 << lvl
-        layers.append(LayerInfo(f"local.up{lvl}", ConvSpec(2 * ch, ch, 3, padding=1), sc))
+        layers.append(LayerInfo(f"local.up{lvl}", ConvSpec(2 * ch, ch, 3), sc))
         layers.append(LayerInfo(f"local.skip{lvl}", ConvSpec(2 * ch, ch, 1), sc))
         for r in range(cfg.unet_rb_per_level):
             layers += _rb_layers(cfg, f"local.dec{lvl}.rb{r}", ch, sc, sft=True)
@@ -215,14 +215,12 @@ class Network:
     def conv(self, name: str, x: Tensor, *, bias: bool = True) -> Tensor:
         li = self.layers[name]
         b = self.weights[f"{name}.bias"] if bias else None
-        return T.conv2d(x, self.weights[f"{name}.weight"], b,
-                        padding=li.spec.padding, groups=li.spec.groups)
+        return T.conv2d(x, self.weights[f"{name}.weight"], b, groups=li.spec.groups)
 
     def pconv(self, name: str, x: Tensor, mask):
         li = self.layers[name]
         return T.partial_conv(x, mask, self.weights[f"{name}.weight"],
-                              self.weights[f"{name}.bias"],
-                              padding=li.spec.padding, groups=li.spec.groups)
+                              self.weights[f"{name}.bias"], groups=li.spec.groups)
 
     def lrelu(self, x: Tensor) -> Tensor:
         return T.leaky_relu(x, self.cfg.leaky_slope)
@@ -401,11 +399,15 @@ def load_checkpoint(path, requires_grad: bool = False):
     return Network(cfg, weights), extra
 
 
+_ABLATIONS = {
+    "baseline": {},
+    "no_partial_conv": {"use_partial_conv": False},  # SFT blocks in the encoder
+    "no_group_conv": {"groups": 1},
+}
+
+
 def ablation_config(cfg: ModelConfig, which: str) -> ModelConfig:
-    """Named toggles: 'no_partial_conv' swaps masked encoder blocks for SFT
-    blocks, 'no_group_conv' sets groups=1."""
-    if which == "no_partial_conv":
-        return replace(cfg, use_partial_conv=False)
-    if which == "no_group_conv":
-        return replace(cfg, groups=1)
-    raise ValueError(f"unknown ablation {which!r}")
+    """cfg with the named architecture toggle applied ('baseline': unchanged)."""
+    if which not in _ABLATIONS:
+        raise ValueError(f"unknown ablation {which!r}")
+    return replace(cfg, **_ABLATIONS[which])

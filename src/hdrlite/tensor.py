@@ -69,19 +69,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self.op!r})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class ConvSpec:
@@ -90,12 +77,10 @@ class ConvSpec:
     in_channels: int
     out_channels: int
     kernel: int
-    stride: int = 1
-    padding: int = 0
     groups: int = 1
 
     def __post_init__(self):
-        if min(self.in_channels, self.out_channels, self.kernel, self.stride, self.groups) < 1:
+        if min(self.in_channels, self.out_channels, self.kernel, self.groups) < 1:
             raise ValueError(f"conv spec fields must be positive: {self}")
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ValueError(
@@ -113,11 +98,6 @@ class ConvSpec:
     @property
     def bias_count(self) -> int:
         return self.out_channels
-
-    def out_hw(self, h: int, w: int):
-        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        return oh, ow
 
 
 def _node(data, op: str, parents, backward=None) -> Tensor:
@@ -407,51 +387,61 @@ def grad_map(x: Tensor) -> Tensor:
 _COL_BYTES = 2 << 20
 
 
-def _taps(k: int, stride: int, r0: int, r1: int, ow: int):
-    """(i, j, index): the padded-input window kernel tap (i, j) reads for
-    output rows [r0, r1) of one image, all channels."""
-    for i in range(k):
-        rows = slice(i + stride * r0, i + stride * (r1 - 1) + 1, stride)
-        for j in range(k):
-            yield i, j, (slice(None), rows, slice(j, j + stride * (ow - 1) + 1, stride))
+def _band_cols(x, k: int):
+    """Yield (b, r0, r1, cols) for each band of output rows [r0, r1) of image
+    b of a 'same' k x k correlation over the (n, c, h, w) array x:
+    cols is the (c*k*k, (r1-r0)*w) column matrix, zero outside the frame.
 
-
-def _im2col(buf, xb, k: int, stride: int, r0: int, r1: int, ow: int):
-    """Column matrix (c*k*k, (r1-r0)*ow) of output rows [r0, r1) of image xb.
-
-    For a 1x1 stride-1 conv the input rows already are the columns (no copy);
-    otherwise the k*k shifted windows are gathered into buf.
+    For a 1x1 conv the input rows already are the columns (no copy, one band
+    per image); otherwise the k*k shifted windows of the zero-padded input are
+    gathered into a buffer of about _COL_BYTES.
     """
-    c = xb.shape[0]
-    if k == 1 and stride == 1:
-        return xb[:, r0:r1].reshape(c, -1)
-    cols = buf[:c * k * k * (r1 - r0) * ow].reshape(c, k, k, r1 - r0, ow)
-    for i, j, win in _taps(k, stride, r0, r1, ow):
-        cols[:, i, j] = xb[win]
-    return cols.reshape(c * k * k, -1)
+    n, c, h, w = x.shape
+    if k == 1:
+        for b in range(n):
+            yield b, 0, h, x[b].reshape(c, -1)
+        return
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    rows = max(1, min(h, _COL_BYTES // (c * k * k * w * x.itemsize)))
+    buf = np.empty(c * k * k * rows * w, dtype=x.dtype)
+    for b in range(n):
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            cols = buf[:c * k * k * (r1 - r0) * w].reshape(c, k, k, r1 - r0, w)
+            for i in range(k):
+                for j in range(k):
+                    cols[:, i, j] = xp[b, :, r0 + i:r1 + i, j:j + w]
+            yield b, r0, r1, cols.reshape(c * k * k, -1)
 
 
-def _col2im(dxb, dcols, k: int, stride: int, r0: int, r1: int, ow: int):
-    """Scatter-add column gradients back through the taps _im2col read."""
-    d = dcols.reshape(dxb.shape[0], k, k, r1 - r0, ow)
-    for i, j, win in _taps(k, stride, r0, r1, ow):
-        dxb[win] += d[:, i, j]
+def _same_conv(x, wmat, k: int):
+    """'Same' grouped correlation of the (n, c, h, w) array x with
+    wmat (groups, ocg, icg*k*k): one matmul batched over groups per band."""
+    n, c, h, w = x.shape
+    groups, ocg, _ = wmat.shape
+    out = np.empty((n, groups * ocg, h, w), dtype=x.dtype)
+    for b, r0, r1, cols in _band_cols(x, k):
+        np.matmul(wmat, cols.reshape(groups, -1, cols.shape[1]),
+                  out=out[b, :, r0:r1].reshape(groups, ocg, -1))
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Grouped 2-D convolution; plain, grouped, pointwise and partial convs
-    all run this one im2col + GEMM kernel.
+           groups: int = 1) -> Tensor:
+    """Grouped convolution with an odd square kernel that slides one pixel at
+    a time over the input zero-padded by k // 2, so the output has the input's
+    size; plain, grouped, pointwise and partial convs all run this one
+    im2col + GEMM kernel.
 
-    Output rows are processed in bands whose column matrix fits _COL_BYTES.
-    Per band, one matmul batched over groups computes
-    W[g].reshape(ocg, icg*k*k) @ cols[g]; backward reuses the same bands for
-    dW += g @ cols^T and dcols = W^T @ g, scattered back through the taps.
+    Backward walks the same bands for dW += g @ cols^T.  The input gradient
+    is the same kernel run on g with the flipped, group-transposed weights
+    (a 'same' conv's adjoint is a 'same' conv), so it is a gather too.
     """
     n, c, h, w = x.shape
     oc, icg, k, k2 = weight.shape
-    if k != k2:
-        raise ValueError(f"kernel must be square, got {weight.shape}")
+    if k != k2 or k % 2 == 0:
+        raise ValueError(f"kernel must be square with odd size, got {weight.shape}")
     if c % groups or oc % groups:
         raise ValueError(f"groups={groups} must divide channels ({c} -> {oc})")
     if icg != c // groups:
@@ -459,27 +449,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if bias is not None and bias.shape != (1, oc, 1, 1):
         raise ValueError(f"bias must be (1,{oc},1,1), got {bias.shape}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (w + 2 * padding - k) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ValueError(f"conv output would be empty for input {h}x{w}, kernel {k}")
-    ocg, kk = oc // groups, k * k
-    wmat = weight.data.reshape(groups, ocg, icg * kk)
-    if k == 1 and stride == 1:
-        rows, buf_size = oh, 0
-    else:
-        rows = max(1, min(oh, _COL_BYTES // (c * kk * ow * xp.itemsize)))
-        buf_size = c * kk * rows * ow
-    bands = [(b, r0, min(r0 + rows, oh)) for b in range(n) for r0 in range(0, oh, rows)]
-
-    buf = np.empty(buf_size, dtype=xp.dtype)
-    out = np.empty((n, oc, oh, ow), dtype=xp.dtype)
-    for b, r0, r1 in bands:
-        cols = _im2col(buf, xp[b], k, stride, r0, r1, ow)
-        np.matmul(wmat, cols.reshape(groups, icg * kk, -1),
-                  out=out[b, :, r0:r1].reshape(groups, ocg, -1))
+    ocg = oc // groups
+    wmat = weight.data.reshape(groups, ocg, icg * k * k)
+    out = _same_conv(x.data, wmat, k)
     if bias is not None:
         out += bias.data
 
@@ -488,41 +460,42 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     def bwd(g):
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
-        dw = np.zeros_like(wmat) if weight.requires_grad else None
-        dxp = np.zeros_like(xp) if x.requires_grad else None
-        wt = wmat.transpose(0, 2, 1)
-        buf = np.empty(buf_size, dtype=xp.dtype)  # not kept alive by the tape
-        for b, r0, r1 in bands:
-            gb = g[b, :, r0:r1].reshape(groups, ocg, -1)
-            if dw is not None:
-                cols = _im2col(buf, xp[b], k, stride, r0, r1, ow)
-                dw += gb @ cols.reshape(groups, icg * kk, -1).transpose(0, 2, 1)
-            if dxp is not None:
-                _col2im(dxp[b], wt @ gb, k, stride, r0, r1, ow)
-        if dw is not None:
+        if weight.requires_grad:
+            dw = np.zeros_like(wmat)
+            for b, r0, r1, cols in _band_cols(x.data, k):
+                gb = g[b, :, r0:r1].reshape(groups, ocg, -1)
+                dw += gb @ cols.reshape(groups, icg * k * k, -1).transpose(0, 2, 1)
             _accum(weight, dw.reshape(weight.shape))
-        if dxp is not None:
-            gx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
-            _accum(x, gx)
+        if x.requires_grad:
+            wflip = weight.data[:, :, ::-1, ::-1].reshape(groups, ocg, icg, k * k)
+            wflip = wflip.transpose(0, 2, 1, 3).reshape(groups, icg, ocg * k * k)
+            _accum(x, _same_conv(g, wflip, k))
 
     return _node(out, "conv2d", parents, bwd)
 
 
-def mask_window_sum(mask, k: int, padding: int, pad_value: float = 0.0):
-    """Sum of a 1-channel mask over each k x k window (plain numpy helper)."""
-    mp = np.pad(mask, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                constant_values=pad_value) if padding else mask
-    n, c, hp, wp = mp.shape
-    oh, ow = hp - k + 1, wp - k + 1
-    out = np.zeros((n, c, oh, ow), dtype=mask.dtype)
+def _in_frame_count(size: int, k: int):
+    """Per output row (or column), how many of a centred k-tap window's taps
+    fall inside a frame of `size` rows."""
+    idx = np.arange(size)
+    return np.minimum(idx + k // 2, size - 1) - np.maximum(idx - k // 2, 0) + 1
+
+
+def mask_window_sum(mask, k: int):
+    """Sum of a 1-channel mask over the k x k window centred on each pixel,
+    zero outside the frame (plain numpy helper)."""
+    p = k // 2
+    mp = np.pad(mask, ((0, 0), (0, 0), (p, p), (p, p))) if p else mask
+    n, c, h, w = mask.shape
+    out = np.zeros_like(mask)
     for i in range(k):
         for j in range(k):
-            out += mp[:, :, i:i + oh, j:j + ow]
+            out += mp[:, :, i:i + h, j:j + w]
     return out
 
 
 def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,
-                 padding: int = 0, groups: int = 1):
+                 groups: int = 1):
     """Mask-gated convolution with per-window renormalization.
 
     mask is a fixed (n,1,h,w) array in [0,1]; it gates the input, scales each
@@ -534,15 +507,17 @@ def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,
     validity itself is judged on in-bounds pixels only.
     """
     mask = np.asarray(mask, dtype=x.dtype)
-    if mask.shape != (x.shape[0], 1, x.shape[2], x.shape[3]):
+    n, _, h, w = x.shape
+    if mask.shape != (n, 1, h, w):
         raise ValueError(f"mask shape {mask.shape} does not match input {x.shape}")
     k = weight.shape[2]
-    msum = mask_window_sum(mask, k, padding, pad_value=1.0)
-    valid = mask_window_sum(mask, k, padding, pad_value=0.0) > 1e-8
-    ratio = np.where(valid, (k * k) / np.maximum(msum, 1e-8), 0.0)
+    msum = mask_window_sum(mask, k)
+    valid = msum > 1e-8
+    outside = k * k - np.outer(_in_frame_count(h, k), _in_frame_count(w, k))
+    ratio = np.where(valid, (k * k) / np.maximum(msum + outside.astype(x.dtype), 1e-8), 0.0)
     new_mask = valid.astype(x.dtype)
 
-    y = conv2d(mul_const(x, mask), weight, None, padding=padding, groups=groups)
+    y = conv2d(mul_const(x, mask), weight, None, groups=groups)
     y = mul_const(y, ratio)
     if bias is not None:
         y = add(y, bias)

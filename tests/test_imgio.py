@@ -65,6 +65,17 @@ def test_pfm_absolute_scale_multiplies():
     np.testing.assert_allclose(read_pfm(blob).data, 8.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_write_pfm_rejects_non_finite_pixels(bad, tmp_path):
+    data = random_hdr(1, h=2, w=8).data.copy()
+    data[1, 3, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        write_pfm(Image(data, LINEAR_HDR))
+    with pytest.raises(ValueError, match="non-finite"):
+        write_image(tmp_path / "bad.pfm", Image(data, LINEAR_HDR))
+    assert not (tmp_path / "bad.pfm").exists()
+
+
 # ---------------------------------------------------------------------------
 # RGBE
 # ---------------------------------------------------------------------------
@@ -321,6 +332,18 @@ def test_ppm_roundtrip_16bit():
     img = Image((codes / 65535.0).astype(np.float32), NONLINEAR_SDR)
     back = read_ppm(write_ppm(img, bit_depth=16))
     np.testing.assert_array_equal(np.rint(back.data * 65535).astype(int), codes)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 16])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_write_ppm_rejects_non_finite_pixels(bad, bit_depth, tmp_path):
+    data = np.full((2, 8, 3), 0.5, dtype=np.float32)
+    data[1, 3, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        write_ppm(Image(data, NONLINEAR_SDR), bit_depth)
+    with pytest.raises(ValueError, match="non-finite"):
+        write_image(tmp_path / "bad.ppm", Image(data, NONLINEAR_SDR), bit_depth)
+    assert not (tmp_path / "bad.ppm").exists()
 
 
 def test_ppm_comments_and_whitespace():

@@ -5,7 +5,7 @@ import scipy.ndimage
 from hdrlite.degrade import DegradationConfig
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR
 from hdrlite.metrics import (
-    ablation_table, bench_forward, blas_threads,
+    ablation_suite, ablation_table, bench_forward, blas_threads,
     evaluate_on_degraded, hdr_pair_metrics, psnr, reconstruct_hdr, ssim,
     to_metric_domain, tonemap_preview,
 )
@@ -191,6 +191,11 @@ def test_evaluate_on_degraded_smoke():
     p, s = evaluate_on_degraded(net, pairs, DegradationConfig(), seed=0)
     assert np.isfinite(p)
     assert -1.0 <= s <= 1.0
+
+
+def test_ablation_suite_rejects_unknown_variant_before_training():
+    with pytest.raises(ValueError, match="unknown ablation 'no_dense'"):
+        ablation_suite(ModelConfig(), None, None, None, None, variants=("no_dense",))
 
 
 def test_ablation_table_format():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,15 @@ def test_ablation_param_directions():
     base = count_params(ModelConfig())
     assert count_params(ablation_config(ModelConfig(), "no_group_conv")) > base
     assert count_params(ablation_config(ModelConfig(), "no_partial_conv")) != base
+
+
+def test_ablation_config_names():
+    cfg = ModelConfig(groups=2)
+    assert ablation_config(cfg, "baseline") == cfg
+    assert ablation_config(cfg, "no_group_conv") == replace(cfg, groups=1)
+    assert ablation_config(cfg, "no_partial_conv") == replace(cfg, use_partial_conv=False)
+    with pytest.raises(ValueError, match="unknown ablation 'no_dense'"):
+        ablation_config(cfg, "no_dense")
 
 
 # ---------------------------------------------------------------------------

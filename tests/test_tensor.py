@@ -28,7 +28,7 @@ def test_conv_allones_kernel_center_and_corner():
     # 1x2x3x3 all ones, one 3x3 all-ones kernel, pad 1: center 18, corner 8
     x = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32))
     w = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32))
-    y = T.conv2d(x, w, padding=1)
+    y = T.conv2d(x, w)
     assert y.data[0, 0, 1, 1] == 18.0
     assert y.data[0, 0, 0, 0] == 8.0
 
@@ -47,7 +47,7 @@ def test_conv_shape_mismatch_raises():
     x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
     w = Tensor(np.zeros((4, 2, 3, 3), dtype=np.float32))
     with pytest.raises(ValueError):
-        T.conv2d(x, w, padding=1)
+        T.conv2d(x, w)
 
 
 def test_grouped_conv_matches_blockwise_dense():
@@ -55,32 +55,49 @@ def test_grouped_conv_matches_blockwise_dense():
     rng = np.random.default_rng(1)
     x = Tensor(rng.random((2, 4, 5, 5)).astype(np.float64))
     w = Tensor(rng.random((6, 2, 3, 3)).astype(np.float64))
-    y = T.conv2d(x, w, padding=1, groups=2)
+    y = T.conv2d(x, w, groups=2)
     for g in range(2):
         xg = Tensor(x.data[:, 2 * g:2 * g + 2])
         wg = Tensor(w.data[3 * g:3 * g + 3])
-        yg = T.conv2d(xg, wg, padding=1)
+        yg = T.conv2d(xg, wg)
         np.testing.assert_allclose(y.data[:, 3 * g:3 * g + 3], yg.data, rtol=1e-12)
 
 
-def conv_reference(x, w, b, stride, padding, groups):
-    """Nested-loop float64 convolution: one dot product per output value."""
+def conv_reference(x, w, b, groups):
+    """Nested-loop float64 'same' convolution (zero padding k // 2): one dot
+    product per output value."""
     n, c, h, wd = x.shape
     oc, icg, k, _ = w.shape
-    ocg = oc // groups
-    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (wd + 2 * padding - k) // stride + 1
-    out = np.zeros((n, oc, oh, ow))
+    ocg, p = oc // groups, k // 2
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.zeros((n, oc, h, wd))
     for bi in range(n):
         for o in range(oc):
             g = o // ocg
-            for y in range(oh):
-                for xx in range(ow):
-                    patch = xp[bi, g * icg:(g + 1) * icg,
-                               y * stride:y * stride + k, xx * stride:xx * stride + k]
+            for y in range(h):
+                for xx in range(wd):
+                    patch = xp[bi, g * icg:(g + 1) * icg, y:y + k, xx:xx + k]
                     out[bi, o, y, xx] = np.sum(patch * w[o]) + b[0, o, 0, 0]
     return out
+
+
+def conv_reference_grads(x, w, gy, groups):
+    """(dx, dw, db) of sum(gy * conv), by scattering each output value's
+    upstream gradient through its window in the same nested loops."""
+    n, c, h, wd = x.shape
+    oc, icg, k, _ = w.shape
+    ocg, p = oc // groups, k // 2
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    dxp, dw = np.zeros_like(xp), np.zeros(w.shape)
+    for bi in range(n):
+        for o in range(oc):
+            cs = slice(o // ocg * icg, (o // ocg + 1) * icg)
+            for y in range(h):
+                for xx in range(wd):
+                    dxp[bi, cs, y:y + k, xx:xx + k] += gy[bi, o, y, xx] * w[o]
+                    dw[o] += gy[bi, o, y, xx] * xp[bi, cs, y:y + k, xx:xx + k]
+    db = gy.astype(np.float64).sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1)
+    return dxp[:, :, p:p + h, p:p + wd], dw, db
 
 
 def set_band_rows(monkeypatch, rows, c, k, ow, dtype):
@@ -88,45 +105,71 @@ def set_band_rows(monkeypatch, rows, c, k, ow, dtype):
     monkeypatch.setattr(T, "_COL_BYTES", rows * c * k * k * ow * np.dtype(dtype).itemsize)
 
 
-@pytest.mark.parametrize("band_rows", [None, 2])
+@pytest.mark.parametrize("band_rows", [None, 1, 2])
 @pytest.mark.parametrize("groups", [1, 2, 4])
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_conv_matches_nested_loop_reference(monkeypatch, k, stride, groups, band_rows):
-    rng = np.random.default_rng(k * 100 + stride * 10 + groups)
+def test_conv_matches_nested_loop_reference(monkeypatch, k, batch, groups, band_rows):
+    # forward, dx, dW and db; the frames include ones narrower than the kernel
+    rng = np.random.default_rng(k * 100 + batch * 10 + groups)
     tol = {np.float32: 1e-5, np.float64: 1e-12}
     for dtype in (np.float32, np.float64):
-        for batch in (1, 2):
-            for padding in (0, 1, 2):
-                x = rng.normal(0, 1, (batch, 4, 7, 9)).astype(dtype)
-                w = rng.normal(0, 1, (4, 4 // groups, k, k)).astype(dtype)
-                b = rng.normal(0, 1, (1, 4, 1, 1)).astype(dtype)
-                ref = conv_reference(x, w, b, stride, padding, groups)
-                if band_rows:
-                    set_band_rows(monkeypatch, band_rows, 4, k, ref.shape[3], dtype)
-                y = T.conv2d(Tensor(x), Tensor(w), Tensor(b),
-                             stride=stride, padding=padding, groups=groups)
-                assert y.dtype == dtype
-                np.testing.assert_allclose(y.data, ref, rtol=tol[dtype], atol=tol[dtype])
+        for h, wd in ((7, 9), (4, 3), (1, 6)):
+            x = rng.normal(0, 1, (batch, 4, h, wd)).astype(dtype)
+            w = rng.normal(0, 1, (4, 4 // groups, k, k)).astype(dtype)
+            b = rng.normal(0, 1, (1, 4, 1, 1)).astype(dtype)
+            gy = rng.normal(0, 1, (batch, 4, h, wd)).astype(dtype)
+            if band_rows:
+                set_band_rows(monkeypatch, band_rows, 4, k, wd, dtype)
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            y = T.conv2d(xt, wt, bt, groups=groups)
+            assert y.dtype == dtype and y.shape == gy.shape
+            np.testing.assert_allclose(y.data, conv_reference(x, w, b, groups),
+                                       rtol=tol[dtype], atol=tol[dtype])
+            T.backward(T.sum_all(T.mul_const(y, gy)))
+            for t, ref in zip((xt, wt, bt), conv_reference_grads(x, w, gy, groups)):
+                assert t.grad.dtype == dtype
+                np.testing.assert_allclose(t.grad, ref, rtol=tol[dtype], atol=tol[dtype])
 
 
 def test_conv_gradients_do_not_depend_on_bands(monkeypatch):
-    # backward walks the same bands as forward; one-row bands must give the
+    # backward walks bands too (the weight gradient over the forward's bands,
+    # the input gradient over its own gather); one-row bands must give the
     # same gradients as a single band
     rng = np.random.default_rng(7)
     x, w, b = t64(rng, (2, 4, 9, 8)), t64(rng, (6, 2, 3, 3)), t64(rng, (1, 6, 1, 1))
     grads = []
-    for rows in (None, 1):
-        if rows:
-            set_band_rows(monkeypatch, rows, 4, 3, 4, np.float64)
+    for col_bytes in (T._COL_BYTES, 1):
+        monkeypatch.setattr(T, "_COL_BYTES", col_bytes)
         for t in (x, w, b):
             t.zero_grad()
-        y = T.conv2d(x, w, b, stride=2, padding=1, groups=2)
-        assert y.shape == (2, 6, 5, 4)
+        y = T.conv2d(x, w, b, groups=2)
+        assert y.shape == (2, 6, 9, 8)
         T.backward(T.mean_all(T.mul(y, y)))
         grads.append([t.grad.copy() for t in (x, w, b)])
     for g_one, g_banded in zip(*grads):
         np.testing.assert_allclose(g_banded, g_one, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 4, 4), (2, 2, 3, 1)],
+                         ids=["2x2", "4x4", "3x1"])
+def test_conv_rejects_even_or_non_square_kernel(shape):
+    x = Tensor(np.zeros((1, 2, 5, 5), dtype=np.float32))
+    with pytest.raises(ValueError, match="odd"):
+        T.conv2d(x, Tensor(np.zeros(shape, dtype=np.float32)))
+
+
+def test_conv_backward_creates_no_op_nodes(monkeypatch):
+    # the benchmark tracer rebinds the public tensor functions to count conv
+    # calls and elementwise ops; backward must not go through any of them
+    rng = np.random.default_rng(8)
+    x, w, b = t64(rng, (1, 4, 5, 6)), t64(rng, (4, 2, 3, 3)), t64(rng, (1, 4, 1, 1))
+    with T.trace_ops() as trace:
+        loss = T.sum_all(T.conv2d(x, w, b, groups=2))
+        monkeypatch.setattr(T, "conv2d", None)
+        T.backward(loss)
+    assert trace == ["conv2d", "sum_all"]
+    assert x.grad is not None and w.grad is not None and b.grad is not None
 
 
 def test_activations():
@@ -202,8 +245,8 @@ def test_forward_purity():
     rng = np.random.default_rng(4)
     x = Tensor(rng.random((1, 4, 6, 6)).astype(np.float32))
     w = Tensor(rng.random((4, 1, 3, 3)).astype(np.float32))
-    y1 = T.conv2d(x, w, padding=1, groups=4)
-    y2 = T.conv2d(x, w, padding=1, groups=4)
+    y1 = T.conv2d(x, w, groups=4)
+    y2 = T.conv2d(x, w, groups=4)
     np.testing.assert_array_equal(y1.data, y2.data)
 
 
@@ -213,12 +256,12 @@ def test_partial_conv_degenerate_masks():
     w = Tensor(rng.random((2, 2, 3, 3)).astype(np.float64))
     b = Tensor(rng.random((1, 2, 1, 1)).astype(np.float64))
     ones = np.ones((1, 1, 5, 5))
-    y, m = T.partial_conv(x, ones, w, b, padding=1)
-    ref = T.conv2d(x, w, b, padding=1)
+    y, m = T.partial_conv(x, ones, w, b)
+    ref = T.conv2d(x, w, b)
     np.testing.assert_allclose(y.data, ref.data, rtol=1e-10)
     np.testing.assert_array_equal(m, 1.0)
     zeros = np.zeros((1, 1, 5, 5))
-    y0, m0 = T.partial_conv(x, zeros, w, b, padding=1)
+    y0, m0 = T.partial_conv(x, zeros, w, b)
     np.testing.assert_allclose(y0.data, np.broadcast_to(b.data, y0.shape))
     np.testing.assert_array_equal(m0, 0.0)
 
@@ -230,9 +273,30 @@ def test_partial_conv_renormalization():
     w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
     mask = np.zeros((1, 1, 3, 3))
     mask[0, 0, :2, :2] = 1.0
-    y, m = T.partial_conv(x, mask, w, padding=1)
+    y, m = T.partial_conv(x, mask, w)
     assert y.data[0, 0, 1, 1] == pytest.approx(9.0)
     assert m[0, 0, 1, 1] == 1.0
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_partial_conv_matches_two_pass_reference(k):
+    # reference: the window sum with zero padding judges validity, the one
+    # with the frame padded by ones renormalizes
+    rng = np.random.default_rng(20 + k)
+    p = k // 2
+    for h, wd in ((6, 7), (3, 2)):
+        x, w = rng.normal(0, 1, (2, 4, h, wd)), rng.normal(0, 1, (4, 2, k, k))
+        mask = rng.random((2, 1, h, wd)) * (rng.random((2, 1, h, wd)) > 0.6)
+
+        def window_sum(pad_value):
+            mp = np.pad(mask, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
+            return sum(mp[:, :, i:i + h, j:j + wd] for i in range(k) for j in range(k))
+        valid = window_sum(0.0) > 1e-8
+        ratio = np.where(valid, k * k / np.maximum(window_sum(1.0), 1e-8), 0.0)
+        ref = conv_reference(x * mask, w, np.zeros((1, 4, 1, 1)), 2) * ratio
+        y, m = T.partial_conv(Tensor(x), mask, Tensor(w), groups=2)
+        np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(m, valid)
 
 
 GRAD_CASES = {}
@@ -253,14 +317,14 @@ def case(name):
 @case("conv_plain")
 def _(rng):
     x, w, b = t64(rng, (2, 3, 6, 6)), t64(rng, (4, 3, 3, 3)), t64(rng, (1, 4, 1, 1))
-    return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b, padding=1))), [x, w, b]
+    return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b))), [x, w, b]
 
 
 @case("conv_grouped")
 def _(rng):
     x, w, b = t64(rng, (2, 4, 5, 5)), t64(rng, (4, 1, 3, 3)), t64(rng, (1, 4, 1, 1))
-    return lambda x, w, b: T.mean_all(T.mul(T.conv2d(x, w, b, padding=1, groups=4),
-                                            T.conv2d(x, w, b, padding=1, groups=4))), [x, w, b]
+    return lambda x, w, b: T.mean_all(T.mul(T.conv2d(x, w, b, groups=4),
+                                            T.conv2d(x, w, b, groups=4))), [x, w, b]
 
 
 @case("conv_pointwise")
@@ -269,17 +333,16 @@ def _(rng):
     return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b))), [x, w, b]
 
 
-@case("conv_stride2")
+@case("conv_grouped2")
 def _(rng):
     x, w, b = t64(rng, (1, 4, 7, 6)), t64(rng, (4, 2, 3, 3)), t64(rng, (1, 4, 1, 1))
-    return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b, stride=2, padding=1,
-                                                      groups=2))), [x, w, b]
+    return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b, groups=2))), [x, w, b]
 
 
 @case("conv_batch2")
 def _(rng):
     x, w, b = t64(rng, (2, 2, 5, 5)), t64(rng, (3, 2, 5, 5)), t64(rng, (1, 3, 1, 1))
-    return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b, padding=2))), [x, w, b]
+    return lambda x, w, b: T.mean_all(T.abs_(T.conv2d(x, w, b))), [x, w, b]
 
 
 @case("partial_conv")
@@ -288,7 +351,7 @@ def _(rng):
     mask = (rng.random((1, 1, 6, 6)) > 0.4).astype(np.float64)
 
     def f(x, w, b):
-        y, _ = T.partial_conv(x, mask, w, b, padding=1)
+        y, _ = T.partial_conv(x, mask, w, b)
         return T.mean_all(T.mul(y, y))
     return f, [x, w, b]
 
@@ -356,7 +419,7 @@ def test_gradcheck_random_small_tensors():
         w = t64(rng, (4, 2, 3, 3))
 
         def f(x, w):
-            y = T.conv2d(x, w, padding=1, groups=2)
+            y = T.conv2d(x, w, groups=2)
             y = T.leaky_relu(y, 0.2)
             y = T.down2(y)
             y = T.up2(y)
