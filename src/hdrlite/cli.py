@@ -1,13 +1,15 @@
 """Batch command-line front end.
 
 Subcommands: degrade, stats, train, infer, eval, info, bench.  Every run
-echoes its resolved configuration before acting.  Exit codes: 0 success,
-1 failure, 2 usage error, 3 partial success (some files failed).
+echoes its resolved configuration before acting; degrade, train, infer and
+eval end with seconds=, peak_rss_mb= and threads= lines.  Exit codes:
+0 success, 1 failure, 2 usage error, 3 partial success (some files failed).
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,12 +27,18 @@ EXIT_FAIL = 1
 EXIT_PARTIAL = 3
 
 IMAGE_EXTS = (".pfm", ".hdr", ".ppm")
+RUN_STATS_COMMANDS = ("degrade", "train", "infer", "eval")
 
 
 def _echo(title: str, kv: dict):
     print(f"[{title}]")
     for k, v in kv.items():
         print(f"  {k} = {v}")
+
+
+def _print_kv(obj):
+    for k, v in kvtext.items(obj):
+        print(f"{k}={v}")
 
 
 def _read_config(cls, path, what: str):
@@ -224,9 +232,7 @@ def cmd_bench(args) -> int:
     w, h = _parse_resolution(args.resolution)
     _echo("bench", {"resolution": f"{w}x{h}", "repeats": args.repeats,
                     "model": cfg})
-    report = M.bench_forward(cfg, h, w, repeats=args.repeats, seed=args.seed)
-    for k, v in report.items():
-        print(f"{k}={v}")
+    _print_kv(M.bench_forward(cfg, h, w, repeats=args.repeats, seed=args.seed))
     return EXIT_OK
 
 
@@ -291,11 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
         return args.func(args)
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        if args.command in RUN_STATS_COMMANDS:
+            _print_kv({"seconds": round(time.perf_counter() - t0, 3),
+                       "peak_rss_mb": M.peak_rss_mb(), "threads": M.blas_threads()})
 
 
 if __name__ == "__main__":

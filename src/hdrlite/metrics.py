@@ -7,6 +7,7 @@ before comparison, and every report carries that tag.
 from __future__ import annotations
 
 import ctypes
+import resource
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -136,7 +137,14 @@ def bench_forward(cfg: ModelConfig, h: int, w: int, repeats: int = 3,
         "all_seconds": times,
         "gmac_per_s": count_macs(cfg, h, w) / median / 1e9,
         "threads": blas_threads(),
+        "peak_rss_mb": peak_rss_mb(),
     }
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (ru_maxrss, which
+    Linux reports in KiB)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def blas_threads() -> int | str:

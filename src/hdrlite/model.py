@@ -212,10 +212,30 @@ class Network:
                 np.zeros((1, li.spec.out_channels, 1, 1), dtype=dtype), requires_grad)
         return cls(cfg, weights)
 
-    def conv(self, name: str, x: Tensor, *, bias: bool = True) -> Tensor:
+    def conv(self, name: str, x, *, act: bool = False) -> Tensor:
+        """The named conv layer on x, followed by the leaky ReLU when act is
+        set (fused into the conv).
+
+        x may be a list of tensors, read as their channel concat: the conv
+        then runs once per part, each run adding the previous one's output,
+        so the concat is never built.  local.up* take the low-resolution
+        input of the nearest 2x upsampling they follow and run on it.
+        """
         li = self.layers[name]
-        b = self.weights[f"{name}.bias"] if bias else None
-        return T.conv2d(x, self.weights[f"{name}.weight"], b, groups=li.spec.groups)
+        weight, bias = self.weights[f"{name}.weight"], self.weights[f"{name}.bias"]
+        slope = self.cfg.leaky_slope if act else None
+        if name.startswith("local.up"):
+            y = T.conv2d(x, T.up2_conv_weight(weight), T.repeat_channels(bias, 4), slope=slope)
+            return T.depth_to_space(y)
+        parts = [x] if isinstance(x, Tensor) else x
+        out, c0 = bias, 0
+        for i, part in enumerate(parts):
+            c = part.shape[1]
+            w = weight if len(parts) == 1 else T.narrow_channels(weight, c0, c)
+            out = T.conv2d(part, w, out, groups=li.spec.groups,
+                           slope=slope if i == len(parts) - 1 else None)
+            c0 += c
+        return out
 
     def pconv(self, name: str, x: Tensor, mask):
         li = self.layers[name]
@@ -234,18 +254,18 @@ class Network:
         return self.lrelu(T.add(h, y)), m
 
     def _plain_rb(self, prefix: str, h: Tensor) -> Tensor:
-        y = self.lrelu(self.conv(f"{prefix}.conv1", h))
+        y = self.conv(f"{prefix}.conv1", h, act=True)
         y = self.conv(f"{prefix}.conv2", y)
         return self.lrelu(T.add(h, y))
 
     def _sft_rb(self, prefix: str, h: Tensor, mprior: Tensor) -> Tensor:
         ch = h.shape[1]
-        s = self.lrelu(self.conv(f"{prefix}.sft0", mprior))
+        s = self.conv(f"{prefix}.sft0", mprior, act=True)
         s = self.conv(f"{prefix}.sft1", s)
         alpha = T.narrow_channels(s, 0, ch)
         beta = T.narrow_channels(s, ch, ch)
         y = sft_modulation(h, alpha, beta)
-        y = self.lrelu(self.conv(f"{prefix}.conv1", y))
+        y = self.conv(f"{prefix}.conv1", y, act=True)
         y = self.conv(f"{prefix}.conv2", y)
         return self.lrelu(T.add(h, y))
 
@@ -253,21 +273,21 @@ class Network:
 
     def global_forward(self, x: Tensor, prior: Tensor) -> Tensor:
         cfg = self.cfg
-        m = self.lrelu(self.conv("global.mod0", prior))
-        m = self.conv("global.mod1", m)
-        m = T.global_avg_pool(m)
+        # mod1 is a 1x1 conv with bias, which commutes with the spatial mean:
+        # it runs on the pooled mod0 features instead of the whole frame
+        m = self.conv("global.mod0", prior, act=True)
+        m = self.conv("global.mod1", T.global_avg_pool(m))
         G = cfg.global_mlp_channels
         alpha = T.narrow_channels(m, 0, G)
         beta = T.narrow_channels(m, G, G)
         h = x
         for i in range(cfg.global_mlp_layers):
-            h = self.conv(f"global.mlp{i}", h)
-            if i == cfg.global_mlp_layers - 1:
+            last = i == cfg.global_mlp_layers - 1
+            h = self.conv(f"global.mlp{i}", h, act=not last)
+            if last:
                 h = T.relu(h)
-            else:
-                h = self.lrelu(h)
-                if i + 1 == cfg.modulation_after_layer:
-                    h = channel_modulation(h, alpha, beta)
+            elif i + 1 == cfg.modulation_after_layer:
+                h = channel_modulation(h, alpha, beta)
         return h
 
     def local_forward(self, x: Tensor, prior: Tensor) -> Tensor:
@@ -293,18 +313,15 @@ class Network:
             mp_levels.append(_pool2(mp_levels[-1]))
         mp_levels = [Tensor(m.astype(x.dtype)) for m in mp_levels]
 
-        # dense branch
-        feats = [x]
-        outs = []
+        # dense branch: every layer reads the input and all earlier outputs,
+        # a leading-channel view of one growing stack
+        stack = T.ChannelStack(x, c + cfg.dense_layers * cfg.dense_growth)
         for i in range(cfg.dense_layers):
-            inp = feats[0] if len(feats) == 1 else T.concat_channels(*feats)
-            d = self.lrelu(self.conv(f"local.dense{i}", inp))
-            feats.append(d)
-            outs.append(d)
-        dense_out = T.concat_channels(*outs) if len(outs) > 1 else outs[0]
+            stack.push(self.conv(f"local.dense{i}", stack.view(), act=True))
+        dense_out = stack.view(1)
 
         # encoder-decoder branch
-        hT = self.lrelu(self.conv("local.head", x))
+        hT = self.conv("local.head", x, act=True)
         mask = invalid.astype(x.dtype)
         skips = []
         for lvl in range(cfg.unet_levels):
@@ -314,16 +331,16 @@ class Network:
                 else:
                     hT = self._sft_rb(f"local.enc{lvl}.rb{r}", hT, mp_levels[lvl])
             skips.append(hT)
-            hT = self.lrelu(self.conv(f"local.down{lvl}", T.down2(hT)))
+            hT = self.conv(f"local.down{lvl}", T.down2(hT), act=True)
             mask = _pool2(mask)
         hT = self._plain_rb("local.mid.rb0", hT)
         for lvl in reversed(range(cfg.unet_levels)):
-            hT = self.lrelu(self.conv(f"local.up{lvl}", T.up2(hT)))
-            hT = self.lrelu(self.conv(f"local.skip{lvl}", T.concat_channels(hT, skips[lvl])))
+            hT = self.conv(f"local.up{lvl}", hT, act=True)  # conv of up2(hT)
+            hT = self.conv(f"local.skip{lvl}", [hT, skips[lvl]], act=True)
             for r in range(cfg.unet_rb_per_level):
                 hT = self._sft_rb(f"local.dec{lvl}.rb{r}", hT, mp_levels[lvl])
 
-        out = self.lrelu(self.conv("local.fuse", T.concat_channels(dense_out, hT)))
+        out = self.conv("local.fuse", [dense_out, hT], act=True)
         if ph or pw:
             out = T.crop(out, 0, 0, h0, w0)
         return out

@@ -210,16 +210,26 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0), "relu", (x,), bwd)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+def _check_slope(slope: float):
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky slope must lie in (0,1), got {slope}")
 
+
+def _leaky_grad(g, sign_of, slope: float):
+    """g times the leaky ReLU derivative (1 where sign_of > 0, else slope):
+    branch-free and kept in g's dtype.  For 0 < slope < 1 the activation's
+    output has its input's sign, so either may be passed as sign_of."""
+    factor = (sign_of > 0).astype(g.dtype)
+    np.maximum(factor, slope, out=factor)
+    factor *= g
+    return factor
+
+
+def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+    _check_slope(slope)
+
     def bwd(g):
-        # branch-free (x > 0 ? 1 : slope) factor, kept in g's dtype
-        factor = (x.data > 0).astype(g.dtype)
-        np.maximum(factor, slope, out=factor)
-        factor *= g
-        _accum(x, factor)
+        _accum(x, _leaky_grad(g, x.data, slope))
 
     out = x.data * slope
     return _node(np.maximum(x.data, out, out=out), "leaky_relu", (x,), bwd)
@@ -262,14 +272,52 @@ def concat_channels(*tensors: Tensor) -> Tensor:
     for t in tensors[1:]:
         if t.shape[0] != ref[0] or t.shape[2:] != ref[2:]:
             raise ValueError(f"concat spatial/batch mismatch: {ref} vs {t.shape}")
-    sizes = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
+    return _node(np.concatenate([t.data for t in tensors], axis=1), "concat", tensors,
+                 _split_channels(tensors, offsets))
 
+
+def _split_channels(parts, offsets):
+    """Backward of a channel concat: part i gets g's channels
+    [offsets[i] - offsets[0], offsets[i + 1] - offsets[0])."""
     def bwd(g):
-        for t, c0, c1 in zip(tensors, offsets[:-1], offsets[1:]):
-            _accum(t, g[:, c0:c1])
+        for t, c0, c1 in zip(parts, offsets[:-1], offsets[1:]):
+            _accum(t, g[:, c0 - offsets[0]:c1 - offsets[0]])
+    return bwd
 
-    return _node(np.concatenate([t.data for t in tensors], axis=1), "concat", tensors, bwd)
+
+class ChannelStack:
+    """A channel concat that grows in one preallocated buffer (Pleiss et al.,
+    "Memory-Efficient Implementation of DenseNets", 2017).
+
+    push() copies each part in once; view() gives the parts pushed so far,
+    from part `first` on, as one tensor on the buffer's channels, with no
+    copy for a batch of one.  Its backward splits g as concat_channels does.
+    """
+
+    def __init__(self, first: Tensor, channels: int):
+        n, _, h, w = first.shape
+        self.buf = np.empty((n, channels, h, w), dtype=first.dtype)
+        self.parts: list[Tensor] = []
+        self.ends = [0]
+        self.push(first)
+
+    def push(self, t: Tensor):
+        c0, c1 = self.ends[-1], self.ends[-1] + t.shape[1]
+        if c1 > self.buf.shape[1] or t.shape[0] != self.buf.shape[0] \
+                or t.shape[2:] != self.buf.shape[2:]:
+            raise ValueError(f"cannot push {t.shape} onto a stack of {self.buf.shape} "
+                             f"filled to {c0} channels")
+        self.buf[:, c0:c1] = t.data
+        self.parts.append(t)
+        self.ends.append(c1)
+
+    def view(self, first: int = 0) -> Tensor:
+        parts, ends = self.parts[first:], self.ends[first:]
+        if len(parts) == 1:
+            return parts[0]
+        return _node(self.buf[:, ends[0]:ends[-1]], "concat", parts,
+                     _split_channels(parts, ends))
 
 
 def narrow_channels(x: Tensor, start: int, length: int) -> Tensor:
@@ -314,6 +362,60 @@ def up2(x: Tensor) -> Tensor:
         _accum(x, gx)
 
     return _node(out, "up2", (x,), bwd)
+
+
+# _UP2_TAPS[a, u, i] = 1 where, at an output row of parity a, tap i of a 3x3
+# conv over up2(x) reads the row of x that tap u of a 3x3 conv over x reads
+# (taps at offsets -1, 0, +1).  up2(x)'s zero padding is x's zero padding.
+_UP2_TAPS = np.array([[[1, 0, 0], [0, 1, 1], [0, 0, 0]],
+                      [[0, 0, 0], [1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+
+
+def up2_conv_weight(weight: Tensor) -> Tensor:
+    """Weights of a 3x3 conv on x equal to the 3x3 conv `weight` of up2(x)
+    (resize-convolution, Odena et al., "Deconvolution and Checkerboard
+    Artifacts", Distill 2016).
+
+    (oc, ic, 3, 3) -> (4*oc, ic, 3, 3): output channel 4*o + 2*a + b is phase
+    (a, b) of channel o, whose taps are the sums of the original taps that
+    read the same pixel of x; depth_to_space interleaves the phases.
+    """
+    oc, ic, k, k2 = weight.shape
+    if (k, k2) != (3, 3):
+        raise ValueError(f"up2_conv_weight needs 3x3 kernels, got {weight.shape}")
+    taps = _UP2_TAPS.astype(weight.dtype)
+
+    def bwd(g):
+        _accum(weight, np.einsum("aui,bvj,oabcuv->ocij", taps, taps,
+                                 g.reshape(oc, 2, 2, ic, 3, 3), optimize=True))
+
+    out = np.einsum("aui,bvj,ocij->oabcuv", taps, taps, weight.data, optimize=True)
+    return _node(out.reshape(4 * oc, ic, 3, 3), "up2_conv_weight", (weight,), bwd)
+
+
+def repeat_channels(x: Tensor, r: int) -> Tensor:
+    """Each channel repeated r times in a row (channel c -> r*c .. r*c + r-1)."""
+    n, c, h, w = x.shape
+
+    def bwd(g):
+        _accum(x, g.reshape(n, c, r, h, w).sum(axis=2))
+
+    return _node(np.repeat(x.data, r, axis=1), "repeat_channels", (x,), bwd)
+
+
+def depth_to_space(x: Tensor) -> Tensor:
+    """(n, 4c, h, w) -> (n, c, 2h, 2w): channel 4*o + 2*a + b becomes the
+    pixels (2i + a, 2j + b) of channel o."""
+    n, c4, h, w = x.shape
+    if c4 % 4:
+        raise ValueError(f"depth_to_space needs a multiple of 4 channels, got {c4}")
+    c = c4 // 4
+
+    def bwd(g):
+        _accum(x, g.reshape(n, c, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(x.shape))
+
+    out = x.data.reshape(n, c, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3)
+    return _node(out.reshape(n, c, 2 * h, 2 * w), "depth_to_space", (x,), bwd)
 
 
 def _reflect_index(n: int, pad: int):
@@ -393,8 +495,12 @@ def _band_cols(x, k: int):
     cols is the (c*k*k, (r1-r0)*w) column matrix, zero outside the frame.
 
     For a 1x1 conv the input rows already are the columns (no copy, one band
-    per image); otherwise the k*k shifted windows of the zero-padded input are
-    gathered into a buffer of about _COL_BYTES.
+    per image).  Otherwise the k*k shifted windows of x are gathered into a
+    buffer of about _COL_BYTES, and taps that fall outside the frame are
+    zeros written into it, so no padded copy of x is made.  A tap's
+    out-of-frame columns are the same in every band: they are zeroed once
+    per buffer layout and never written.  Its out-of-frame rows occur only
+    in the first and last bands and are zeroed there.
     """
     n, c, h, w = x.shape
     if k == 1:
@@ -402,17 +508,38 @@ def _band_cols(x, k: int):
             yield b, 0, h, x[b].reshape(c, -1)
         return
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    row_span = [_in_frame(h, i - p) for i in range(k)]
+    col_span = [_in_frame(w, j - p) for j in range(k)]
     rows = max(1, min(h, _COL_BYTES // (c * k * k * w * x.itemsize)))
     buf = np.empty(c * k * k * rows * w, dtype=x.dtype)
+    zeroed_rows = 0  # band height of the layout whose border columns are zero
     for b in range(n):
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             cols = buf[:c * k * k * (r1 - r0) * w].reshape(c, k, k, r1 - r0, w)
-            for i in range(k):
-                for j in range(k):
-                    cols[:, i, j] = xp[b, :, r0 + i:r1 + i, j:j + w]
+            if zeroed_rows != r1 - r0:
+                for j, (c0, c1) in enumerate(col_span):
+                    cols[:, :, j, :, :c0] = 0
+                    cols[:, :, j, :, c1:] = 0
+                zeroed_rows = r1 - r0
+            for i, (lo, hi) in enumerate(row_span):
+                a0 = min(max(lo, r0), r1)  # in-frame rows [a0, a1) of this band
+                a1 = min(max(hi, a0), r1)
+                if a0 > r0:
+                    cols[:, i, :, :a0 - r0] = 0
+                if a1 < r1:
+                    cols[:, i, :, a1 - r0:] = 0
+                src = x[b, :, a0 + i - p:a1 + i - p]
+                for j, (c0, c1) in enumerate(col_span):
+                    cols[:, i, j, a0 - r0:a1 - r0, c0:c1] = src[:, :, c0 + j - p:c1 + j - p]
             yield b, r0, r1, cols.reshape(c * k * k, -1)
+
+
+def _in_frame(size: int, d: int):
+    """[lo, hi): the output positions whose tap at offset d lies inside a
+    frame of `size` (lo == hi when none does)."""
+    lo = min(max(0, -d), size)
+    return lo, max(min(size, size - d), lo)
 
 
 def _same_conv(x, wmat, k: int):
@@ -427,12 +554,43 @@ def _same_conv(x, wmat, k: int):
     return out
 
 
+# Byte bound on the block of channel planes the conv epilogue works on at once
+# (at least one plane), so that its temporary stays in cache.
+_EPILOGUE_BYTES = 256 << 10
+
+
+def _bias_leaky_inplace(out, bias, slope):
+    """out += bias (None, (1, c, 1, 1) or out's shape), then leaky ReLU when
+    slope is set, in place on the (n, c, h, w) array out: one pass over it,
+    in blocks of whole channel planes."""
+    n, c, h, w = out.shape
+    planes = max(1, min(c, _EPILOGUE_BYTES // (h * w * out.itemsize)))
+    tmp = np.empty((planes, h * w), dtype=out.dtype)
+    for b in range(n):
+        ob = out[b].reshape(c, -1)
+        bb = None if bias is None else bias[b if bias.shape[0] > 1 else 0].reshape(c, -1)
+        for c0 in range(0, c, planes):
+            blk = ob[c0:c0 + planes]
+            if bb is not None:
+                blk += bb[c0:c0 + planes]
+            if slope is not None:
+                t = tmp[:len(blk)]
+                np.multiply(blk, slope, out=t)
+                np.maximum(blk, t, out=blk)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
-           groups: int = 1) -> Tensor:
+           groups: int = 1, slope: float | None = None) -> Tensor:
     """Grouped convolution with an odd square kernel that slides one pixel at
     a time over the input zero-padded by k // 2, so the output has the input's
     size; plain, grouped, pointwise and partial convs all run this one
     im2col + GEMM kernel.
+
+    bias is (1, oc, 1, 1), or a tensor of the output's shape that is added
+    whole (so a conv over a channel concat can run as one conv per part, each
+    adding the previous one's output).  With slope set, leaky_relu(., slope)
+    is applied in place on the output array; its backward builds the
+    derivative from the output's sign.
 
     Backward walks the same bands for dW += g @ cols^T.  The input gradient
     is the same kernel run on g with the flipped, group-transposed weights
@@ -446,20 +604,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ValueError(f"groups={groups} must divide channels ({c} -> {oc})")
     if icg != c // groups:
         raise ValueError(f"weight expects {icg * groups} input channels, got {c}")
-    if bias is not None and bias.shape != (1, oc, 1, 1):
-        raise ValueError(f"bias must be (1,{oc},1,1), got {bias.shape}")
+    if bias is not None and bias.shape not in ((1, oc, 1, 1), (n, oc, h, w)):
+        raise ValueError(f"bias must be (1,{oc},1,1) or {(n, oc, h, w)}, got {bias.shape}")
+    if slope is not None:
+        _check_slope(slope)
 
     ocg = oc // groups
     wmat = weight.data.reshape(groups, ocg, icg * k * k)
     out = _same_conv(x.data, wmat, k)
-    if bias is not None:
-        out += bias.data
+    if bias is not None or slope is not None:
+        _bias_leaky_inplace(out, None if bias is None else bias.data, slope)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g):
+        if slope is not None:
+            g = _leaky_grad(g, out, slope)
         if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
+            _accum(bias, g if bias.shape == g.shape
+                   else g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
         if weight.requires_grad:
             dw = np.zeros_like(wmat)
             for b, r0, r1, cols in _band_cols(x.data, k):
@@ -483,14 +646,16 @@ def _in_frame_count(size: int, k: int):
 
 def mask_window_sum(mask, k: int):
     """Sum of a 1-channel mask over the k x k window centred on each pixel,
-    zero outside the frame (plain numpy helper)."""
-    p = k // 2
-    mp = np.pad(mask, ((0, 0), (0, 0), (p, p), (p, p))) if p else mask
+    zero outside the frame (plain numpy helper): each tap adds the mask,
+    shifted, to the pixels whose tap lies inside the frame."""
     n, c, h, w = mask.shape
+    p = k // 2
     out = np.zeros_like(mask)
     for i in range(k):
+        r0, r1 = _in_frame(h, i - p)
         for j in range(k):
-            out += mp[:, :, i:i + h, j:j + w]
+            c0, c1 = _in_frame(w, j - p)
+            out[:, :, r0:r1, c0:c1] += mask[:, :, r0 + i - p:r1 + i - p, c0 + j - p:c1 + j - p]
     return out
 
 

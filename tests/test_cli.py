@@ -244,3 +244,62 @@ def test_model_config_bool_typo(tmp_path, capsys):
     assert rc == EXIT_FAIL
     err = capsys.readouterr().err
     assert "use_partial_conv" in err and "ture" in err
+
+
+# ---------------------------------------------------------------------------
+# run statistics
+# ---------------------------------------------------------------------------
+
+def run_stats(out: str) -> dict:
+    """The seconds=, peak_rss_mb= and threads= lines a run ends with."""
+    stats = dict(line.split("=", 1) for line in out.splitlines()[-3:])
+    assert list(stats) == ["seconds", "peak_rss_mb", "threads"]
+    assert float(stats["seconds"]) >= 0
+    assert float(stats["peak_rss_mb"]) > 1
+    assert stats["threads"] == "unknown" or int(stats["threads"]) >= 1
+    return stats
+
+
+def test_run_stats_end_degrade_train_infer_eval(sdr_dir, pair_dir, tiny_model_cfg,
+                                                tmp_path, capsys):
+    rc = main(["degrade", "--in", str(sdr_dir), "--out", str(tmp_path / "deg")])
+    assert rc == EXIT_OK
+    run_stats(capsys.readouterr().out)
+
+    ckpt, log = tmp_path / "model.ckpt", tmp_path / "loss.log"
+    rc = main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--iters", "2",
+               "--patch-size", "16", "--model-config", str(tiny_model_cfg), "--log", str(log)])
+    assert rc == EXIT_OK
+    run_stats(capsys.readouterr().out)
+    assert len(log.read_text().splitlines()) == 2  # the loss log keeps its lines
+
+    pred = tmp_path / "pred.pfm"
+    rc = main(["infer", "--checkpoint", str(ckpt), "--in", str(pair_dir / "s0.ppm"),
+               "--out", str(pred)])
+    assert rc == EXIT_OK
+    run_stats(capsys.readouterr().out)
+
+    rc = main(["eval", "--pred", str(pred), "--ref", str(pair_dir / "s0.pfm")])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    run_stats(out)
+    # exactly one line starts with the prediction's name, as scripts filter it
+    assert len([l for l in out.splitlines() if l.startswith("pred.pfm:")]) == 1
+
+
+def test_run_stats_end_a_failed_run_too(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["degrade", "--in", str(empty), "--out", str(tmp_path / "o")]) == EXIT_FAIL
+    run_stats(capsys.readouterr().out)
+
+
+def test_info_and_bench_print_no_run_stats(tiny_model_cfg, capsys):
+    assert main(["info", "--model-config", str(tiny_model_cfg)]) == EXIT_OK
+    assert "\nseconds=" not in capsys.readouterr().out
+    assert main(["bench", "--model-config", str(tiny_model_cfg), "--resolution", "24x16",
+                 "--repeats", "3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "\nseconds=" not in out  # bench reports median_seconds= instead
+    assert float(next(l for l in out.splitlines()
+                      if l.startswith("peak_rss_mb=")).split("=")[1]) > 1

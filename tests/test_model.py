@@ -141,7 +141,10 @@ def test_breakdown_sums_match_totals():
 
 def test_count_macs_matches_executed_convs(monkeypatch):
     # 270 is not a multiple of 4: the local net runs on 272 padded rows and
-    # the global net on the 270 cropped ones; count_macs must count both
+    # the global net on the 270 cropped ones; count_macs must count both.
+    # count_macs is the nominal count: global.mod1 runs on the pooled mod0
+    # features (one pixel), and the 1x1 convs over a channel concat
+    # (local.skip0, local.skip1, local.fuse) run once per part
     cfg = ModelConfig()
     net = Network.zeros(cfg)
     conv = T.conv2d
@@ -156,8 +159,10 @@ def test_count_macs_matches_executed_convs(monkeypatch):
 
     monkeypatch.setattr(T, "conv2d", counting_conv)
     net.forward(Tensor(np.zeros((1, 3, 270, 480), dtype=np.float32)))
-    assert len(executed) == len(layer_table(cfg)) == 33
-    assert sum(executed) == count_macs(cfg, 270, 480) == 10_367_385_600
+    assert len(executed) == len(layer_table(cfg)) + 3 == 36
+    mod1 = cfg.global_mlp_channels * 2 * cfg.global_mlp_channels
+    assert sum(executed) == count_macs(cfg, 270, 480) - 270 * 480 * mod1 + mod1
+    assert count_macs(cfg, 270, 480) == 10_367_385_600
 
 
 def test_ablation_param_directions():
@@ -352,3 +357,146 @@ def test_config_text_bool_words(word, value):
 def test_config_text_rejects_other_bool_words(word):
     with pytest.raises(ValueError, match=f"use_partial_conv.*{word!r}"):
         loads(ModelConfig, f"use_partial_conv={word}\n")
+
+
+# ---------------------------------------------------------------------------
+# Whole-network oracle: the forward as composed before the fast paths
+# ---------------------------------------------------------------------------
+
+def reference_forward(net, x):
+    """The two-step network composed from the plain ops: nearest up2 then a
+    3x3 conv, concat_channels copies, mod1 on the whole frame before the
+    pooling, and every leaky ReLU a separate op."""
+    cfg, W = net.cfg, net.weights
+
+    def conv(name, inp):
+        return T.conv2d(inp, W[f"{name}.weight"], W[f"{name}.bias"],
+                        groups=net.layers[name].spec.groups)
+
+    def pconv(name, inp, mask):
+        return T.partial_conv(inp, mask, W[f"{name}.weight"], W[f"{name}.bias"],
+                              groups=net.layers[name].spec.groups)
+
+    def lrelu(t):
+        return T.leaky_relu(t, cfg.leaky_slope)
+
+    def sft_rb(prefix, h, mprior):
+        s = conv(f"{prefix}.sft1", lrelu(conv(f"{prefix}.sft0", mprior)))
+        ch = h.shape[1]
+        y = sft_modulation(h, T.narrow_channels(s, 0, ch), T.narrow_channels(s, ch, ch))
+        y = conv(f"{prefix}.conv2", lrelu(conv(f"{prefix}.conv1", y)))
+        return lrelu(T.add(h, y))
+
+    # local network
+    n, c, h0, w0 = x.shape
+    mult = 1 << cfg.unet_levels
+    ph, pw = (-h0) % mult, (-w0) % mult
+    xl = T.pad_reflect(x, ph, pw) if ph or pw else x
+    pr = np.pad(np.clip(x.data, 0.0, 1.0), ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
+    p = prior_scalar(pr)
+    mp = pr * bright_valid_mask(p, cfg.mask_threshold)
+    mp_levels = [mp]
+    for _ in range(cfg.unet_levels):
+        a = mp_levels[-1]
+        mp_levels.append(0.25 * (a[:, :, 0::2, 0::2] + a[:, :, 1::2, 0::2]
+                                 + a[:, :, 0::2, 1::2] + a[:, :, 1::2, 1::2]))
+    mp_levels = [Tensor(m.astype(x.dtype)) for m in mp_levels]
+    feats = [xl]
+    for i in range(cfg.dense_layers):
+        inp = feats[0] if len(feats) == 1 else T.concat_channels(*feats)
+        feats.append(lrelu(conv(f"local.dense{i}", inp)))
+    dense_out = T.concat_channels(*feats[1:]) if cfg.dense_layers > 1 else feats[1]
+    hT = lrelu(conv("local.head", xl))
+    mask = bright_invalid_mask(p, cfg.mask_threshold).astype(x.dtype)
+    skips = []
+    for lvl in range(cfg.unet_levels):
+        pre = f"local.enc{lvl}.rb0"
+        if cfg.use_partial_conv:
+            y, m = pconv(f"{pre}.conv1", hT, mask)
+            y, m = pconv(f"{pre}.conv2", lrelu(y), m)
+            hT, mask = lrelu(T.add(hT, y)), m
+        else:
+            hT = sft_rb(pre, hT, mp_levels[lvl])
+        skips.append(hT)
+        hT = lrelu(conv(f"local.down{lvl}", T.down2(hT)))
+        mask = 0.25 * (mask[:, :, 0::2, 0::2] + mask[:, :, 1::2, 0::2]
+                       + mask[:, :, 0::2, 1::2] + mask[:, :, 1::2, 1::2])
+    y = conv("local.mid.rb0.conv2", lrelu(conv("local.mid.rb0.conv1", hT)))
+    hT = lrelu(T.add(hT, y))
+    for lvl in reversed(range(cfg.unet_levels)):
+        hT = lrelu(conv(f"local.up{lvl}", T.up2(hT)))
+        hT = lrelu(conv(f"local.skip{lvl}", T.concat_channels(hT, skips[lvl])))
+        hT = sft_rb(f"local.dec{lvl}.rb0", hT, mp_levels[lvl])
+    local = lrelu(conv("local.fuse", T.concat_channels(dense_out, hT)))
+    if ph or pw:
+        local = T.crop(local, 0, 0, h0, w0)
+
+    # global network
+    m = T.global_avg_pool(conv("global.mod1", lrelu(conv("global.mod0", x))))
+    G = cfg.global_mlp_channels
+    alpha, beta = T.narrow_channels(m, 0, G), T.narrow_channels(m, G, G)
+    h = local
+    for i in range(cfg.global_mlp_layers):
+        h = conv(f"global.mlp{i}", h)
+        if i == cfg.global_mlp_layers - 1:
+            h = T.relu(h)
+        else:
+            h = lrelu(h)
+            if i + 1 == cfg.modulation_after_layer:
+                h = channel_modulation(h, alpha, beta)
+    return h
+
+
+def oracle_net(use_partial_conv, dtype, seed):
+    cfg = ModelConfig(dense_layers=3, dense_growth=4, unet_base_channels=8,
+                      global_mlp_channels=8, groups=2, use_partial_conv=use_partial_conv)
+    net = make_net(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for name, t in net.weights.items():  # non-zero biases exercise every bias path
+        if name.endswith(".bias"):
+            t.data = rng.normal(0, 0.1, t.shape)
+        t.data = t.data.astype(dtype)
+    return net
+
+
+def oracle_input(h, w, dtype, seed):
+    x = np.random.default_rng(seed).random((1, 3, h, w)) * 1.1  # some pixels clip
+    return Tensor(x.astype(dtype))
+
+
+@pytest.mark.parametrize("use_partial_conv", [True, False], ids=["pconv", "sft"])
+@pytest.mark.parametrize("size", [(20, 20), (13, 19)], ids=["20x20", "13x19"])
+def test_forward_matches_reference_composition(size, use_partial_conv):
+    # outputs within 1e-12 (float64) and 2e-5 relative (float32); 13x19 is not
+    # a multiple of 4, so the reflect-pad and crop path runs
+    for dtype, rtol in ((np.float64, 1e-12), (np.float32, 2e-5)):
+        net = oracle_net(use_partial_conv, dtype, seed=30)
+        x = oracle_input(*size, dtype, seed=31)
+        got, ref = net.forward(x), reference_forward(net, x)
+        assert got.dtype == dtype and got.shape == ref.shape
+        scale = np.abs(ref.data).max()
+        np.testing.assert_allclose(got.data, ref.data, rtol=rtol, atol=rtol * scale)
+
+
+@pytest.mark.parametrize("use_partial_conv", [True, False], ids=["pconv", "sft"])
+@pytest.mark.parametrize("size", [(20, 20), (13, 19)], ids=["20x20", "13x19"])
+def test_weight_gradients_match_reference_composition(size, use_partial_conv):
+    # every weight and bias gradient within 1e-10 (float64) of the reference's,
+    # relative to that tensor's largest gradient
+    net = oracle_net(use_partial_conv, np.float64, seed=32)
+    for t in net.weights.values():
+        t.requires_grad = True
+    x = oracle_input(*size, np.float64, seed=33)
+    target = np.random.default_rng(34).random(x.shape)
+    grads = []
+    for fwd in (net.forward, lambda x: reference_forward(net, x)):
+        for t in net.weights.values():
+            t.zero_grad()
+        y = fwd(x)
+        T.backward(T.mean_all(T.abs_(T.sub(T.mul(y, y), Tensor(target)))))
+        grads.append({k: t.grad for k, t in net.weights.items()})
+    for name, ref in grads[1].items():
+        assert grads[0][name] is not None, name
+        scale = max(np.abs(ref).max(), 1e-30)
+        np.testing.assert_allclose(grads[0][name], ref, rtol=0, atol=1e-10 * scale,
+                                   err_msg=name)

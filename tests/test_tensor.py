@@ -432,3 +432,219 @@ def test_op_trace_records_activations():
         x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
         T.relu(T.leaky_relu(x, 0.2))
     assert trace == ["leaky_relu", "relu"]
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against their plain formulations
+# ---------------------------------------------------------------------------
+
+def padded_band_cols(x, k, rows):
+    """The column matrices gathered from an np.pad copy of x, band by band."""
+    n, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    for b in range(n):
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            cols = np.empty((c, k, k, r1 - r0, w), dtype=x.dtype)
+            for i in range(k):
+                for j in range(k):
+                    cols[:, i, j] = xp[b, :, r0 + i:r1 + i, j:j + w]
+            yield b, r0, r1, cols.reshape(c * k * k, -1)
+
+
+@pytest.mark.parametrize("band_rows", [1, 2, None], ids=["1row", "2rows", "whole"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_band_cols_bit_equal_to_padded_gather(monkeypatch, k, band_rows):
+    # exact equality (tolerance 0); frames include ones smaller than k, and
+    # two images so that bands of a new layout follow ones of another
+    rng = np.random.default_rng(40 + k)
+    for h, w in ((7, 9), (5, 4), (2, 3), (1, 1), (1, 6), (6, 1)):
+        x = rng.normal(0, 1, (2, 3, h, w)).astype(np.float32)
+        rows = band_rows or h
+        set_band_rows(monkeypatch, rows, 3, k, w, np.float32)
+        got = [(b, r0, r1, cols.copy()) for b, r0, r1, cols in T._band_cols(x, k)]
+        ref = list(padded_band_cols(x, k, h if k == 1 else rows))
+        assert [g[:3] for g in got] == [r[:3] for r in ref]
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g[3], r[3])
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_mask_window_sum_matches_padded_formula(k):
+    # exact equality with the zero-padded shifted sum (adding the zeros it
+    # adds changes no bit)
+    rng = np.random.default_rng(50 + k)
+    p = k // 2
+    for h, w in ((6, 7), (3, 2), (1, 1)):
+        mask = rng.random((2, 1, h, w)) * (rng.random((2, 1, h, w)) > 0.5)
+        mp = np.pad(mask, ((0, 0), (0, 0), (p, p), (p, p)))
+        ref = np.zeros_like(mask)
+        for i in range(k):
+            for j in range(k):
+                ref += mp[:, :, i:i + h, j:j + w]
+        np.testing.assert_array_equal(T.mask_window_sum(mask, k), ref)
+
+
+def conv_and_grads(x, w, b, gy, groups, fused):
+    """Output and (dx, dw, db) of sum(gy * y) for y = conv2d with slope 0.2
+    fused, or leaky_relu(conv2d(...), 0.2)."""
+    xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    if fused:
+        y = T.conv2d(xt, wt, bt, groups=groups, slope=0.2)
+    else:
+        y = T.leaky_relu(T.conv2d(xt, wt, bt, groups=groups), 0.2)
+    T.backward(T.sum_all(T.mul_const(y, gy)))
+    return y.data, xt.grad, wt.grad, bt.grad
+
+
+@pytest.mark.parametrize("plane_blocks", [False, True], ids=["one_block", "plane_blocks"])
+@pytest.mark.parametrize("k,groups", [(1, 1), (3, 1), (3, 2), (5, 4)])
+def test_conv_fused_slope_bit_equal_to_leaky_relu(monkeypatch, k, groups, plane_blocks):
+    # exact equality of values and of dx, dW, db (tolerance 0), with the
+    # epilogue over all channel planes at once or over one plane at a time
+    if plane_blocks:
+        monkeypatch.setattr(T, "_EPILOGUE_BYTES", 1)
+    rng = np.random.default_rng(60 + k + groups)
+    for dtype in (np.float32, np.float64):
+        x = rng.normal(0, 1, (2, 4, 6, 7)).astype(dtype)
+        w = rng.normal(0, 1, (8, 4 // groups, k, k)).astype(dtype)
+        b = rng.normal(0, 1, (1, 8, 1, 1)).astype(dtype)
+        gy = rng.normal(0, 1, (2, 8, 6, 7)).astype(dtype)
+        fused = conv_and_grads(x, w, b, gy, groups, fused=True)
+        plain = conv_and_grads(x, w, b, gy, groups, fused=False)
+        assert (fused[0] < 0).any() and (fused[0] > 0).any()
+        for got, ref in zip(fused, plain):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_conv_fused_slope_gradient_check():
+    # float64 central differences, max relative error <= 1e-6
+    rng = np.random.default_rng(61)
+    x, w, b = t64(rng, (2, 4, 5, 6)), t64(rng, (6, 2, 3, 3)), t64(rng, (1, 6, 1, 1))
+
+    def f(x, w, b):
+        y = T.conv2d(x, w, b, groups=2, slope=0.2)
+        return T.mean_all(T.mul(y, y))
+    assert T.gradient_check(f, [x, w, b], eps=1e-5) <= 1e-6
+
+
+def test_conv_rejects_bad_slope_and_bias_shape():
+    x = Tensor(np.zeros((2, 2, 4, 5), dtype=np.float32))
+    w = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
+    with pytest.raises(ValueError, match="slope"):
+        T.conv2d(x, w, slope=1.0)
+    with pytest.raises(ValueError, match="bias"):
+        T.conv2d(x, w, Tensor(np.zeros((1, 3, 4, 5), dtype=np.float32)))
+
+
+def close(got, ref, dtype):
+    """float64 within 1e-12, float32 within 1e-5, relative to ref's largest
+    magnitude."""
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    scale = max(np.abs(ref).max(), 1e-30)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=tol * scale)
+
+
+def value_and_grads(fn, arrays, gy):
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    y = fn(*tensors)
+    T.backward(T.sum_all(T.mul_const(y, gy)))
+    return [y.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv_over_parts_with_full_bias_matches_concat(dtype):
+    # a 1x1 (or 3x3) conv over concat(a, b) equals the conv of b whose bias is
+    # the conv of a with the real bias; values and gradients
+    rng = np.random.default_rng(70)
+    a, b = rng.normal(0, 1, (2, 3, 5, 6)), rng.normal(0, 1, (2, 2, 5, 6))
+    for k in (1, 3):
+        w, bias = rng.normal(0, 1, (4, 5, k, k)), rng.normal(0, 1, (1, 4, 1, 1))
+        gy = rng.normal(0, 1, (2, 4, 5, 6)).astype(dtype)
+        arrays = [t.astype(dtype) for t in (a, b, w, bias)]
+
+        def split(a, b, w, bias):
+            y = T.conv2d(a, T.narrow_channels(w, 0, 3), bias)
+            return T.conv2d(b, T.narrow_channels(w, 3, 2), y, slope=0.2)
+
+        def whole(a, b, w, bias):
+            return T.leaky_relu(T.conv2d(T.concat_channels(a, b), w, bias), 0.2)
+        for got, ref in zip(value_and_grads(split, arrays, gy),
+                            value_and_grads(whole, arrays, gy)):
+            close(got, ref, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_pooled_1x1_conv_matches_full_frame(dtype):
+    # mod1 after the pooling: global_avg_pool commutes with a 1x1 conv + bias
+    rng = np.random.default_rng(71)
+    arrays = [rng.normal(0, 1, s).astype(dtype)
+              for s in ((2, 6, 7, 5), (8, 6, 1, 1), (1, 8, 1, 1))]
+    gy = rng.normal(0, 1, (2, 8, 1, 1)).astype(dtype)
+    pooled = value_and_grads(lambda h, w, b: T.conv2d(T.global_avg_pool(h), w, b), arrays, gy)
+    full = value_and_grads(lambda h, w, b: T.global_avg_pool(T.conv2d(h, w, b)), arrays, gy)
+    for got, ref in zip(pooled, full):
+        close(got, ref, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("size", [(4, 5), (1, 1), (3, 2)])
+def test_low_resolution_up_conv_matches_up2_conv(size, dtype):
+    # the phase conv on x, interleaved, equals the 3x3 conv of up2(x); values
+    # and the gradients of x, the stored weights and the bias
+    rng = np.random.default_rng(72)
+    h, w = size
+    arrays = [rng.normal(0, 1, s).astype(dtype)
+              for s in ((2, 6, h, w), (4, 6, 3, 3), (1, 4, 1, 1))]
+    gy = rng.normal(0, 1, (2, 4, 2 * h, 2 * w)).astype(dtype)
+
+    def low_res(x, wt, b):
+        y = T.conv2d(x, T.up2_conv_weight(wt), T.repeat_channels(b, 4), slope=0.2)
+        return T.depth_to_space(y)
+
+    def full(x, wt, b):
+        return T.leaky_relu(T.conv2d(T.up2(x), wt, b), 0.2)
+    for got, ref in zip(value_and_grads(low_res, arrays, gy),
+                        value_and_grads(full, arrays, gy)):
+        assert got.dtype == dtype
+        close(got, ref, dtype)
+
+
+def test_depth_to_space_layout_and_errors():
+    x = Tensor(np.arange(8, dtype=np.float32).reshape(1, 8, 1, 1))
+    y = T.depth_to_space(x)
+    assert y.shape == (1, 2, 2, 2)
+    np.testing.assert_array_equal(y.data[0, 1], [[4, 5], [6, 7]])
+    with pytest.raises(ValueError, match="multiple of 4"):
+        T.depth_to_space(Tensor(np.zeros((1, 6, 2, 2), dtype=np.float32)))
+    with pytest.raises(ValueError, match="3x3"):
+        T.up2_conv_weight(Tensor(np.zeros((2, 2, 1, 1), dtype=np.float32)))
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_channel_stack_views_match_concat(batch):
+    # each view equals the concat of its parts, shares the buffer for a
+    # batch of one, and its backward splits g among the parts
+    rng = np.random.default_rng(73)
+    parts = [t64(rng, (batch, c, 4, 5)) for c in (3, 2, 2)]
+    stack = T.ChannelStack(parts[0], 7)
+    assert stack.view() is parts[0]
+    for t in parts[1:]:
+        stack.push(t)
+    v = stack.view(1)
+    np.testing.assert_array_equal(v.data, np.concatenate([t.data for t in parts[1:]], axis=1))
+    np.testing.assert_array_equal(stack.view().data,
+                                  np.concatenate([t.data for t in parts], axis=1))
+    assert np.shares_memory(v.data, stack.buf) == (batch == 1)
+    gy, gv = rng.normal(0, 1, (batch, 7, 4, 5)), rng.normal(0, 1, (batch, 4, 4, 5))
+    T.backward(T.add(T.sum_all(T.mul_const(stack.view(), gy)),
+                     T.sum_all(T.mul_const(v, gv))))
+    np.testing.assert_array_equal(parts[0].grad, gy[:, 0:3])
+    np.testing.assert_array_equal(parts[1].grad, gy[:, 3:5] + gv[:, 0:2])
+    np.testing.assert_array_equal(parts[2].grad, gy[:, 5:7] + gv[:, 2:4])
+    with pytest.raises(ValueError, match="cannot push"):
+        stack.push(parts[1])  # the buffer is full
+    with pytest.raises(ValueError, match="cannot push"):
+        T.ChannelStack(parts[0], 9).push(t64(rng, (batch, 2, 4, 4)))
