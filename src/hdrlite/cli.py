@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-degrade", action="store_true")
     p.add_argument("--model-config", default=None)
     p.add_argument("--degrade-config", default=None)
-    p.add_argument("--log", default=None, help="loss log path")
+    p.add_argument("--log", default=None,
+                   help="per-iteration log path (losses, seconds, gradient norms)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="reconstruct HDR from one SDR image")

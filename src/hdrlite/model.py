@@ -82,14 +82,14 @@ def channel_modulation(x: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
     """Per-channel affine: alpha and beta are (n,c,1,1)."""
     if alpha.shape[1] != x.shape[1] or beta.shape[1] != x.shape[1]:
         raise ValueError(f"modulation channels {alpha.shape[1]} do not match input {x.shape[1]}")
-    return T.add(T.mul(x, alpha), beta)
+    return T.affine(x, alpha, beta)
 
 
 def sft_modulation(x: Tensor, alpha_map: Tensor, beta_map: Tensor) -> Tensor:
     """Per-pixel affine: alpha_map and beta_map share x's full shape."""
     if alpha_map.shape != x.shape or beta_map.shape != x.shape:
         raise ValueError(f"SFT map shape must equal input shape {x.shape}")
-    return T.add(T.mul(x, alpha_map), beta_map)
+    return T.affine(x, alpha_map, beta_map)
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +237,23 @@ class Network:
             c0 += c
         return out
 
-    def pconv(self, name: str, x: Tensor, mask):
+    def pconv(self, name: str, x: Tensor, mask, *, act: bool = False):
         li = self.layers[name]
         return T.partial_conv(x, mask, self.weights[f"{name}.weight"],
-                              self.weights[f"{name}.bias"], groups=li.spec.groups)
+                              self.weights[f"{name}.bias"], groups=li.spec.groups,
+                              slope=self.cfg.leaky_slope if act else None)
 
-    def lrelu(self, x: Tensor) -> Tensor:
-        return T.leaky_relu(x, self.cfg.leaky_slope)
-
-    # -- residual blocks -----------------------------------------------------
+    # -- residual blocks: each ends in leaky_relu(h + y) as one affine op ----
 
     def _pconv_rb(self, prefix: str, h: Tensor, mask):
-        y, m = self.pconv(f"{prefix}.conv1", h, mask)
-        y = self.lrelu(y)
+        y, m = self.pconv(f"{prefix}.conv1", h, mask, act=True)
         y, m = self.pconv(f"{prefix}.conv2", y, m)
-        return self.lrelu(T.add(h, y)), m
+        return T.affine(h, shift=y, slope=self.cfg.leaky_slope), m
 
     def _plain_rb(self, prefix: str, h: Tensor) -> Tensor:
         y = self.conv(f"{prefix}.conv1", h, act=True)
         y = self.conv(f"{prefix}.conv2", y)
-        return self.lrelu(T.add(h, y))
+        return T.affine(h, shift=y, slope=self.cfg.leaky_slope)
 
     def _sft_rb(self, prefix: str, h: Tensor, mprior: Tensor) -> Tensor:
         ch = h.shape[1]
@@ -267,7 +264,7 @@ class Network:
         y = sft_modulation(h, alpha, beta)
         y = self.conv(f"{prefix}.conv1", y, act=True)
         y = self.conv(f"{prefix}.conv2", y)
-        return self.lrelu(T.add(h, y))
+        return T.affine(h, shift=y, slope=self.cfg.leaky_slope)
 
     # -- sub-networks --------------------------------------------------------
 
@@ -313,14 +310,9 @@ class Network:
             mp_levels.append(_pool2(mp_levels[-1]))
         mp_levels = [Tensor(m.astype(x.dtype)) for m in mp_levels]
 
-        # dense branch: every layer reads the input and all earlier outputs,
-        # a leading-channel view of one growing stack
-        stack = T.ChannelStack(x, c + cfg.dense_layers * cfg.dense_growth)
-        for i in range(cfg.dense_layers):
-            stack.push(self.conv(f"local.dense{i}", stack.view(), act=True))
-        dense_out = stack.view(1)
-
-        # encoder-decoder branch
+        # encoder-decoder branch, run before the dense branch so that its
+        # activations and the dense stack are never alive at once; each skip
+        # is dropped as soon as it is consumed
         hT = self.conv("local.head", x, act=True)
         mask = invalid.astype(x.dtype)
         skips = []
@@ -336,11 +328,17 @@ class Network:
         hT = self._plain_rb("local.mid.rb0", hT)
         for lvl in reversed(range(cfg.unet_levels)):
             hT = self.conv(f"local.up{lvl}", hT, act=True)  # conv of up2(hT)
-            hT = self.conv(f"local.skip{lvl}", [hT, skips[lvl]], act=True)
+            hT = self.conv(f"local.skip{lvl}", [hT, skips.pop()], act=True)
             for r in range(cfg.unet_rb_per_level):
                 hT = self._sft_rb(f"local.dec{lvl}.rb{r}", hT, mp_levels[lvl])
 
-        out = self.conv("local.fuse", [dense_out, hT], act=True)
+        # dense branch: every layer reads the input and all earlier outputs,
+        # a leading-channel view of one growing stack
+        stack = T.ChannelStack(x, c + cfg.dense_layers * cfg.dense_growth)
+        for i in range(cfg.dense_layers):
+            stack.push(self.conv(f"local.dense{i}", stack.view(), act=True))
+
+        out = self.conv("local.fuse", [stack.view(1), hT], act=True)
         if ph or pw:
             out = T.crop(out, 0, 0, h0, w0)
         return out

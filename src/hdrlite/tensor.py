@@ -235,6 +235,45 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     return _node(np.maximum(x.data, out, out=out), "leaky_relu", (x,), bwd)
 
 
+def affine(x: Tensor, scale=None, shift: Tensor | None = None, *,
+           slope: float | None = None) -> Tensor:
+    """leaky_relu(x * scale + shift, slope) in one output array.
+
+    scale is a Tensor, a fixed array that carries no gradient (e.g. the
+    partial-conv ratio) or None, broadcast against x; shift is a Tensor of
+    shape (1 or n, c, 1, 1) or x's shape, or None; slope None applies no
+    activation.  The shift and the activation run in conv2d's blocked
+    epilogue, and the backward builds the derivative from the output's sign.
+    """
+    n, c, h, w = x.shape
+    st = scale if isinstance(scale, Tensor) else None
+    s = scale if st is None else st.data
+    if s is not None:
+        s = np.asarray(s, dtype=x.dtype)
+        if s.ndim != 4 or any(d not in (1, e) for d, e in zip(s.shape, x.shape)):
+            raise ValueError(f"scale {s.shape} does not broadcast to {x.shape}")
+    if shift is not None and shift.shape not in ((1, c, 1, 1), (n, c, 1, 1), x.shape):
+        raise ValueError(f"shift must be (1 or {n},{c},1,1) or {x.shape}, got {shift.shape}")
+    if slope is not None:
+        _check_slope(slope)
+
+    out = x.data * s if s is not None else x.data.copy()
+    _bias_leaky_inplace(out, None if shift is None else shift.data, slope)
+    parents = tuple(t for t in (x, st, shift) if t is not None)
+
+    def bwd(g):
+        if slope is not None:
+            g = _leaky_grad(g, out, slope)
+        if shift is not None:
+            _accum(shift, _unbroadcast(g, shift.shape))
+        if st is not None and st.requires_grad:
+            _accum(st, _unbroadcast(g * x.data, st.shape))
+        if x.requires_grad:
+            _accum(x, g if s is None else g * s)
+
+    return _node(out, "affine", parents, bwd)
+
+
 # ---------------------------------------------------------------------------
 # Reductions and shape ops
 # ---------------------------------------------------------------------------
@@ -290,17 +329,20 @@ class ChannelStack:
     """A channel concat that grows in one preallocated buffer (Pleiss et al.,
     "Memory-Efficient Implementation of DenseNets", 2017).
 
-    push() copies each part in once; view() gives the parts pushed so far,
-    from part `first` on, as one tensor on the buffer's channels, with no
-    copy for a batch of one.  Its backward splits g as concat_channels does.
+    The first part (the caller's input) is copied in.  push() moves each
+    later part in: for a batch of one its data becomes its slice of the
+    buffer, so the part's own array is freed unless something else holds it.
+    view() gives the parts pushed so far, from part `first` on, as one
+    tensor on the buffer's channels, with no copy for a batch of one.  Its
+    backward splits g as concat_channels does.
     """
 
     def __init__(self, first: Tensor, channels: int):
-        n, _, h, w = first.shape
+        n, c, h, w = first.shape
         self.buf = np.empty((n, channels, h, w), dtype=first.dtype)
-        self.parts: list[Tensor] = []
-        self.ends = [0]
-        self.push(first)
+        self.buf[:, :c] = first.data
+        self.parts = [first]
+        self.ends = [0, c]
 
     def push(self, t: Tensor):
         c0, c1 = self.ends[-1], self.ends[-1] + t.shape[1]
@@ -309,6 +351,8 @@ class ChannelStack:
             raise ValueError(f"cannot push {t.shape} onto a stack of {self.buf.shape} "
                              f"filled to {c0} channels")
         self.buf[:, c0:c1] = t.data
+        if t.shape[0] == 1:  # a channel slice of a batch of one is contiguous
+            t.data = self.buf[:, c0:c1]
         self.parts.append(t)
         self.ends.append(c1)
 
@@ -560,7 +604,7 @@ _EPILOGUE_BYTES = 256 << 10
 
 
 def _bias_leaky_inplace(out, bias, slope):
-    """out += bias (None, (1, c, 1, 1) or out's shape), then leaky ReLU when
+    """out += bias (None, (1 or n, c, 1, 1) or out's shape), then leaky ReLU when
     slope is set, in place on the (n, c, h, w) array out: one pass over it,
     in blocks of whole channel planes."""
     n, c, h, w = out.shape
@@ -660,12 +704,13 @@ def mask_window_sum(mask, k: int):
 
 
 def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,
-                 groups: int = 1):
+                 groups: int = 1, slope: float | None = None):
     """Mask-gated convolution with per-window renormalization.
 
     mask is a fixed (n,1,h,w) array in [0,1]; it gates the input, scales each
     window by area/mask_sum, and propagates as 1 wherever the window saw any
-    valid pixel.  Returns (output, updated_mask).
+    valid pixel.  The ratio, the bias and, with slope set, the leaky ReLU
+    are one affine op.  Returns (output, updated_mask).
 
     Out-of-bounds area counts as fully valid for the renormalization so an
     all-ones mask reproduces a plain convolution exactly, borders included;
@@ -683,10 +728,7 @@ def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,
     new_mask = valid.astype(x.dtype)
 
     y = conv2d(mul_const(x, mask), weight, None, groups=groups)
-    y = mul_const(y, ratio)
-    if bias is not None:
-        y = add(y, bias)
-    return y, new_mask
+    return affine(y, ratio, bias, slope=slope), new_mask
 
 
 # ---------------------------------------------------------------------------

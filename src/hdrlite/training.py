@@ -7,6 +7,8 @@ Adam with a halving learning-rate schedule.
 """
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +140,21 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
         p.data = (p.data - lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
 
 
+# Parameter groups of the train log's gradient norms, by name prefix; a
+# parameter belongs to the first group whose prefix it has.
+GRAD_GROUPS = ("local.dense", "local.", "global.")
+
+
+def grad_norms(params: dict[str, Tensor]) -> list[float]:
+    """L2 norm of the gradients of each of GRAD_GROUPS' parameter groups."""
+    sq = dict.fromkeys(GRAD_GROUPS, 0.0)
+    for name, p in params.items():
+        if p.grad is not None:
+            g = p.grad.ravel()
+            sq[next(k for k in GRAD_GROUPS if name.startswith(k))] += float(g @ g)
+    return [math.sqrt(v) for v in sq.values()]
+
+
 def lr_schedule(iteration: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * 0.5 ** (iteration // cfg.lr_half_every)
 
@@ -165,7 +182,9 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     """Iterate patch sampling, on-the-fly degradation, forward/backward, Adam.
 
     dataset holds (linear HDR label, clean nonlinear SDR input) pairs.
-    Returns (trained Network, list of per-iteration records).
+    Returns (trained Network, list of per-iteration records).  Each log line
+    is "iter, lr, l1, lg, total, seconds" followed by the gradient norms of
+    GRAD_GROUPS; seconds is the iteration's wall time up to the Adam step.
     """
     train_cfg.validate()
     if not dataset:
@@ -178,6 +197,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     log = open(log_path, "w") if log_path else None
     try:
         for it in range(train_cfg.max_iters):
+            start = time.perf_counter()
             lr = lr_schedule(it, train_cfg)
             batch_x, batch_y = [], []
             for _ in range(train_cfg.batch):
@@ -199,10 +219,13 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 raise TrainingDiverged(f"non-finite loss at iteration {it}")
             T.backward(total)
             adam_step(net.weights, state, lr)
+            seconds = time.perf_counter() - start
             rec = {"iter": it, "lr": lr, "l1": l1.item(), "lg": lg.item(), "total": tval}
             trace.append(rec)
             if log:
-                log.write(f"{it}, {lr:.6g}, {rec['l1']:.6f}, {rec['lg']:.6f}, {tval:.6f}\n")
+                norms = "".join(f", {v:.6g}" for v in grad_norms(net.weights))
+                log.write(f"{it}, {lr:.6g}, {rec['l1']:.6f}, {rec['lg']:.6f}, {tval:.6f}, "
+                          f"{seconds:.4f}{norms}\n")
     finally:
         if log:
             log.close()

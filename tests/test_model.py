@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -268,8 +269,35 @@ def test_activation_census_no_normalization():
     with T.trace_ops() as trace:
         net.forward(x)
     assert trace.count("relu") == 1
-    assert trace[::-1].index("relu") < trace[::-1].index("leaky_relu")  # ReLU is last
+    assert trace[-1] == "relu"  # ReLU is the last op
     assert not any("norm" in op for op in trace)
+
+
+def test_forward_working_set_bound():
+    # the traced numpy peak of a no-grad default-config forward at 66x98 stays
+    # under the dense stack (3 + 5*16 = 83 channels), the conv column buffer
+    # (_COL_BYTES) and three of the widest (48-channel) full-resolution
+    # activations, all float32 planes of the frame padded to 68x100: about
+    # 8.3 MB.  It fails if the stack outlives the dense branch's place in the
+    # forward, if a pushed dense output keeps a second copy, or if the
+    # elementwise tails each allocate again.
+    cfg = ModelConfig()
+    net = make_net(cfg, seed=14)
+    for t in net.weights.values():
+        t.requires_grad = False
+    x = Tensor((np.random.default_rng(15).random((1, 3, 66, 98)) * 1.1).astype(np.float32))
+    net.forward(x)
+    plane = 68 * 100 * 4
+    bound = ((3 + cfg.dense_layers * cfg.dense_growth) * plane + T._COL_BYTES
+             + 3 * cfg.global_mlp_channels * plane)
+    tracemalloc.start()
+    try:
+        y = net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == x.shape
+    assert peak < bound, (peak, bound)
 
 
 def test_ablation_configs_forward_and_gradcheck():

@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -648,3 +649,90 @@ def test_channel_stack_views_match_concat(batch):
         stack.push(parts[1])  # the buffer is full
     with pytest.raises(ValueError, match="cannot push"):
         T.ChannelStack(parts[0], 9).push(t64(rng, (batch, 2, 4, 4)))
+
+
+def test_channel_stack_push_keeps_one_copy():
+    # for a batch of one, a pushed part's data becomes its slice of the buffer
+    # and its own array is released; the first part (the caller's input) is
+    # copied, and a batch of two keeps its parts' arrays
+    rng = np.random.default_rng(74)
+    x = t64(rng, (1, 3, 4, 5))
+    stack = T.ChannelStack(x, 7)
+    assert not np.shares_memory(x.data, stack.buf)
+    y = t64(rng, (1, 4, 4, 5))
+    own, values = weakref.ref(y.data), y.data.copy()
+    stack.push(y)
+    assert np.shares_memory(y.data, stack.buf) and y.data.flags.c_contiguous
+    assert own() is None
+    np.testing.assert_array_equal(y.data, values)
+    np.testing.assert_array_equal(stack.view(1).data, values)
+    two = T.ChannelStack(t64(rng, (2, 3, 4, 5)), 7)
+    z = t64(rng, (2, 4, 4, 5))
+    two.push(z)
+    assert not np.shares_memory(z.data, two.buf)
+
+
+# ---------------------------------------------------------------------------
+# affine: leaky_relu(x * scale + shift) as one op
+# ---------------------------------------------------------------------------
+
+AFFINE_SHAPES = {  # (scale shape, shift shape) for x of shape (n, c, h, w)
+    "channel": lambda n, c, h, w: ((n, c, 1, 1), (n, c, 1, 1)),
+    "full": lambda n, c, h, w: ((n, c, h, w), (n, c, h, w)),
+    "pconv": lambda n, c, h, w: ((n, 1, h, w), (1, c, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("kind", sorted(AFFINE_SHAPES))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_affine_bit_equal_to_unfused(dtype, kind, batch):
+    # values and every gradient equal the unfused compositions (tolerance 0):
+    # the modulations add(mul(x, a), b), partial_conv's former
+    # leaky_relu(add(mul_const(y, ratio), bias)) and the residual tail
+    # leaky_relu(add(h, y))
+    rng = np.random.default_rng(80 + batch)
+    shape = (batch, 4, 5, 6)
+    sshape, bshape = AFFINE_SHAPES[kind](*shape)
+    x, a, b, r = (rng.normal(0, 1, s).astype(dtype) for s in (shape, sshape, bshape, sshape))
+    gy = rng.normal(0, 1, shape).astype(dtype)
+    pairs = [
+        (lambda x, a, b: T.affine(x, a, b),
+         lambda x, a, b: T.add(T.mul(x, a), b), (x, a, b)),
+        (lambda x, b: T.affine(x, r, b, slope=0.2),
+         lambda x, b: T.leaky_relu(T.add(T.mul_const(x, r), b), 0.2), (x, b)),
+        (lambda h, y: T.affine(h, shift=y, slope=0.2),
+         lambda h, y: T.leaky_relu(T.add(h, y), 0.2), (x, gy[::-1].copy())),
+    ]
+    for fused, plain, arrays in pairs:
+        got = value_and_grads(fused, arrays, gy)
+        ref = value_and_grads(plain, arrays, gy)
+        for g, want in zip(got, ref):
+            assert g.dtype == dtype
+            np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("slope", [None, 0.2], ids=["no_slope", "slope"])
+def test_affine_gradient_check(slope):
+    # float64 central differences for x, scale and shift, max relative error
+    # <= 1e-6; the loss is linear in y, so only kinks could spoil it
+    rng = np.random.default_rng(81)
+    x, a, b = t64(rng, (2, 3, 4, 5)), t64(rng, (2, 3, 1, 1)), t64(rng, (2, 3, 4, 5))
+    ratio = rng.random((2, 1, 4, 5)) + 0.5
+    gy = rng.normal(0, 1, x.shape)
+
+    def f(x, a, b):
+        y = T.affine(T.affine(x, a, b, slope=slope), ratio, a, slope=slope)
+        return T.sum_all(T.mul_const(y, gy))
+    assert T.gradient_check(f, [x, a, b], eps=1e-6) <= 1e-6
+
+
+def test_affine_rejects_bad_slope_and_shapes():
+    x = Tensor(np.zeros((2, 3, 4, 5), dtype=np.float32))
+    for slope in (0.0, 1.0, 1.5, -0.2):
+        with pytest.raises(ValueError, match="slope"):
+            T.affine(x, slope=slope)
+    with pytest.raises(ValueError, match="shift"):
+        T.affine(x, shift=Tensor(np.zeros((2, 3, 4, 1), dtype=np.float32)))
+    with pytest.raises(ValueError, match="scale"):
+        T.affine(x, np.ones((3, 1, 1, 1), dtype=np.float32))

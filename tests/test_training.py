@@ -6,8 +6,8 @@ from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR
 from hdrlite.model import ModelConfig
 from hdrlite.tensor import Tensor
 from hdrlite.training import (
-    ADAM_BETA1, ADAM_BETA2, AdamState, TrainConfig, TrainingDiverged,
-    adam_step, kaiming_init, loss_terms, lr_schedule, postprocess_gamma,
+    ADAM_BETA1, ADAM_BETA2, GRAD_GROUPS, AdamState, TrainConfig, TrainingDiverged,
+    adam_step, grad_norms, kaiming_init, loss_terms, lr_schedule, postprocess_gamma,
     preprocess_gamma, train_loop,
 )
 from tests.conftest import make_pairs
@@ -220,6 +220,26 @@ def test_train_loop_trace_and_log(tmp_path):
     lines = log.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("0, 0.0002, ")
+
+
+def test_train_log_line_has_seconds_and_group_grad_norms(tmp_path):
+    # iter, lr, l1, lg, total keep their format; then the iteration's seconds
+    # and the L2 gradient norms of the local.dense*, other local.* and
+    # global.* parameters, which together make up the whole gradient
+    log = tmp_path / "loss.log"
+    net, trace = train_loop(TINY, TrainConfig(max_iters=1, patch_size=16, seed=2),
+                            make_pairs(2, 32), log_path=log)
+    cols = log.read_text().splitlines()[0].split(", ")
+    rec = trace[0]
+    assert cols[:5] == ["0", "0.0002", f"{rec['l1']:.6f}", f"{rec['lg']:.6f}",
+                        f"{rec['total']:.6f}"]
+    assert len(cols) == 6 + len(GRAD_GROUPS)
+    assert 0 < float(cols[5]) < 60
+    norms = [float(c) for c in cols[6:]]
+    assert all(v > 0 for v in norms)
+    np.testing.assert_allclose(norms, grad_norms(net.weights), rtol=1e-5)
+    total = sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in net.weights.values())
+    assert sum(v * v for v in norms) == pytest.approx(total, rel=1e-4)
 
 
 def test_train_loop_deterministic_per_seed():
