@@ -16,7 +16,7 @@ import numpy as np
 import scipy.fft
 import scipy.ndimage
 
-from .imgio import Image, LINEAR_HDR, NONLINEAR_SDR
+from .imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
 
 # Generic wide-gamut -> sRGB style primary conversion (rows sum to ~1,
 # well-conditioned, invertible); stands in for an unspecified camera matrix.
@@ -64,9 +64,6 @@ class DegradationConfig:
             raise ValueError(f"jpeg_qf2 must lie in [1, 100], got {self.jpeg_qf2}")
         if self.rescale_range[0] <= 0:
             raise ValueError(f"rescale_range must be > 0, got {self.rescale_range}")
-
-    def rng(self, stream: int = 0) -> np.random.Generator:
-        return np.random.default_rng([self.seed, stream])
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +247,10 @@ def conventional_degrade(sdr: Image, cfg: DegradationConfig,
     return Image(restored.astype(np.float32), NONLINEAR_SDR), manifest
 
 
+# ---------------------------------------------------------------------------
+# Exposure statistics
+# ---------------------------------------------------------------------------
+
 def exposure_stats(codes: np.ndarray, over_code: int = 255, under_code: int = 0):
     """(under_fraction, over_fraction) of an integer-coded SDR image.
 
@@ -262,3 +263,75 @@ def exposure_stats(codes: np.ndarray, over_code: int = 255, under_code: int = 0)
     p = codes.max(axis=2)
     n = p.size
     return float((p <= under_code).sum() / n), float((p >= over_code).sum() / n)
+
+
+@dataclass
+class DatasetReport:
+    """Per-image and aggregate under/over-exposure fractions.
+
+    Aggregates are the mean and population standard deviation of the
+    per-image fractions.
+    """
+
+    under_fractions: list = field(default_factory=list)
+    over_fractions: list = field(default_factory=list)
+    under_code: int = 0
+    over_code: int = 255
+    resolutions: list = field(default_factory=list)
+
+    @property
+    def count(self) -> int:
+        return len(self.over_fractions)
+
+    @property
+    def under_mean(self) -> float:
+        return float(np.mean(self.under_fractions))
+
+    @property
+    def under_std(self) -> float:
+        return float(np.std(self.under_fractions))
+
+    @property
+    def over_mean(self) -> float:
+        return float(np.mean(self.over_fractions))
+
+    @property
+    def over_std(self) -> float:
+        return float(np.std(self.over_fractions))
+
+    def to_kv(self) -> str:
+        return "\n".join([
+            f"images={self.count}",
+            f"under_code={self.under_code}",
+            f"over_code={self.over_code}",
+            f"under_mean={self.under_mean:.6f}",
+            f"under_std={self.under_std:.6f}",
+            f"over_mean={self.over_mean:.6f}",
+            f"over_std={self.over_std:.6f}",
+        ])
+
+    def to_text(self) -> str:
+        lines = [
+            f"{'images':>12}  {self.count}",
+            f"{'resolutions':>12}  {', '.join(sorted(set(self.resolutions)))}",
+            f"{'under-exp':>12}  code <= {self.under_code}: "
+            f"avg {100 * self.under_mean:.4f}%  stdev {self.under_std:.4f}",
+            f"{'over-exp':>12}  code >= {self.over_code}: "
+            f"avg {100 * self.over_mean:.4f}%  stdev {self.over_std:.4f}",
+        ]
+        return "\n".join(lines)
+
+
+def dataset_stats(images: list[Image], over_code: int = 255, under_code: int = 0,
+                  bit_depth: int = 8) -> DatasetReport:
+    if not images:
+        raise ValueError("dataset_stats needs at least one image")
+    report = DatasetReport(under_code=under_code, over_code=over_code)
+    maxval = (1 << bit_depth) - 1
+    for img in images:
+        codes = float_to_code(img.data, maxval)
+        under, over = exposure_stats(codes, over_code=over_code, under_code=under_code)
+        report.under_fractions.append(under)
+        report.over_fractions.append(over)
+        report.resolutions.append(f"{img.width}x{img.height}")
+    return report

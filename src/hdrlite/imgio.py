@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class Image:
 
     data: np.ndarray
     domain: str = NONLINEAR_SDR
-    max_luminance: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float32)
@@ -349,95 +348,3 @@ def write_image(path, img: Image, bit_depth: int = 8):
         raise ImageFormatError(f"unsupported image extension: {path}")
     with open(path, "wb") as f:
         f.write(data)
-
-
-# ---------------------------------------------------------------------------
-# Patch extraction and dataset statistics
-# ---------------------------------------------------------------------------
-
-def extract_patches(img: Image, size: int = 600, count: int = 1,
-                    rng: np.random.Generator | None = None) -> list[Image]:
-    """Random square crops at integer offsets, deterministic per rng state."""
-    rng = rng or np.random.default_rng(0)
-    h, w = img.height, img.width
-    if h < size or w < size:
-        return [Image(img.data.copy(), img.domain, img.max_luminance)]
-    out = []
-    for _ in range(count):
-        y = int(rng.integers(0, h - size + 1))
-        x = int(rng.integers(0, w - size + 1))
-        out.append(Image(img.data[y:y + size, x:x + size].copy(), img.domain))
-    return out
-
-
-@dataclass
-class DatasetReport:
-    """Per-image and aggregate under/over-exposure fractions.
-
-    Aggregates are the mean and population standard deviation of the
-    per-image fractions.
-    """
-
-    under_fractions: list = field(default_factory=list)
-    over_fractions: list = field(default_factory=list)
-    under_code: int = 0
-    over_code: int = 255
-    resolutions: list = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.over_fractions)
-
-    @property
-    def under_mean(self) -> float:
-        return float(np.mean(self.under_fractions))
-
-    @property
-    def under_std(self) -> float:
-        return float(np.std(self.under_fractions))
-
-    @property
-    def over_mean(self) -> float:
-        return float(np.mean(self.over_fractions))
-
-    @property
-    def over_std(self) -> float:
-        return float(np.std(self.over_fractions))
-
-    def to_kv(self) -> str:
-        return "\n".join([
-            f"images={self.count}",
-            f"under_code={self.under_code}",
-            f"over_code={self.over_code}",
-            f"under_mean={self.under_mean:.6f}",
-            f"under_std={self.under_std:.6f}",
-            f"over_mean={self.over_mean:.6f}",
-            f"over_std={self.over_std:.6f}",
-        ])
-
-    def to_text(self) -> str:
-        lines = [
-            f"{'images':>12}  {self.count}",
-            f"{'resolutions':>12}  {', '.join(sorted(set(self.resolutions)))}",
-            f"{'under-exp':>12}  code <= {self.under_code}: "
-            f"avg {100 * self.under_mean:.4f}%  stdev {self.under_std:.4f}",
-            f"{'over-exp':>12}  code >= {self.over_code}: "
-            f"avg {100 * self.over_mean:.4f}%  stdev {self.over_std:.4f}",
-        ]
-        return "\n".join(lines)
-
-
-def dataset_stats(images: list[Image], over_code: int = 255, under_code: int = 0,
-                  bit_depth: int = 8) -> DatasetReport:
-    from .degrade import exposure_stats
-    if not images:
-        raise ValueError("dataset_stats needs at least one image")
-    report = DatasetReport(under_code=under_code, over_code=over_code)
-    maxval = (1 << bit_depth) - 1
-    for img in images:
-        codes = float_to_code(img.data, maxval)
-        under, over = exposure_stats(codes, over_code=over_code, under_code=under_code)
-        report.under_fractions.append(under)
-        report.over_fractions.append(over)
-        report.resolutions.append(f"{img.width}x{img.height}")
-    return report

@@ -19,7 +19,9 @@ from .degrade import DegradationConfig, conventional_degrade
 from .imgio import Image, LINEAR_HDR, float_to_code
 from .model import ModelConfig, Network, count_macs, count_params, ablation_config
 from .tensor import Tensor
-from .training import TrainConfig, postprocess_gamma, preprocess_gamma, train_loop
+from .training import (
+    GAMMA, TrainConfig, kaiming_init, postprocess_gamma, preprocess_gamma, train_loop,
+)
 
 METRIC_DOMAIN = "gamma045"
 
@@ -74,23 +76,23 @@ def ssim(a: Image, b: Image, peak: float = 1.0) -> float:
     return float(np.mean(vals))
 
 
-def to_metric_domain(img: Image, max_y: float | None = None, gamma: float = 0.45) -> Image:
+def to_metric_domain(img: Image, max_y: float | None = None) -> Image:
     """Max-normalize (by max_y if given) and lift to the gamma domain."""
     data = np.clip(np.asarray(img.data, np.float64), 0.0, None)
     m = float(data.max()) if max_y is None else float(max_y)
     if m <= 0:
         raise ValueError("cannot normalize an all-zero image")
-    return Image(np.clip(data / m, 0.0, 1.0).astype(np.float32) ** gamma)
+    return Image(np.clip(data / m, 0.0, 1.0).astype(np.float32) ** GAMMA)
 
 
-def hdr_pair_metrics(pred: Image, ref: Image, gamma: float = 0.45):
+def hdr_pair_metrics(pred: Image, ref: Image):
     """PSNR/SSIM of two linear HDR images in the declared gamma domain.
 
     Both are normalized by the reference maximum.
     """
     m = float(np.asarray(ref.data).max())
-    p = to_metric_domain(pred, m, gamma)
-    r = to_metric_domain(ref, m, gamma)
+    p = to_metric_domain(pred, m)
+    r = to_metric_domain(ref, m)
     return psnr(p, r), ssim(p, r)
 
 
@@ -105,11 +107,11 @@ def tonemap_preview(hdr: Image) -> np.ndarray:
 # Inference and benchmarking
 # ---------------------------------------------------------------------------
 
-def reconstruct_hdr(net: Network, sdr: Image, gamma: float = 0.45) -> Image:
+def reconstruct_hdr(net: Network, sdr: Image) -> Image:
     """SDR in [0,1] -> relative linear HDR via the two-step network."""
     x = Tensor(sdr.data.transpose(2, 0, 1)[None].astype(np.float32))
     y = net.forward(x)
-    linear = postprocess_gamma(y.data[0].transpose(1, 2, 0), gamma)
+    linear = postprocess_gamma(y.data[0].transpose(1, 2, 0))
     return Image(linear.astype(np.float32), LINEAR_HDR)
 
 
@@ -119,9 +121,9 @@ def bench_forward(cfg: ModelConfig, h: int, w: int, repeats: int = 3,
     if repeats < 3:
         raise ValueError("need at least 3 repeats")
     rng = np.random.default_rng(seed)
-    net = Network.zeros(cfg)
+    net = kaiming_init(cfg, rng)
     for t in net.weights.values():
-        t.data = rng.normal(0, 0.05, t.shape).astype(np.float32)
+        t.requires_grad = False  # time the inference forward: no graph kept
     x = Tensor(rng.random((1, 3, h, w)).astype(np.float32))
     net.forward(x)  # warm-up
     times = []
@@ -167,15 +169,15 @@ def blas_threads() -> int | str:
 # ---------------------------------------------------------------------------
 
 def evaluate_on_degraded(net: Network, pairs, degrade_cfg: DegradationConfig,
-                         seed: int, gamma: float = 0.45):
+                         seed: int):
     """Mean PSNR/SSIM of reconstructions from degraded SDR inputs."""
     rng = np.random.default_rng([seed, 977])
     ps, ss = [], []
     for hdr, sdr in pairs:
         degraded, _ = conventional_degrade(sdr, degrade_cfg, rng)
-        pred = reconstruct_hdr(net, degraded, gamma)
-        ref_gamma, _ = preprocess_gamma(hdr, gamma)
-        pred_gamma = to_metric_domain(pred, float(np.asarray(pred.data).max()) or 1.0, gamma)
+        pred = reconstruct_hdr(net, degraded)
+        ref_gamma, _ = preprocess_gamma(hdr)
+        pred_gamma = to_metric_domain(pred, float(np.asarray(pred.data).max()) or 1.0)
         # compare in the gamma domain with each image normalized by its own max
         p = psnr(pred_gamma, Image(ref_gamma.data))
         s = ssim(pred_gamma, Image(ref_gamma.data))
@@ -200,8 +202,7 @@ def ablation_suite(model_cfg: ModelConfig, train_cfg: TrainConfig,
         else:
             cfg, tcfg = ablation_config(model_cfg, name), train_cfg
         net, _ = train_loop(cfg, tcfg, dataset, degrade_cfg)
-        p, s = evaluate_on_degraded(net, test_pairs, degrade_cfg, train_cfg.seed,
-                                    train_cfg.gamma)
+        p, s = evaluate_on_degraded(net, test_pairs, degrade_cfg, train_cfg.seed)
         rows.append({
             "variant": name,
             "params": count_params(cfg),

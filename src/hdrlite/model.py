@@ -202,16 +202,6 @@ class Network:
                 raise ValueError(f"{name}: bad bias shape {b.shape}")
         self.weights = weights
 
-    @classmethod
-    def zeros(cls, cfg: ModelConfig, dtype=np.float32, requires_grad: bool = False):
-        weights = {}
-        for li in layer_table(cfg):
-            weights[f"{li.name}.weight"] = Tensor(
-                np.zeros(li.spec.weight_shape, dtype=dtype), requires_grad)
-            weights[f"{li.name}.bias"] = Tensor(
-                np.zeros((1, li.spec.out_channels, 1, 1), dtype=dtype), requires_grad)
-        return cls(cfg, weights)
-
     def conv(self, name: str, x, *, act: bool = False) -> Tensor:
         """The named conv layer on x, followed by the leaky ReLU when act is
         set (fused into the conv).

@@ -19,6 +19,12 @@ from .imgio import Image, NONLINEAR_SDR
 from .model import ModelConfig, Network, layer_table
 from .tensor import Tensor
 
+# Fixed settings of the training objective and the optimizer.  GAMMA is the
+# exponent of the one prediction domain: training lifts labels to it,
+# inference and the metrics invert or compare in it.
+GAMMA = 0.45
+LOSS_GRAD_WEIGHT = 0.1
+LR_HALF_EVERY = 250_000
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -27,24 +33,16 @@ ADAM_EPS = 1e-8
 @dataclass
 class TrainConfig:
     lr0: float = 2e-4
-    lr_half_every: int = 250_000
-    batch: int = 1
     patch_size: int = 64
     max_iters: int = 500
-    loss_grad_weight: float = 0.1
-    gamma: float = 0.45
     seed: int = 0
     apply_degradation: bool = True
 
     def validate(self):
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0,1)")
-        if self.loss_grad_weight < 0:
-            raise ValueError("loss_grad_weight must be >= 0")
-        if self.lr_half_every < 1 or self.batch < 1 or self.patch_size < 1:
-            raise ValueError("lr_half_every, batch, patch_size must be >= 1")
+        if self.patch_size < 1:
+            raise ValueError("patch_size must be >= 1")
 
 
 class TrainingDiverged(RuntimeError):
@@ -55,7 +53,7 @@ class TrainingDiverged(RuntimeError):
 # Pre/post-processing
 # ---------------------------------------------------------------------------
 
-def preprocess_gamma(y: Image, gamma: float = 0.45):
+def preprocess_gamma(y: Image):
     """Normalize linear HDR by its maximum and lift to the gamma domain.
 
     Returns (gamma-domain image, recorded maximum) so the mapping inverts
@@ -67,27 +65,27 @@ def preprocess_gamma(y: Image, gamma: float = 0.45):
     max_y = float(data.max())
     if max_y <= 0:
         raise ValueError("cannot normalize an all-zero image")
-    out = (data / max_y) ** gamma
-    return Image(out.astype(np.float32), NONLINEAR_SDR, max_luminance=max_y), max_y
+    out = (data / max_y) ** GAMMA
+    return Image(out.astype(np.float32), NONLINEAR_SDR), max_y
 
 
-def postprocess_gamma(y_gamma: np.ndarray, gamma: float = 0.45) -> np.ndarray:
+def postprocess_gamma(y_gamma: np.ndarray) -> np.ndarray:
     """Inverse of the gamma lift; output is relative linear HDR."""
-    return np.clip(np.asarray(y_gamma, dtype=np.float64), 0.0, None) ** (1.0 / gamma)
+    return np.clip(np.asarray(y_gamma, dtype=np.float64), 0.0, None) ** (1.0 / GAMMA)
 
 
 # ---------------------------------------------------------------------------
 # Loss
 # ---------------------------------------------------------------------------
 
-def loss_terms(pred: Tensor, target: Tensor, grad_weight: float = 0.1):
-    """(total, l1, lg) loss tensors; total = l1 + grad_weight * lg."""
+def loss_terms(pred: Tensor, target: Tensor):
+    """(total, l1, lg) loss tensors; total = l1 + LOSS_GRAD_WEIGHT * lg."""
     if pred.shape != target.shape:
         raise ValueError(f"loss shape mismatch: {pred.shape} vs {target.shape}")
     diff = T.sub(pred, target)
     l1 = T.mean_all(T.abs_(diff))
     lg = T.mean_all(T.abs_(T.grad_map(diff)))
-    total = T.add(l1, T.scale(lg, grad_weight))
+    total = T.add(l1, T.scale(lg, LOSS_GRAD_WEIGHT))
     return total, l1, lg
 
 
@@ -114,16 +112,13 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
     """Bias-corrected Adam update in place; parameters without grads are kept."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -137,7 +132,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         mhat = state.m[name] / (1 - b1 ** t)
         vhat = state.v[name] / (1 - b2 ** t)
-        p.data = (p.data - lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
+        p.data = (p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 # Parameter groups of the train log's gradient norms, by name prefix; a
@@ -156,7 +151,7 @@ def grad_norms(params: dict[str, Tensor]) -> list[float]:
 
 
 def lr_schedule(iteration: int, cfg: TrainConfig) -> float:
-    return cfg.lr0 * 0.5 ** (iteration // cfg.lr_half_every)
+    return cfg.lr0 * 0.5 ** (iteration // LR_HALF_EVERY)
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +194,17 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
         for it in range(train_cfg.max_iters):
             start = time.perf_counter()
             lr = lr_schedule(it, train_cfg)
-            batch_x, batch_y = [], []
-            for _ in range(train_cfg.batch):
-                hdr, sdr = dataset[int(rng.integers(0, len(dataset)))]
-                hdr_p, sdr_p = _sample_patch(rng, hdr, sdr, train_cfg.patch_size)
-                if train_cfg.apply_degradation:
-                    sdr_p, _ = conventional_degrade(sdr_p, degrade_cfg, rng)
-                target, _ = preprocess_gamma(hdr_p, train_cfg.gamma)
-                batch_x.append(sdr_p.data.transpose(2, 0, 1))
-                batch_y.append(target.data.transpose(2, 0, 1))
-            x = Tensor(np.stack(batch_x).astype(np.float32))
-            y = Tensor(np.stack(batch_y).astype(np.float32))
+            hdr, sdr = dataset[int(rng.integers(0, len(dataset)))]
+            hdr_p, sdr_p = _sample_patch(rng, hdr, sdr, train_cfg.patch_size)
+            if train_cfg.apply_degradation:
+                sdr_p, _ = conventional_degrade(sdr_p, degrade_cfg, rng)
+            target, _ = preprocess_gamma(hdr_p)
+            x = Tensor(sdr_p.data.transpose(2, 0, 1)[None])
+            y = Tensor(target.data.transpose(2, 0, 1)[None])
             for p in net.weights.values():
                 p.zero_grad()
             pred = net.forward(x)
-            total, l1, lg = loss_terms(pred, y, train_cfg.loss_grad_weight)
+            total, l1, lg = loss_terms(pred, y)
             tval = total.item()
             if not np.isfinite(tval):
                 raise TrainingDiverged(f"non-finite loss at iteration {it}")

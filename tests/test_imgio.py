@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from hdrlite.degrade import dataset_stats
 from hdrlite.imgio import (
-    Image, ImageFormatError, LINEAR_HDR, NONLINEAR_SDR, dataset_stats,
-    extract_patches, float_to_code, float_to_rgbe, read_image, read_pfm,
-    read_ppm, read_rgbe, rgbe_to_float, write_image, write_pfm, write_ppm,
-    write_rgbe, _rle_encode_scanlines,
+    Image, ImageFormatError, LINEAR_HDR, NONLINEAR_SDR, float_to_code,
+    float_to_rgbe, read_image, read_pfm, read_ppm, read_rgbe, rgbe_to_float,
+    write_image, write_pfm, write_ppm, write_rgbe, _rle_encode_scanlines,
 )
-from tests.conftest import make_hdr_scene
 
 
 def random_hdr(seed, h=37, w=23, scale=100.0):
@@ -390,18 +389,6 @@ def test_image_invariants():
     img = Image(np.zeros((2, 3, 3), dtype=np.float64))
     assert img.data.dtype == np.float32
     assert (img.width, img.height) == (3, 2)
-
-
-def test_extract_patches_shapes_and_determinism():
-    img = make_hdr_scene(0, 64)
-    p1 = extract_patches(img, 16, 4, np.random.default_rng(7))
-    p2 = extract_patches(img, 16, 4, np.random.default_rng(7))
-    assert len(p1) == 4
-    for a, b in zip(p1, p2):
-        assert a.data.shape == (16, 16, 3)
-        np.testing.assert_array_equal(a.data, b.data)
-    whole = extract_patches(img, 100, 2, np.random.default_rng(0))
-    assert all(p.data.shape == (64, 64, 3) for p in whole)
 
 
 def test_dataset_stats_exposure_fractions():

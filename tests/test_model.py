@@ -147,7 +147,9 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     # features (one pixel), and the 1x1 convs over a channel concat
     # (local.skip0, local.skip1, local.fuse) run once per part
     cfg = ModelConfig()
-    net = Network.zeros(cfg)
+    net = make_net(cfg)
+    for t in net.weights.values():
+        t.requires_grad = False  # an inference forward: no graph kept
     conv = T.conv2d
     executed = []
 
