@@ -115,7 +115,7 @@ def cmd_degrade(args) -> int:
 def cmd_stats(args) -> int:
     _echo("stats", {"in": args.in_dir, "over_code": args.over_code,
                     "under_code": args.under_code})
-    files = _list_images(args.in_dir)
+    files = [p for p in _list_images(args.in_dir) if p.suffix == ".ppm"]  # the SDR format
     if not files:
         print("error: no input images", file=sys.stderr)
         return EXIT_FAIL

@@ -322,14 +322,16 @@ class DatasetReport:
         return "\n".join(lines)
 
 
-def dataset_stats(images: list[Image], over_code: int = 255, under_code: int = 0,
-                  bit_depth: int = 8) -> DatasetReport:
+def dataset_stats(images: list[Image], over_code: int = 255,
+                  under_code: int = 0) -> DatasetReport:
+    """Exposure fractions of SDR images, counted on their 8-bit codes."""
     if not images:
         raise ValueError("dataset_stats needs at least one image")
     report = DatasetReport(under_code=under_code, over_code=over_code)
-    maxval = (1 << bit_depth) - 1
     for img in images:
-        codes = float_to_code(img.data, maxval)
+        if img.domain == LINEAR_HDR:
+            raise ValueError(f"dataset_stats counts SDR codes, got a {img.domain} image")
+        codes = float_to_code(img.data, 255)
         under, over = exposure_stats(codes, over_code=over_code, under_code=under_code)
         report.under_fractions.append(under)
         report.over_fractions.append(over)

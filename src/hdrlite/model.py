@@ -22,34 +22,36 @@ from .tensor import ConvSpec, Tensor, _pool2
 CHECKPOINT_MAGIC = b"LHDR"
 CHECKPOINT_VERSION = 1
 
+# The fixed architecture: a two-level encoder-decoder with one residual block
+# per level, a four-layer global MLP channel-modulated after its second layer,
+# masks that ramp from 0.9, and leaky ReLUs of slope 0.2.
+UNET_LEVELS = 2
+GLOBAL_MLP_LAYERS = 4
+MODULATION_AFTER_LAYER = 2
+MASK_THRESHOLD = 0.9
+LEAKY_SLOPE = 0.2
+# Checkpoint header keys of these values from when they were ModelConfig
+# fields: a checkpoint that carries one loads only at the constant's value.
+_RETIRED_KEYS = {"unet_levels": UNET_LEVELS, "unet_rb_per_level": 1,
+                 "global_mlp_layers": GLOBAL_MLP_LAYERS, "mask_threshold": MASK_THRESHOLD,
+                 "leaky_slope": LEAKY_SLOPE, "modulation_after_layer": MODULATION_AFTER_LAYER}
+
 
 @dataclass
 class ModelConfig:
+    """The widths of the network, and the partial-conv ablation toggle."""
     dense_layers: int = 5
     dense_growth: int = 16
-    unet_levels: int = 2
     unet_base_channels: int = 20
-    unet_rb_per_level: int = 1
     groups: int = 4
     global_mlp_channels: int = 48
-    global_mlp_layers: int = 4
-    mask_threshold: float = 0.9
-    leaky_slope: float = 0.2
     use_partial_conv: bool = True
-    modulation_after_layer: int = 2
 
     def validate(self):
-        if not 0.0 < self.mask_threshold < 1.0:
-            raise ValueError(f"mask_threshold must lie in (0,1), got {self.mask_threshold}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError(f"leaky_slope must lie in (0,1), got {self.leaky_slope}")
         if self.unet_base_channels % self.groups:
             raise ValueError("unet_base_channels must be divisible by groups")
-        if not 1 <= self.modulation_after_layer < self.global_mlp_layers:
-            raise ValueError("modulation_after_layer must leave at least one MLP layer after it")
-        for f in ("dense_layers", "unet_levels", "unet_rb_per_level", "global_mlp_layers"):
-            if getattr(self, f) < 1:
-                raise ValueError(f"{f} must be >= 1")
+        if self.dense_layers < 1:
+            raise ValueError("dense_layers must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +64,16 @@ def prior_scalar(prior) -> np.ndarray:
     return p.max(axis=1, keepdims=True)
 
 
-def bright_valid_mask(p, t: float = 0.9) -> np.ndarray:
-    """0 below the threshold, rising linearly to 1 at full saturation."""
+def bright_valid_mask(p) -> np.ndarray:
+    """0 below MASK_THRESHOLD, rising linearly to 1 at full saturation."""
     p = np.clip(np.asarray(p), 0.0, 1.0)
-    return np.maximum(0.0, (p - t) / (1.0 - t))
+    return np.maximum(0.0, (p - MASK_THRESHOLD) / (1.0 - MASK_THRESHOLD))
 
 
-def bright_invalid_mask(p, t: float = 0.9) -> np.ndarray:
-    """1 below the threshold, falling linearly to 0 at full saturation."""
+def bright_invalid_mask(p) -> np.ndarray:
+    """1 below MASK_THRESHOLD, falling linearly to 0 at full saturation."""
     p = np.clip(np.asarray(p), 0.0, 1.0)
-    return np.minimum((p - 1.0) / (t - 1.0), 1.0)
+    return np.minimum((p - 1.0) / (MASK_THRESHOLD - 1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,26 +129,24 @@ def layer_table(cfg: ModelConfig) -> list[LayerInfo]:
 
     # local net: encoder-decoder branch
     layers.append(LayerInfo("local.head", ConvSpec(3, C, 3), 1))
-    for lvl in range(cfg.unet_levels):
+    for lvl in range(UNET_LEVELS):
         ch, sc = C << lvl, 1 << lvl
-        for r in range(cfg.unet_rb_per_level):
-            layers += _rb_layers(cfg, f"local.enc{lvl}.rb{r}", ch, sc, sft=not cfg.use_partial_conv)
+        layers += _rb_layers(cfg, f"local.enc{lvl}.rb0", ch, sc, sft=not cfg.use_partial_conv)
         layers.append(LayerInfo(f"local.down{lvl}", ConvSpec(ch, 2 * ch, 3), sc * 2))
-    mid_ch, mid_sc = C << cfg.unet_levels, 1 << cfg.unet_levels
+    mid_ch, mid_sc = C << UNET_LEVELS, 1 << UNET_LEVELS
     layers += _rb_layers(cfg, "local.mid.rb0", mid_ch, mid_sc, sft=False)
-    for lvl in reversed(range(cfg.unet_levels)):
+    for lvl in reversed(range(UNET_LEVELS)):
         ch, sc = C << lvl, 1 << lvl
         layers.append(LayerInfo(f"local.up{lvl}", ConvSpec(2 * ch, ch, 3), sc))
         layers.append(LayerInfo(f"local.skip{lvl}", ConvSpec(2 * ch, ch, 1), sc))
-        for r in range(cfg.unet_rb_per_level):
-            layers += _rb_layers(cfg, f"local.dec{lvl}.rb{r}", ch, sc, sft=True)
+        layers += _rb_layers(cfg, f"local.dec{lvl}.rb0", ch, sc, sft=True)
     layers.append(LayerInfo("local.fuse",
                             ConvSpec(cfg.dense_layers * cfg.dense_growth + C, 3, 1), 1))
 
     # global net: pointwise MLP plus modulation branch
-    for i in range(cfg.global_mlp_layers):
+    for i in range(GLOBAL_MLP_LAYERS):
         ic = 3 if i == 0 else G
-        oc = 3 if i == cfg.global_mlp_layers - 1 else G
+        oc = 3 if i == GLOBAL_MLP_LAYERS - 1 else G
         layers.append(LayerInfo(f"global.mlp{i}", ConvSpec(ic, oc, 1), 1))
     layers.append(LayerInfo("global.mod0", ConvSpec(3, G, 1), 1))
     layers.append(LayerInfo("global.mod1", ConvSpec(G, 2 * G, 1), 1))
@@ -165,8 +165,8 @@ def count_macs(cfg: ModelConfig, h: int, w: int) -> int:
 def layer_breakdown(cfg: ModelConfig, h: int, w: int):
     """(name, params, macs) per layer, at the size the forward pass runs it:
     local layers on the frame reflect-padded to a multiple of
-    2**unet_levels, global layers on the unpadded frame."""
-    mult = 1 << cfg.unet_levels
+    2**UNET_LEVELS, global layers on the unpadded frame."""
+    mult = 1 << UNET_LEVELS
     padded = (-(-h // mult) * mult, -(-w // mult) * mult)
     rows = []
     for li in layer_table(cfg):
@@ -213,7 +213,7 @@ class Network:
         """
         li = self.layers[name]
         weight, bias = self.weights[f"{name}.weight"], self.weights[f"{name}.bias"]
-        slope = self.cfg.leaky_slope if act else None
+        slope = LEAKY_SLOPE if act else None
         if name.startswith("local.up"):
             y = T.conv2d(x, T.up2_conv_weight(weight), T.repeat_channels(bias, 4), slope=slope)
             return T.depth_to_space(y)
@@ -231,19 +231,19 @@ class Network:
         li = self.layers[name]
         return T.partial_conv(x, mask, self.weights[f"{name}.weight"],
                               self.weights[f"{name}.bias"], groups=li.spec.groups,
-                              slope=self.cfg.leaky_slope if act else None)
+                              slope=LEAKY_SLOPE if act else None)
 
     # -- residual blocks: each ends in leaky_relu(h + y) as one affine op ----
 
     def _pconv_rb(self, prefix: str, h: Tensor, mask):
         y, m = self.pconv(f"{prefix}.conv1", h, mask, act=True)
         y, m = self.pconv(f"{prefix}.conv2", y, m)
-        return T.affine(h, shift=y, slope=self.cfg.leaky_slope), m
+        return T.affine(h, shift=y, slope=LEAKY_SLOPE), m
 
     def _plain_rb(self, prefix: str, h: Tensor) -> Tensor:
         y = self.conv(f"{prefix}.conv1", h, act=True)
         y = self.conv(f"{prefix}.conv2", y)
-        return T.affine(h, shift=y, slope=self.cfg.leaky_slope)
+        return T.affine(h, shift=y, slope=LEAKY_SLOPE)
 
     def _sft_rb(self, prefix: str, h: Tensor, mprior: Tensor) -> Tensor:
         ch = h.shape[1]
@@ -254,49 +254,45 @@ class Network:
         y = sft_modulation(h, alpha, beta)
         y = self.conv(f"{prefix}.conv1", y, act=True)
         y = self.conv(f"{prefix}.conv2", y)
-        return T.affine(h, shift=y, slope=self.cfg.leaky_slope)
+        return T.affine(h, shift=y, slope=LEAKY_SLOPE)
 
     # -- sub-networks --------------------------------------------------------
 
     def global_forward(self, x: Tensor, prior: Tensor) -> Tensor:
-        cfg = self.cfg
         # mod1 is a 1x1 conv with bias, which commutes with the spatial mean:
         # it runs on the pooled mod0 features instead of the whole frame
         m = self.conv("global.mod0", prior, act=True)
         m = self.conv("global.mod1", T.global_avg_pool(m))
-        G = cfg.global_mlp_channels
+        G = self.cfg.global_mlp_channels
         alpha = T.narrow_channels(m, 0, G)
         beta = T.narrow_channels(m, G, G)
         h = x
-        for i in range(cfg.global_mlp_layers):
-            last = i == cfg.global_mlp_layers - 1
+        for i in range(GLOBAL_MLP_LAYERS):
+            last = i == GLOBAL_MLP_LAYERS - 1
             h = self.conv(f"global.mlp{i}", h, act=not last)
             if last:
                 h = T.relu(h)
-            elif i + 1 == cfg.modulation_after_layer:
+            elif i + 1 == MODULATION_AFTER_LAYER:
                 h = channel_modulation(h, alpha, beta)
         return h
 
-    def local_forward(self, x: Tensor, prior: Tensor) -> Tensor:
+    def local_forward(self, x: Tensor) -> Tensor:
+        """The local network; its masks and SFT priors come from x itself."""
         cfg = self.cfg
         n, c, h0, w0 = x.shape
-        mult = 1 << cfg.unet_levels
+        mult = 1 << UNET_LEVELS
         ph = (-h0) % mult
         pw = (-w0) % mult
         if ph or pw:
             x = T.pad_reflect(x, ph, pw)
-        pr = np.clip(prior.data, 0.0, 1.0)
-        if pr.shape[2:] != x.shape[2:]:
-            pr = np.pad(pr, ((0, 0), (0, 0), (0, x.shape[2] - pr.shape[2]),
-                             (0, x.shape[3] - pr.shape[3])), mode="reflect")
+        pr = np.clip(x.data, 0.0, 1.0)
         p = prior_scalar(pr)
-        t = cfg.mask_threshold
-        invalid = bright_invalid_mask(p, t)
-        masked_prior = pr * bright_valid_mask(p, t)
+        invalid = bright_invalid_mask(p)
+        masked_prior = pr * bright_valid_mask(p)
 
         # level-wise constant inputs for SFT branches / partial-conv gating
         mp_levels = [masked_prior]
-        for _ in range(cfg.unet_levels):
+        for _ in range(UNET_LEVELS):
             mp_levels.append(_pool2(mp_levels[-1]))
         mp_levels = [Tensor(m.astype(x.dtype)) for m in mp_levels]
 
@@ -306,21 +302,19 @@ class Network:
         hT = self.conv("local.head", x, act=True)
         mask = invalid.astype(x.dtype)
         skips = []
-        for lvl in range(cfg.unet_levels):
-            for r in range(cfg.unet_rb_per_level):
-                if cfg.use_partial_conv:
-                    hT, mask = self._pconv_rb(f"local.enc{lvl}.rb{r}", hT, mask)
-                else:
-                    hT = self._sft_rb(f"local.enc{lvl}.rb{r}", hT, mp_levels[lvl])
+        for lvl in range(UNET_LEVELS):
+            if cfg.use_partial_conv:
+                hT, mask = self._pconv_rb(f"local.enc{lvl}.rb0", hT, mask)
+            else:
+                hT = self._sft_rb(f"local.enc{lvl}.rb0", hT, mp_levels[lvl])
             skips.append(hT)
             hT = self.conv(f"local.down{lvl}", T.down2(hT), act=True)
             mask = _pool2(mask)
         hT = self._plain_rb("local.mid.rb0", hT)
-        for lvl in reversed(range(cfg.unet_levels)):
+        for lvl in reversed(range(UNET_LEVELS)):
             hT = self.conv(f"local.up{lvl}", hT, act=True)  # conv of up2(hT)
             hT = self.conv(f"local.skip{lvl}", [hT, skips.pop()], act=True)
-            for r in range(cfg.unet_rb_per_level):
-                hT = self._sft_rb(f"local.dec{lvl}.rb{r}", hT, mp_levels[lvl])
+            hT = self._sft_rb(f"local.dec{lvl}.rb0", hT, mp_levels[lvl])
 
         # dense branch: every layer reads the input and all earlier outputs,
         # a leading-channel view of one growing stack
@@ -337,7 +331,7 @@ class Network:
         """Full two-step pass: local first, then global; prior is the input itself."""
         if x.shape[1] != 3:
             raise ValueError(f"network input must have 3 channels, got {x.shape}")
-        y = self.local_forward(x, x)
+        y = self.local_forward(x)
         return self.global_forward(y, x)
 
 
@@ -390,6 +384,10 @@ def load_checkpoint(path, requires_grad: bool = False):
         raise ValueError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
     cfg, extra = kvtext.loads(ModelConfig, take(cfg_len).decode("utf-8"))
+    for key, value in _RETIRED_KEYS.items():
+        text = extra.pop(key, str(value))
+        if text != str(value):
+            raise ValueError(f"{key}={text}: the architecture fixes {key} at {value}")
     (count,) = struct.unpack("<I", take(4))
     weights = {}
     for _ in range(count):

@@ -125,6 +125,18 @@ def test_stats_custom_codes(tmp_path, capsys):
     assert "over_mean=1.000000" in capsys.readouterr().out
 
 
+def test_stats_counts_only_the_sdr_images_of_a_pairs_dir(tmp_path, capsys):
+    # the .pfm labels are linear HDR, which has no 8-bit codes to count
+    for i, (hdr, sdr) in enumerate(make_pairs(4, 96)):
+        write_image(tmp_path / f"s{i}.pfm", hdr)
+        write_image(tmp_path / f"s{i}.ppm", sdr)
+    rc = main(["stats", "--in", str(tmp_path)])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "images=4\n" in out
+    assert "over_mean=0.231717\n" in out
+
+
 # ---------------------------------------------------------------------------
 # train / infer / eval
 # ---------------------------------------------------------------------------

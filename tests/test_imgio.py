@@ -405,3 +405,5 @@ def test_dataset_stats_exposure_fractions():
     assert "10x10" in report.to_text()
     with pytest.raises(ValueError):
         dataset_stats([])
+    with pytest.raises(ValueError, match=LINEAR_HDR):
+        dataset_stats([Image(codes, LINEAR_HDR)])

@@ -10,20 +10,27 @@ from hdrlite.model import ModelConfig, load_checkpoint, save_checkpoint
 # The header block that checkpoints written by `hdrlite train` carry: the
 # default ModelConfig followed by the optimizer and seed extras.
 PINNED_CHECKPOINT_HEADER = (
+    "dense_layers=5\ndense_growth=16\nunet_base_channels=20\n"
+    "groups=4\nglobal_mlp_channels=48\nuse_partial_conv=True\n"
+    "opt.beta1=0.9\nopt.beta2=0.999\nopt.eps=1e-08\n"
+    "train.seed=0\n"
+)
+# The same header as written when the fixed architecture values were still
+# ModelConfig fields; such checkpoints must keep loading.
+RETIRED_FIELDS_CHECKPOINT_HEADER = (
     "dense_layers=5\ndense_growth=16\nunet_levels=2\nunet_base_channels=20\n"
     "unet_rb_per_level=1\ngroups=4\nglobal_mlp_channels=48\nglobal_mlp_layers=4\n"
     "mask_threshold=0.9\nleaky_slope=0.2\nuse_partial_conv=True\n"
     "modulation_after_layer=2\nopt.beta1=0.9\nopt.beta2=0.999\nopt.eps=1e-08\n"
     "train.seed=0\n"
 )
+TRAIN_EXTRAS = {"opt.beta1": "0.9", "opt.beta2": "0.999", "opt.eps": "1e-08",
+                "train.seed": "0"}
 
 
 def test_model_config_roundtrip_every_field():
-    cfg = ModelConfig(dense_layers=3, dense_growth=8, unet_levels=3,
-                      unet_base_channels=12, unet_rb_per_level=2, groups=3,
-                      global_mlp_channels=24, global_mlp_layers=5,
-                      mask_threshold=0.85, leaky_slope=0.1,
-                      use_partial_conv=False, modulation_after_layer=3)
+    cfg = ModelConfig(dense_layers=3, dense_growth=8, unet_base_channels=12, groups=3,
+                      global_mlp_channels=24, use_partial_conv=False)
     assert all(getattr(cfg, k) != v for k, v in vars(ModelConfig()).items())
     back, extra = loads(ModelConfig, dumps(cfg))
     assert back == cfg and extra == {}
@@ -66,8 +73,46 @@ def test_checkpoint_header_is_pinned(tmp_path):
     assert raw[10:10 + n].decode("utf-8") == PINNED_CHECKPOINT_HEADER
     back, extra = load_checkpoint(path)
     assert back.cfg == ModelConfig()
-    assert extra == {"opt.beta1": "0.9", "opt.beta2": "0.999", "opt.eps": "1e-08",
-                     "train.seed": "0"}
+    assert extra == TRAIN_EXTRAS
+
+
+def checkpoint_with_header(tmp_path, header: str):
+    """A default-config checkpoint whose config block is header."""
+    net = TR.kaiming_init(ModelConfig(), np.random.default_rng(0))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, net)
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[6:10], "little")
+    body = header.encode("utf-8")
+    path.write_bytes(raw[:6] + len(body).to_bytes(4, "little") + body + raw[10 + n:])
+    return net, path
+
+
+def test_checkpoint_with_retired_fields_loads(tmp_path):
+    net, path = checkpoint_with_header(tmp_path, RETIRED_FIELDS_CHECKPOINT_HEADER)
+    back, extra = load_checkpoint(path)
+    assert back.cfg == ModelConfig()
+    assert extra == TRAIN_EXTRAS
+    for name, t in net.weights.items():
+        np.testing.assert_array_equal(back.weights[name].data, t.data)
+
+
+@pytest.mark.parametrize("line", ["leaky_slope=0.1", "unet_levels=3", "mask_threshold=high"])
+def test_checkpoint_rejects_retired_field_at_another_value(tmp_path, line):
+    key = line.split("=", 1)[0]
+    old = next(l for l in RETIRED_FIELDS_CHECKPOINT_HEADER.splitlines() if l.startswith(key))
+    _, path = checkpoint_with_header(tmp_path, RETIRED_FIELDS_CHECKPOINT_HEADER.replace(old, line))
+    with pytest.raises(ValueError, match=f"^{key}="):
+        load_checkpoint(path)
+
+
+def test_train_rejects_retired_model_config_key(tmp_path, capsys):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("unet_levels=3\n")
+    rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.ckpt"),
+               "--iters", "1", "--model-config", str(cfg)])
+    assert rc == EXIT_FAIL
+    assert "unet_levels" in capsys.readouterr().err
 
 
 def test_loads_skips_comments_and_returns_unknown_keys():
@@ -87,7 +132,7 @@ def test_loads_skips_comments_and_returns_unknown_keys():
     (DegradationConfig, "rescale_range=0.7,0.8,0.9"),
     (DegradationConfig, "cst_matrix=1,0,0,0,1,0,0,0"),
     (ModelConfig, "groups=2.0"),
-    (ModelConfig, "mask_threshold=high"),
+    (DegradationConfig, "exposure_scale=high"),
     (ModelConfig, "use_partial_conv=ture"),
 ])
 def test_conversion_errors_name_the_key(cls, line):

@@ -7,9 +7,10 @@ import pytest
 from hdrlite import tensor as T
 from hdrlite.kvtext import loads
 from hdrlite.model import (
-    ModelConfig, Network, ablation_config, bright_invalid_mask, bright_valid_mask,
-    channel_modulation, count_macs, count_params, layer_breakdown, layer_table,
-    load_checkpoint, prior_scalar, save_checkpoint, sft_modulation,
+    GLOBAL_MLP_LAYERS, LEAKY_SLOPE, MODULATION_AFTER_LAYER, UNET_LEVELS, ModelConfig,
+    Network, ablation_config, bright_invalid_mask, bright_valid_mask, channel_modulation,
+    count_macs, count_params, layer_breakdown, layer_table, load_checkpoint, prior_scalar,
+    save_checkpoint, sft_modulation,
 )
 from hdrlite.tensor import Tensor
 from hdrlite.training import kaiming_init
@@ -17,6 +18,20 @@ from hdrlite.training import kaiming_init
 # Defaults are pinned: any change to the architecture must update these.
 PINNED_DEFAULT_PARAMS = 234_082
 PINNED_DEFAULT_MACS_1080P = 164_805_580_800
+# Checkpoint weight names and the perfbench `model.<row>` rows are these names.
+PINNED_DEFAULT_LAYER_NAMES = [
+    "local.dense0", "local.dense1", "local.dense2", "local.dense3", "local.dense4",
+    "local.head",
+    "local.enc0.rb0.conv1", "local.enc0.rb0.conv2", "local.down0",
+    "local.enc1.rb0.conv1", "local.enc1.rb0.conv2", "local.down1",
+    "local.mid.rb0.conv1", "local.mid.rb0.conv2",
+    "local.up1", "local.skip1", "local.dec1.rb0.sft0", "local.dec1.rb0.sft1",
+    "local.dec1.rb0.conv1", "local.dec1.rb0.conv2",
+    "local.up0", "local.skip0", "local.dec0.rb0.sft0", "local.dec0.rb0.sft1",
+    "local.dec0.rb0.conv1", "local.dec0.rb0.conv2",
+    "local.fuse",
+    "global.mlp0", "global.mlp1", "global.mlp2", "global.mlp3", "global.mod0", "global.mod1",
+]
 
 
 def small_cfg(**kw):
@@ -121,6 +136,11 @@ def test_default_macs_pinned():
     assert 130e9 <= PINNED_DEFAULT_MACS_1080P <= 190e9
 
 
+def test_default_layer_names_pinned():
+    assert [li.name for li in layer_table(ModelConfig())] == PINNED_DEFAULT_LAYER_NAMES
+    assert len(PINNED_DEFAULT_LAYER_NAMES) == 33
+
+
 def test_pointwise_mac_arithmetic():
     # one 1x1 conv 3->32 at 1920x1080
     cfg = ModelConfig()
@@ -212,22 +232,29 @@ def test_local_net_shape_contract_odd_sizes():
     rng = np.random.default_rng(3)
     for h, w in [(16, 16), (13, 17), (7, 9)]:
         x = Tensor(rng.random((1, 3, h, w)).astype(np.float32))
-        y = net.local_forward(x, x)
+        y = net.local_forward(x)
         assert y.shape == (1, 3, h, w)
 
 
-def test_local_net_unsaturated_input_equals_plain_conv_path():
-    # max p < t: the invalid mask is all ones, so partial conv degenerates
+def test_local_net_unsaturated_input_equals_plain_conv_path(monkeypatch):
+    # max p < t: the invalid mask is all ones, so partial conv degenerates to
+    # the same conv a partial conv handed an all-ones mask runs
     cfg = small_cfg()
     net = make_net(cfg, seed=4)
     rng = np.random.default_rng(5)
     x_data = (rng.random((1, 3, 16, 16)) * 0.8).astype(np.float32)
-    y_masked = net.local_forward(Tensor(x_data), Tensor(x_data))
-    cfg_plain = ablation_config(cfg, "no_partial_conv")
-    # compare against explicitly forcing the mask to ones on the same weights:
-    # rebuild with mask bypass by scaling prior so p stays below threshold
-    y_again = net.local_forward(Tensor(x_data), Tensor(x_data * 0.5))
-    np.testing.assert_allclose(y_masked.data, y_again.data, atol=2e-6)
+    y_masked = net.local_forward(Tensor(x_data))
+    pconv = T.partial_conv
+    masks = []
+
+    def all_ones_mask(x, mask, *args, **kw):
+        masks.append(mask)
+        return pconv(x, np.ones_like(mask), *args, **kw)
+
+    monkeypatch.setattr(T, "partial_conv", all_ones_mask)
+    y_plain = net.local_forward(Tensor(x_data))
+    assert len(masks) == 2 * UNET_LEVELS
+    np.testing.assert_allclose(y_masked.data, y_plain.data, atol=2e-6)
 
 
 def test_encoder_block_excludes_masked_features():
@@ -369,11 +396,7 @@ def test_network_missing_weight_names_the_key():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(mask_threshold=1.5).validate()
-    with pytest.raises(ValueError):
         ModelConfig(unet_base_channels=6, groups=4).validate()
-    with pytest.raises(ValueError):
-        ModelConfig(modulation_after_layer=4).validate()
 
 
 @pytest.mark.parametrize("word,value", [("true", True), ("False", False), ("1", True),
@@ -408,7 +431,7 @@ def reference_forward(net, x):
                               groups=net.layers[name].spec.groups)
 
     def lrelu(t):
-        return T.leaky_relu(t, cfg.leaky_slope)
+        return T.leaky_relu(t, LEAKY_SLOPE)
 
     def sft_rb(prefix, h, mprior):
         s = conv(f"{prefix}.sft1", lrelu(conv(f"{prefix}.sft0", mprior)))
@@ -419,14 +442,14 @@ def reference_forward(net, x):
 
     # local network
     n, c, h0, w0 = x.shape
-    mult = 1 << cfg.unet_levels
+    mult = 1 << UNET_LEVELS
     ph, pw = (-h0) % mult, (-w0) % mult
     xl = T.pad_reflect(x, ph, pw) if ph or pw else x
     pr = np.pad(np.clip(x.data, 0.0, 1.0), ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
     p = prior_scalar(pr)
-    mp = pr * bright_valid_mask(p, cfg.mask_threshold)
+    mp = pr * bright_valid_mask(p)
     mp_levels = [mp]
-    for _ in range(cfg.unet_levels):
+    for _ in range(UNET_LEVELS):
         a = mp_levels[-1]
         mp_levels.append(0.25 * (a[:, :, 0::2, 0::2] + a[:, :, 1::2, 0::2]
                                  + a[:, :, 0::2, 1::2] + a[:, :, 1::2, 1::2]))
@@ -437,9 +460,9 @@ def reference_forward(net, x):
         feats.append(lrelu(conv(f"local.dense{i}", inp)))
     dense_out = T.concat_channels(*feats[1:]) if cfg.dense_layers > 1 else feats[1]
     hT = lrelu(conv("local.head", xl))
-    mask = bright_invalid_mask(p, cfg.mask_threshold).astype(x.dtype)
+    mask = bright_invalid_mask(p).astype(x.dtype)
     skips = []
-    for lvl in range(cfg.unet_levels):
+    for lvl in range(UNET_LEVELS):
         pre = f"local.enc{lvl}.rb0"
         if cfg.use_partial_conv:
             y, m = pconv(f"{pre}.conv1", hT, mask)
@@ -453,7 +476,7 @@ def reference_forward(net, x):
                        + mask[:, :, 0::2, 1::2] + mask[:, :, 1::2, 1::2])
     y = conv("local.mid.rb0.conv2", lrelu(conv("local.mid.rb0.conv1", hT)))
     hT = lrelu(T.add(hT, y))
-    for lvl in reversed(range(cfg.unet_levels)):
+    for lvl in reversed(range(UNET_LEVELS)):
         hT = lrelu(conv(f"local.up{lvl}", T.up2(hT)))
         hT = lrelu(conv(f"local.skip{lvl}", T.concat_channels(hT, skips[lvl])))
         hT = sft_rb(f"local.dec{lvl}.rb0", hT, mp_levels[lvl])
@@ -466,13 +489,13 @@ def reference_forward(net, x):
     G = cfg.global_mlp_channels
     alpha, beta = T.narrow_channels(m, 0, G), T.narrow_channels(m, G, G)
     h = local
-    for i in range(cfg.global_mlp_layers):
+    for i in range(GLOBAL_MLP_LAYERS):
         h = conv(f"global.mlp{i}", h)
-        if i == cfg.global_mlp_layers - 1:
+        if i == GLOBAL_MLP_LAYERS - 1:
             h = T.relu(h)
         else:
             h = lrelu(h)
-            if i + 1 == cfg.modulation_after_layer:
+            if i + 1 == MODULATION_AFTER_LAYER:
                 h = channel_modulation(h, alpha, beta)
     return h
 
