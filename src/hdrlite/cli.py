@@ -120,10 +120,8 @@ def cmd_stats(args) -> int:
         print("error: no input images", file=sys.stderr)
         return EXIT_FAIL
     images = [imgio.read_image(p) for p in files]
-    report = D.dataset_stats(images, over_code=args.over_code,
-                             under_code=args.under_code)
-    print(report.to_text())
-    print(report.to_kv())
+    _print_kv(D.dataset_stats(images, over_code=args.over_code,
+                              under_code=args.under_code))
     return EXIT_OK
 
 

@@ -265,75 +265,22 @@ def exposure_stats(codes: np.ndarray, over_code: int = 255, under_code: int = 0)
     return float((p <= under_code).sum() / n), float((p >= over_code).sum() / n)
 
 
-@dataclass
-class DatasetReport:
-    """Per-image and aggregate under/over-exposure fractions.
-
-    Aggregates are the mean and population standard deviation of the
-    per-image fractions.
-    """
-
-    under_fractions: list = field(default_factory=list)
-    over_fractions: list = field(default_factory=list)
-    under_code: int = 0
-    over_code: int = 255
-    resolutions: list = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.over_fractions)
-
-    @property
-    def under_mean(self) -> float:
-        return float(np.mean(self.under_fractions))
-
-    @property
-    def under_std(self) -> float:
-        return float(np.std(self.under_fractions))
-
-    @property
-    def over_mean(self) -> float:
-        return float(np.mean(self.over_fractions))
-
-    @property
-    def over_std(self) -> float:
-        return float(np.std(self.over_fractions))
-
-    def to_kv(self) -> str:
-        return "\n".join([
-            f"images={self.count}",
-            f"under_code={self.under_code}",
-            f"over_code={self.over_code}",
-            f"under_mean={self.under_mean:.6f}",
-            f"under_std={self.under_std:.6f}",
-            f"over_mean={self.over_mean:.6f}",
-            f"over_std={self.over_std:.6f}",
-        ])
-
-    def to_text(self) -> str:
-        lines = [
-            f"{'images':>12}  {self.count}",
-            f"{'resolutions':>12}  {', '.join(sorted(set(self.resolutions)))}",
-            f"{'under-exp':>12}  code <= {self.under_code}: "
-            f"avg {100 * self.under_mean:.4f}%  stdev {self.under_std:.4f}",
-            f"{'over-exp':>12}  code >= {self.over_code}: "
-            f"avg {100 * self.over_mean:.4f}%  stdev {self.over_std:.4f}",
-        ]
-        return "\n".join(lines)
-
-
 def dataset_stats(images: list[Image], over_code: int = 255,
-                  under_code: int = 0) -> DatasetReport:
-    """Exposure fractions of SDR images, counted on their 8-bit codes."""
+                  under_code: int = 0) -> dict:
+    """Exposure fractions of SDR images, counted on their 8-bit codes, as a
+    key=value report: the image count, the sorted distinct resolutions, and
+    the mean and population standard deviation of the per-image fractions."""
     if not images:
         raise ValueError("dataset_stats needs at least one image")
-    report = DatasetReport(under_code=under_code, over_code=over_code)
+    fractions, resolutions = [], set()
     for img in images:
         if img.domain == LINEAR_HDR:
             raise ValueError(f"dataset_stats counts SDR codes, got a {img.domain} image")
         codes = float_to_code(img.data, 255)
-        under, over = exposure_stats(codes, over_code=over_code, under_code=under_code)
-        report.under_fractions.append(under)
-        report.over_fractions.append(over)
-        report.resolutions.append(f"{img.width}x{img.height}")
-    return report
+        fractions.append(exposure_stats(codes, over_code=over_code, under_code=under_code))
+        resolutions.add(f"{img.width}x{img.height}")
+    under, over = zip(*fractions)
+    return {"images": len(images), "resolutions": sorted(resolutions),
+            "under_code": under_code, "over_code": over_code,
+            "under_mean": f"{np.mean(under):.6f}", "under_std": f"{np.std(under):.6f}",
+            "over_mean": f"{np.mean(over):.6f}", "over_std": f"{np.std(over):.6f}"}

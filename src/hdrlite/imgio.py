@@ -72,7 +72,7 @@ def _read_token(data: bytes, off: int):
     return data[start:off], off
 
 
-def read_pfm(data: bytes, domain: str = LINEAR_HDR) -> Image:
+def read_pfm(data: bytes) -> Image:
     _require(len(data) >= 2, "truncated PFM")
     magic, off = _read_token(data, 0)
     if magic == b"Pf":
@@ -99,7 +99,7 @@ def read_pfm(data: bytes, domain: str = LINEAR_HDR) -> Image:
     arr = arr[::-1].copy()
     if abs(scale) != 1.0:
         arr *= abs(scale)
-    return Image(arr, domain)
+    return Image(arr, LINEAR_HDR)
 
 
 def write_pfm(img: Image) -> bytes:
@@ -311,15 +311,11 @@ def float_to_code(x: np.ndarray, maxval: int) -> np.ndarray:
     return np.floor(np.clip(x, 0.0, 1.0) * maxval + 0.5).astype(np.uint32)
 
 
-def write_ppm(img: Image, bit_depth: int = 8) -> bytes:
-    if bit_depth not in (8, 16):
-        raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth}")
+def write_ppm(img: Image) -> bytes:
+    """An 8-bit binary PPM."""
     _require_finite(img, "PPM")
-    maxval = (1 << bit_depth) - 1
-    header = f"P6\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
-    codes = float_to_code(img.data, maxval)
-    payload = codes.astype(np.uint8) if bit_depth == 8 else codes.astype(">u2")
-    return header + payload.tobytes()
+    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+    return header + float_to_code(img.data, 255).astype(np.uint8).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +332,14 @@ def read_image(path) -> Image:
     raise ImageFormatError(f"unsupported image extension: {path}")
 
 
-def write_image(path, img: Image, bit_depth: int = 8):
+def write_image(path, img: Image):
     path = str(path)
     if path.endswith(".pfm"):
         data = write_pfm(img)
     elif path.endswith(".hdr"):
         data = write_rgbe(img)
     elif path.endswith(".ppm"):
-        data = write_ppm(img, bit_depth)
+        data = write_ppm(img)
     else:
         raise ImageFormatError(f"unsupported image extension: {path}")
     with open(path, "wb") as f:

@@ -212,11 +212,3 @@ def ablation_suite(model_cfg: ModelConfig, train_cfg: TrainConfig,
         })
     return rows
 
-
-def ablation_table(rows: list[dict]) -> str:
-    header = f"{'variant':<30} {'params':>10} {'macs':>14} {'psnr':>8} {'ssim':>8}"
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(f"{r['variant']:<30} {r['params']:>10} {r['macs']:>14} "
-                     f"{r['psnr']:>8.2f} {r['ssim']:>8.4f}")
-    return "\n".join(lines)

@@ -281,18 +281,13 @@ class Network:
         cfg = self.cfg
         n, c, h0, w0 = x.shape
         mult = 1 << UNET_LEVELS
-        ph = (-h0) % mult
-        pw = (-w0) % mult
-        if ph or pw:
-            x = T.pad_reflect(x, ph, pw)
+        x = T.pad_reflect(x, (-h0) % mult, (-w0) % mult)
         pr = np.clip(x.data, 0.0, 1.0)
         p = prior_scalar(pr)
-        invalid = bright_invalid_mask(p)
-        masked_prior = pr * bright_valid_mask(p)
 
-        # level-wise constant inputs for SFT branches / partial-conv gating
-        mp_levels = [masked_prior]
-        for _ in range(UNET_LEVELS):
+        # the masked prior of each level whose SFT blocks read it
+        mp_levels = [pr * bright_valid_mask(p)]
+        for _ in range(UNET_LEVELS - 1):
             mp_levels.append(_pool2(mp_levels[-1]))
         mp_levels = [Tensor(m.astype(x.dtype)) for m in mp_levels]
 
@@ -300,16 +295,17 @@ class Network:
         # activations and the dense stack are never alive at once; each skip
         # is dropped as soon as it is consumed
         hT = self.conv("local.head", x, act=True)
-        mask = invalid.astype(x.dtype)
+        mask = bright_invalid_mask(p).astype(x.dtype)
         skips = []
         for lvl in range(UNET_LEVELS):
             if cfg.use_partial_conv:
+                if lvl:  # the mask at this level's resolution
+                    mask = _pool2(mask)
                 hT, mask = self._pconv_rb(f"local.enc{lvl}.rb0", hT, mask)
             else:
                 hT = self._sft_rb(f"local.enc{lvl}.rb0", hT, mp_levels[lvl])
             skips.append(hT)
             hT = self.conv(f"local.down{lvl}", T.down2(hT), act=True)
-            mask = _pool2(mask)
         hT = self._plain_rb("local.mid.rb0", hT)
         for lvl in reversed(range(UNET_LEVELS)):
             hT = self.conv(f"local.up{lvl}", hT, act=True)  # conv of up2(hT)
@@ -323,14 +319,13 @@ class Network:
             stack.push(self.conv(f"local.dense{i}", stack.view(), act=True))
 
         out = self.conv("local.fuse", [stack.view(1), hT], act=True)
-        if ph or pw:
-            out = T.crop(out, 0, 0, h0, w0)
-        return out
+        return T.crop(out, 0, 0, h0, w0)
 
     def forward(self, x: Tensor) -> Tensor:
-        """Full two-step pass: local first, then global; prior is the input itself."""
-        if x.shape[1] != 3:
-            raise ValueError(f"network input must have 3 channels, got {x.shape}")
+        """Full two-step pass on one image: local first, then global; prior is
+        the input itself."""
+        if x.shape[:2] != (1, 3):
+            raise ValueError(f"network input must be shaped (1, 3, h, w), got {x.shape}")
         y = self.local_forward(x)
         return self.global_forward(y, x)
 
@@ -363,7 +358,7 @@ def save_checkpoint(path, net: Network, extra: dict | None = None):
     return len(data)
 
 
-def load_checkpoint(path, requires_grad: bool = False):
+def load_checkpoint(path):
     """Returns (Network, extra key/value dict)."""
     with open(path, "rb") as f:
         data = f.read()
@@ -396,7 +391,7 @@ def load_checkpoint(path, requires_grad: bool = False):
         dims = struct.unpack("<4I", take(16))
         size = int(np.prod(dims))
         arr = np.frombuffer(take(4 * size), dtype="<f4").reshape(dims)
-        weights[name] = Tensor(arr.astype(np.float32), requires_grad)
+        weights[name] = Tensor(arr.astype(np.float32))
     if off != len(data):
         raise ValueError("trailing bytes after last checkpoint record")
     return Network(cfg, weights), extra

@@ -329,16 +329,18 @@ class ChannelStack:
     """A channel concat that grows in one preallocated buffer (Pleiss et al.,
     "Memory-Efficient Implementation of DenseNets", 2017).
 
-    The first part (the caller's input) is copied in.  push() moves each
-    later part in: for a batch of one its data becomes its slice of the
-    buffer, so the part's own array is freed unless something else holds it.
-    view() gives the parts pushed so far, from part `first` on, as one
-    tensor on the buffer's channels, with no copy for a batch of one.  Its
-    backward splits g as concat_channels does.
+    It holds a batch of one, whose channel slices are contiguous.  The first
+    part (the caller's input) is copied in.  push() moves each later part
+    in: its data becomes its slice of the buffer, so the part's own array is
+    freed unless something else holds it.  view() gives the parts pushed so
+    far, from part `first` on, as one tensor on the buffer's channels, with
+    no copy.  Its backward splits g as concat_channels does.
     """
 
     def __init__(self, first: Tensor, channels: int):
         n, c, h, w = first.shape
+        if n != 1:
+            raise ValueError(f"a channel stack holds a batch of one, got {first.shape}")
         self.buf = np.empty((n, channels, h, w), dtype=first.dtype)
         self.buf[:, :c] = first.data
         self.parts = [first]
@@ -351,8 +353,7 @@ class ChannelStack:
             raise ValueError(f"cannot push {t.shape} onto a stack of {self.buf.shape} "
                              f"filled to {c0} channels")
         self.buf[:, c0:c1] = t.data
-        if t.shape[0] == 1:  # a channel slice of a batch of one is contiguous
-            t.data = self.buf[:, c0:c1]
+        t.data = self.buf[:, c0:c1]
         self.parts.append(t)
         self.ends.append(c1)
 

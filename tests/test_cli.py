@@ -132,9 +132,12 @@ def test_stats_counts_only_the_sdr_images_of_a_pairs_dir(tmp_path, capsys):
         write_image(tmp_path / f"s{i}.ppm", sdr)
     rc = main(["stats", "--in", str(tmp_path)])
     assert rc == EXIT_OK
-    out = capsys.readouterr().out
-    assert "images=4\n" in out
-    assert "over_mean=0.231717\n" in out
+    out = capsys.readouterr().out.splitlines()
+    # one key=value report after the echo block
+    report = [line for line in out if not line.startswith(("[", "  "))]
+    assert report == ["images=4", "resolutions=96x96", "under_code=0", "over_code=255",
+                      "under_mean=0.000000", "under_std=0.000000",
+                      "over_mean=0.231717", "over_std=0.039442"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import scipy.ndimage
 from hdrlite.degrade import DegradationConfig
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR
 from hdrlite.metrics import (
-    ablation_suite, ablation_table, bench_forward, blas_threads,
+    ablation_suite, bench_forward, blas_threads,
     evaluate_on_degraded, hdr_pair_metrics, psnr, reconstruct_hdr, ssim,
     to_metric_domain, tonemap_preview,
 )
@@ -196,11 +196,3 @@ def test_evaluate_on_degraded_smoke():
 def test_ablation_suite_rejects_unknown_variant_before_training():
     with pytest.raises(ValueError, match="unknown ablation 'no_dense'"):
         ablation_suite(ModelConfig(), None, None, None, None, variants=("no_dense",))
-
-
-def test_ablation_table_format():
-    rows = [{"variant": "baseline", "params": 100, "macs": 2000,
-             "psnr": 30.1234, "ssim": 0.9876}]
-    table = ablation_table(rows)
-    assert "baseline" in table and "30.12" in table and "0.9876" in table
-    assert table.splitlines()[0].startswith("variant")

@@ -1,9 +1,11 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hdrlite import model
 from hdrlite import tensor as T
 from hdrlite.kvtext import loads
 from hdrlite.model import (
@@ -289,6 +291,31 @@ def test_full_forward_deterministic():
     np.testing.assert_array_equal(y1.data, y2.data)
     assert (y1.data >= 0).all()
     assert y1.shape == x.shape
+
+
+def test_forward_takes_a_batch_of_one():
+    net = make_net(small_cfg(), seed=8)
+    x = Tensor(np.random.default_rng(9).random((2, 3, 16, 16)).astype(np.float32))
+    with pytest.raises(ValueError, match=re.escape("(1, 3, h, w)")):
+        net.forward(x)
+
+
+@pytest.mark.parametrize("use_partial_conv,pools", [(True, 2), (False, 1)],
+                         ids=["pconv", "sft"])
+def test_local_forward_pools_only_what_a_layer_reads(monkeypatch, use_partial_conv, pools):
+    # the masked prior is pooled once, for the level-1 SFT blocks (the mid
+    # block reads no prior), and the partial-conv mask once, for enc1
+    net = make_net(ModelConfig(use_partial_conv=use_partial_conv))
+    pool, shapes = model._pool2, []
+
+    def counting_pool(a):
+        shapes.append(a.shape)
+        return pool(a)
+
+    monkeypatch.setattr(model, "_pool2", counting_pool)
+    net.forward(Tensor(np.random.default_rng(12).random((1, 3, 16, 16)).astype(np.float32)))
+    assert len(shapes) == pools
+    assert all(shape[2:] == (16, 16) for shape in shapes)
 
 
 def test_activation_census_no_normalization():
