@@ -1,8 +1,8 @@
 """Camera-pipeline degradation simulator.
 
 Two families of degradation produce legacy-style SDR from clean sources:
-the virtual shot (exposure, color transform, clipping, response curve,
-quantization) turns linear HDR into nonlinear SDR, and the conventional
+the virtual shot (exposure, color transform, clipping, the 1/2.2 response,
+8-bit quantization) turns linear HDR into nonlinear SDR, and the conventional
 chain injects sensor noise in the linearized RAW domain followed by a
 double block-DCT compression roundtrip at the nonlinear end.
 Every stochastic step draws only from an explicit Generator, so a fixed
@@ -29,29 +29,18 @@ DEFAULT_CST = np.array([
 
 @dataclass
 class DegradationConfig:
-    exposure_scale: float = 1.0
-    crf_gamma: float = 1.0 / 2.2
-    clip_low: float = 0.0
-    clip_high: float = 1.0
-    quant_bits: int = 8
+    """A conventional-chain recipe: every field is read by conventional_degrade."""
     noise_sigma_range: tuple[float, float] = (0.001, 0.003)
     jpeg_qf1_range: tuple[int, int] = (60, 80)
     jpeg_qf2: int = 75
     rescale_range: tuple[float, float] = (0.7, 1.0)
     cst_matrix: np.ndarray = field(default_factory=lambda: DEFAULT_CST.copy())
-    seed: int = 0
 
     def validate(self):
-        if self.exposure_scale <= 0:
-            raise ValueError("exposure_scale must be positive")
-        if not self.clip_low < self.clip_high <= 1.0:
-            raise ValueError("need clip_low < clip_high <= 1")
         m = np.asarray(self.cst_matrix, dtype=np.float64)
         if m.shape != (3, 3) or abs(np.linalg.det(m)) < 1e-12:
             raise ValueError("cst_matrix must be an invertible 3x3 matrix")
         self.cst_matrix = m
-        if self.quant_bits < 1:
-            raise ValueError(f"quant_bits must be >= 1, got {self.quant_bits}")
         for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -97,20 +86,17 @@ def add_camera_noise(linear: np.ndarray, sigma: float,
     return np.clip(x + rng.standard_normal(x.shape) * std, 0.0, 1.0)
 
 
-def virtual_shot(hdr: Image, cfg: DegradationConfig) -> Image:
-    """Linear HDR -> quantized nonlinear SDR via a virtual camera."""
-    cfg.validate()
+def virtual_shot(hdr: Image, exposure_scale: float = 1.0,
+                 cst: np.ndarray = DEFAULT_CST) -> Image:
+    """Linear HDR -> 8-bit nonlinear SDR via a virtual camera: exposure, color
+    matrix, clip to [0, 1], the 1/2.2 response and rounding to 8-bit codes."""
+    if not exposure_scale > 0:
+        raise ValueError(f"exposure_scale must be positive, got {exposure_scale}")
     x = np.asarray(hdr.data, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("HDR input contains non-finite values")
-    x = x * cfg.exposure_scale
-    x = cst_apply(x, cfg.cst_matrix)
-    x = np.clip(x, cfg.clip_low, cfg.clip_high)
-    x = (x - cfg.clip_low) / (cfg.clip_high - cfg.clip_low)
-    x = x ** cfg.crf_gamma
-    levels = (1 << cfg.quant_bits) - 1
-    x = np.floor(x * levels + 0.5) / levels
-    return Image(x.astype(np.float32), NONLINEAR_SDR)
+    x = srgb_encode(cst_apply(x * exposure_scale, cst))
+    return Image((float_to_code(x, 255) / 255.0).astype(np.float32), NONLINEAR_SDR)
 
 
 # ---------------------------------------------------------------------------

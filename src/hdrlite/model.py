@@ -172,8 +172,7 @@ def layer_breakdown(cfg: ModelConfig, h: int, w: int):
     for li in layer_table(cfg):
         s = li.spec
         fh, fw = padded if li.name.startswith("local.") else (h, w)
-        macs = (fh // li.scale) * (fw // li.scale) * s.out_channels \
-            * (s.in_channels // s.groups) * s.kernel ** 2
+        macs = (fh // li.scale) * (fw // li.scale) * s.weight_count
         rows.append((li.name, s.weight_count + s.bias_count, macs))
     return rows
 
@@ -295,7 +294,7 @@ class Network:
         # activations and the dense stack are never alive at once; each skip
         # is dropped as soon as it is consumed
         hT = self.conv("local.head", x, act=True)
-        mask = bright_invalid_mask(p).astype(x.dtype)
+        mask = bright_invalid_mask(p).astype(x.dtype) if cfg.use_partial_conv else None
         skips = []
         for lvl in range(UNET_LEVELS):
             if cfg.use_partial_conv:

@@ -98,7 +98,7 @@ def kaiming_init(cfg: ModelConfig, rng: np.random.Generator) -> Network:
     weights = {}
     for li in layer_table(cfg):
         s = li.spec
-        fan_in = (s.in_channels // s.groups) * s.kernel ** 2
+        fan_in = s.weight_count // s.out_channels
         std = np.sqrt(2.0 / fan_in)
         weights[f"{li.name}.weight"] = Tensor(
             rng.normal(0.0, std, s.weight_shape).astype(np.float32), requires_grad=True)
@@ -187,7 +187,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     rng = np.random.default_rng(train_cfg.seed)
     net = kaiming_init(model_cfg, rng)
     state = AdamState()
-    degrade_cfg = degrade_cfg or DegradationConfig(seed=train_cfg.seed)
+    degrade_cfg = degrade_cfg or DegradationConfig()
     trace = []
     log = open(log_path, "w") if log_path else None
     try:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdrlite.degrade import DegradationConfig, virtual_shot
+from hdrlite.degrade import virtual_shot
 from hdrlite.imgio import Image, LINEAR_HDR
 
 
@@ -20,11 +20,10 @@ def make_hdr_scene(seed: int, size: int = 64) -> Image:
 
 
 def make_pairs(count: int = 8, size: int = 64, exposure: float = 0.5):
-    shot = DegradationConfig(exposure_scale=exposure)
     pairs = []
     for i in range(count):
         hdr = make_hdr_scene(i, size)
-        pairs.append((hdr, virtual_shot(hdr, shot)))
+        pairs.append((hdr, virtual_shot(hdr, exposure)))
     return pairs
 
 

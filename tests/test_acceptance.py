@@ -85,7 +85,7 @@ def test_criterion_4_gamma_roundtrip_wide_range():
 
 
 def test_criterion_5_degradation_chain_behavior():
-    sdr = virtual_shot(make_hdr_scene(0, 64), DegradationConfig(exposure_scale=0.5))
+    sdr = virtual_shot(make_hdr_scene(0, 64), 0.5)
     gentle = DegradationConfig(noise_sigma_range=(0.0, 0.0),
                                jpeg_qf1_range=(100, 100), jpeg_qf2=100,
                                rescale_range=(1.0, 1.0))
@@ -122,9 +122,8 @@ def test_criterion_7_ablation_directions():
     harsh = DegradationConfig(noise_sigma_range=(0.03, 0.05),
                               jpeg_qf1_range=(30, 40), jpeg_qf2=50,
                               rescale_range=(0.7, 0.9))
-    shot = DegradationConfig(exposure_scale=0.5)
     test_pairs = [(make_hdr_scene(100 + i, 64),
-                   virtual_shot(make_hdr_scene(100 + i, 64), shot))
+                   virtual_shot(make_hdr_scene(100 + i, 64), 0.5))
                   for i in range(3)]
     rows = ablation_suite(tiny, TrainConfig(max_iters=300, patch_size=32, seed=0),
                           make_pairs(8, 64), test_pairs, harsh,

@@ -98,6 +98,47 @@ def test_degrade_missing_dir_fails(tmp_path, capsys):
     assert rc == EXIT_FAIL
 
 
+def test_degrade_reads_only_the_sdr_images_of_a_pairs_dir(pair_dir, tmp_path, capsys):
+    # the .pfm labels are linear HDR, not SDR codes to degrade
+    sdr_only = tmp_path / "sdr_only"
+    sdr_only.mkdir()
+    for name in ("s0.ppm", "s1.ppm"):
+        (sdr_only / name).write_bytes((pair_dir / name).read_bytes())
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["degrade", "--in", str(pair_dir), "--out", str(out), "--seed", "5"]) == EXIT_OK
+    degraded = [l.split(" (")[0] for l in capsys.readouterr().out.splitlines()
+                if l.startswith("degraded ")]
+    assert degraded == ["degraded s0.ppm -> s0.ppm", "degraded s1.ppm -> s1.ppm"]
+    assert main(["degrade", "--in", str(sdr_only), "--out", str(ref), "--seed", "5"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in ref.iterdir())
+    for p in ref.iterdir():
+        assert (out / p.name).read_bytes() == p.read_bytes()
+
+
+DELETED_RECIPE_KEYS = ["exposure_scale=5.0", "crf_gamma=1.0", "clip_low=0.1",
+                       "clip_high=0.9", "quant_bits=3", "seed=9"]
+
+
+@pytest.mark.parametrize("line", DELETED_RECIPE_KEYS)
+def test_recipe_with_a_deleted_key_fails(line, sdr_dir, pair_dir, tiny_model_cfg, tmp_path,
+                                         capsys):
+    key = line.split("=", 1)[0]
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text(line + "\n")
+    rc = main(["degrade", "--in", str(sdr_dir), "--out", str(tmp_path / "o"),
+               "--config", str(recipe)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "unknown recipe keys" in err and key in err
+    rc = main(["train", "--data", str(pair_dir), "--out", str(tmp_path / "m.ckpt"),
+               "--iters", "1", "--patch-size", "16", "--model-config", str(tiny_model_cfg),
+               "--degrade-config", str(recipe)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "unknown recipe keys" in err and key in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
@@ -133,8 +174,9 @@ def test_stats_counts_only_the_sdr_images_of_a_pairs_dir(tmp_path, capsys):
     rc = main(["stats", "--in", str(tmp_path)])
     assert rc == EXIT_OK
     out = capsys.readouterr().out.splitlines()
-    # one key=value report after the echo block
-    report = [line for line in out if not line.startswith(("[", "  "))]
+    run_stats("\n".join(out))
+    # one key=value report between the echo block and the run statistics
+    report = [line for line in out[:-3] if not line.startswith(("[", "  "))]
     assert report == ["images=4", "resolutions=96x96", "under_code=0", "over_code=255",
                       "under_mean=0.000000", "under_std=0.000000",
                       "over_mean=0.231717", "over_std=0.039442"]
@@ -278,6 +320,10 @@ def run_stats(out: str) -> dict:
 def test_run_stats_end_degrade_train_infer_eval(sdr_dir, pair_dir, tiny_model_cfg,
                                                 tmp_path, capsys):
     rc = main(["degrade", "--in", str(sdr_dir), "--out", str(tmp_path / "deg")])
+    assert rc == EXIT_OK
+    run_stats(capsys.readouterr().out)
+
+    rc = main(["stats", "--in", str(sdr_dir)])
     assert rc == EXIT_OK
     run_stats(capsys.readouterr().out)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,7 @@ def psnr(a, b):
 
 
 def sdr_scene(seed, size=64):
-    return virtual_shot(make_hdr_scene(seed, size),
-                        DegradationConfig(exposure_scale=0.5))
+    return virtual_shot(make_hdr_scene(seed, size), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +79,7 @@ def test_virtual_shot_saturation_counting():
     vals = np.linspace(0.0, 1.0, 101)
     hdr = Image(np.repeat(vals, 3).reshape(101, 1, 3).astype(np.float32),
                 LINEAR_HDR)
-    cfg = DegradationConfig(exposure_scale=10.0, cst_matrix=np.eye(3))
-    shot = virtual_shot(hdr, cfg)
+    shot = virtual_shot(hdr, 10.0, np.eye(3))
     codes = float_to_code(shot.data, 255)
     under, over = exposure_stats(codes)
     assert over == pytest.approx(91 / 101)
@@ -88,7 +88,7 @@ def test_virtual_shot_saturation_counting():
 
 def test_virtual_shot_quantization_grid():
     hdr = make_hdr_scene(3, 32)
-    shot = virtual_shot(hdr, DegradationConfig(exposure_scale=0.5))
+    shot = virtual_shot(hdr, 0.5)
     assert shot.domain == NONLINEAR_SDR
     codes = shot.data * 255.0
     np.testing.assert_allclose(codes, np.rint(codes), atol=1e-4)
@@ -96,10 +96,8 @@ def test_virtual_shot_quantization_grid():
 
 def test_virtual_shot_exposure_monotone():
     hdr = make_hdr_scene(4, 32)
-    dark = virtual_shot(hdr, DegradationConfig(exposure_scale=0.1,
-                                               cst_matrix=np.eye(3)))
-    bright = virtual_shot(hdr, DegradationConfig(exposure_scale=1.0,
-                                                 cst_matrix=np.eye(3)))
+    dark = virtual_shot(hdr, 0.1, np.eye(3))
+    bright = virtual_shot(hdr, 1.0, np.eye(3))
     assert (bright.data >= dark.data - 1e-6).all()
     assert bright.data.mean() > dark.data.mean()
 
@@ -107,7 +105,13 @@ def test_virtual_shot_exposure_monotone():
 def test_virtual_shot_rejects_nonfinite():
     bad = Image(np.full((2, 2, 3), np.nan, dtype=np.float32), LINEAR_HDR)
     with pytest.raises(ValueError, match="finite"):
-        virtual_shot(bad, DegradationConfig())
+        virtual_shot(bad)
+
+
+@pytest.mark.parametrize("exposure", [0.0, -1.0, np.nan])
+def test_virtual_shot_needs_a_positive_exposure(exposure):
+    with pytest.raises(ValueError, match="exposure_scale"):
+        virtual_shot(make_hdr_scene(0, 8), exposure)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +212,14 @@ def test_exposure_stats_code_conventions():
 # ---------------------------------------------------------------------------
 
 def test_config_kv_roundtrip():
-    cfg = DegradationConfig(exposure_scale=0.25, quant_bits=10,
-                            noise_sigma_range=(0.002, 0.004),
+    cfg = DegradationConfig(noise_sigma_range=(0.002, 0.004),
                             jpeg_qf1_range=(50, 90), jpeg_qf2=60,
-                            rescale_range=(0.8, 0.9), seed=7)
+                            rescale_range=(0.8, 0.9), cst_matrix=np.eye(3))
     back, _ = loads(DegradationConfig, dumps(cfg))
-    assert back.exposure_scale == cfg.exposure_scale
-    assert back.quant_bits == cfg.quant_bits
     assert back.noise_sigma_range == cfg.noise_sigma_range
     assert back.jpeg_qf1_range == cfg.jpeg_qf1_range
     assert back.jpeg_qf2 == cfg.jpeg_qf2
     assert back.rescale_range == cfg.rescale_range
-    assert back.seed == cfg.seed
     np.testing.assert_allclose(back.cst_matrix, cfg.cst_matrix, atol=1e-6)
 
 
@@ -229,9 +229,9 @@ def test_config_kv_comments_and_errors(tmp_path):
         path.write_text(text)
         return _load_degrade_config(path)
 
-    cfg = recipe("# comment\n\nexposure_scale=2.0\n")
-    assert cfg.exposure_scale == 2.0
-    with pytest.raises(ValueError, match="unknown"):
+    cfg = recipe("# comment\n\njpeg_qf2=90\n")
+    assert cfg.jpeg_qf2 == 90
+    with pytest.raises(ValueError, match="unknown recipe keys.*bogus_key"):
         recipe("bogus_key=1\n")
     with pytest.raises(ValueError, match="malformed"):
         recipe("no equals sign\n")
@@ -239,15 +239,13 @@ def test_config_kv_comments_and_errors(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DegradationConfig(exposure_scale=0.0).validate()
-    with pytest.raises(ValueError):
-        DegradationConfig(clip_low=0.5, clip_high=0.4).validate()
-    with pytest.raises(ValueError):
         DegradationConfig(cst_matrix=np.zeros((3, 3))).validate()
+    with pytest.raises(ValueError):
+        DegradationConfig(cst_matrix=np.eye(4)).validate()
 
 
 @pytest.mark.parametrize("field,value", [
-    ("quant_bits", 0),
+    ("cst_matrix", np.ones((3, 3))),
     ("noise_sigma_range", (0.003, 0.001)),
     ("jpeg_qf1_range", (80, 60)),
     ("rescale_range", (1.0, 0.7)),
@@ -265,11 +263,33 @@ def test_config_validation_names_the_field(field, value):
 
 def test_config_validation_accepts_edge_recipes():
     DegradationConfig().validate()
-    DegradationConfig(quant_bits=1, noise_sigma_range=(0.0, 0.0),
+    DegradationConfig(noise_sigma_range=(0.0, 0.0),
                       jpeg_qf1_range=(100, 100), jpeg_qf2=100,
                       rescale_range=(1.0, 1.0)).validate()
     DegradationConfig(noise_sigma_range=(0.03, 0.05), jpeg_qf1_range=(1, 40),
                       jpeg_qf2=1, rescale_range=(0.7, 0.9)).validate()
+
+
+# A valid value other than the default for every recipe key.
+CHANGED_RECIPE_VALUES = {
+    "noise_sigma_range": (0.02, 0.03),
+    "jpeg_qf1_range": (20, 30),
+    "jpeg_qf2": 40,
+    "rescale_range": (0.5, 0.6),
+    "cst_matrix": np.eye(3),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(DegradationConfig)])
+def test_every_recipe_key_changes_the_degradation(name):
+    # a recipe key that conventional_degrade does not read would be accepted
+    # and silently ignored
+    sdr = sdr_scene(6, 32)
+    base, base_manifest = conventional_degrade(sdr, DegradationConfig(),
+                                               np.random.default_rng(0))
+    cfg = DegradationConfig(**{name: CHANGED_RECIPE_VALUES[name]})
+    out, manifest = conventional_degrade(sdr, cfg, np.random.default_rng(0))
+    assert manifest != base_manifest or not np.array_equal(out.data, base.data)
 
 
 def test_manifest_serialization():

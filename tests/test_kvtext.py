@@ -38,11 +38,11 @@ def test_model_config_roundtrip_every_field():
 
 def test_degradation_config_roundtrip_is_exact():
     cst = np.array([[1.0 / 3.0, 0.1, -0.2], [0.05, 0.9, 0.05], [-0.01, 0.2, 1.1]])
-    cfg = DegradationConfig(exposure_scale=0.3, crf_gamma=0.5, clip_low=0.01,
-                            clip_high=0.99, quant_bits=10,
-                            noise_sigma_range=(0.002, 0.004),
+    cfg = DegradationConfig(noise_sigma_range=(0.002, 0.004),
                             jpeg_qf1_range=(50, 90), jpeg_qf2=60,
-                            rescale_range=(0.8, 0.9), cst_matrix=cst, seed=7)
+                            rescale_range=(0.8, 0.9), cst_matrix=cst)
+    defaults = vars(DegradationConfig())
+    assert all(not np.array_equal(getattr(cfg, k), v) for k, v in defaults.items())
     back, extra = loads(DegradationConfig, dumps(cfg))
     assert extra == {}
     for k, v in vars(cfg).items():
@@ -127,12 +127,12 @@ def test_loads_skips_comments_and_returns_unknown_keys():
 
 @pytest.mark.parametrize("cls,line", [
     (DegradationConfig, "jpeg_qf1_range=60.7,80.9"),
-    (DegradationConfig, "quant_bits=abc"),
+    (DegradationConfig, "jpeg_qf2=abc"),
     (DegradationConfig, "noise_sigma_range=0.1"),
     (DegradationConfig, "rescale_range=0.7,0.8,0.9"),
     (DegradationConfig, "cst_matrix=1,0,0,0,1,0,0,0"),
     (ModelConfig, "groups=2.0"),
-    (DegradationConfig, "exposure_scale=high"),
+    (DegradationConfig, "noise_sigma_range=low,0.003"),
     (ModelConfig, "use_partial_conv=ture"),
 ])
 def test_conversion_errors_name_the_key(cls, line):

@@ -318,6 +318,20 @@ def test_local_forward_pools_only_what_a_layer_reads(monkeypatch, use_partial_co
     assert all(shape[2:] == (16, 16) for shape in shapes)
 
 
+def test_sft_forward_builds_no_invalid_mask(monkeypatch):
+    # only the partial-conv blocks read the invalid mask
+    net = make_net(ModelConfig(use_partial_conv=False))
+    x = Tensor(np.random.default_rng(13).random((1, 3, 16, 16)).astype(np.float32))
+    x.data[:, :, 4:8, 4:8] = 1.0  # saturated, so a mask would not be all ones
+    want = net.forward(x).data
+
+    def no_mask(p):
+        raise AssertionError("bright_invalid_mask called without partial convs")
+
+    monkeypatch.setattr(model, "bright_invalid_mask", no_mask)
+    np.testing.assert_array_equal(net.forward(x).data, want)
+
+
 def test_activation_census_no_normalization():
     cfg = small_cfg()
     net = make_net(cfg, seed=10)
