@@ -3,7 +3,8 @@
 Subcommands: degrade, stats, train, infer, eval, info, bench.  Every run
 echoes its resolved configuration before acting; degrade, stats, train,
 infer and eval end with seconds=, peak_rss_mb= and threads= lines.  degrade
-and stats read only the .ppm (SDR) files of their input directory.
+and stats read only the .ppm (SDR) files of their input directory, eval in
+directory mode only the .pfm and .hdr (HDR) files.
 Exit codes: 0 success, 1 failure, 2 usage error, 3 partial success (some
 files failed).
 """
@@ -27,7 +28,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARTIAL = 3
 
-IMAGE_EXTS = (".pfm", ".hdr", ".ppm")
+HDR_EXTS = (".pfm", ".hdr")
 SDR_EXTS = (".ppm",)
 RUN_STATS_COMMANDS = ("degrade", "stats", "train", "infer", "eval")
 
@@ -60,7 +61,7 @@ def _load_degrade_config(path) -> D.DegradationConfig:
     return _read_config(D.DegradationConfig, path, "recipe")
 
 
-def _list_images(directory, suffixes=IMAGE_EXTS) -> list[Path]:
+def _list_images(directory, suffixes) -> list[Path]:
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"not a directory: {directory}")
@@ -131,7 +132,7 @@ def _load_pairs(data_dir):
     data_dir = Path(data_dir)
     pairs = []
     for hdr_path in sorted(data_dir.iterdir()):
-        if hdr_path.suffix not in (".pfm", ".hdr"):
+        if hdr_path.suffix not in HDR_EXTS:
             continue
         sdr_path = hdr_path.with_suffix(".ppm")
         if not sdr_path.exists():
@@ -191,8 +192,8 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_FAIL
     if pred_p.is_dir():
-        preds = {p.stem: p for p in _list_images(pred_p)}
-        refs = {p.stem: p for p in _list_images(ref_p)}
+        preds = {p.stem: p for p in _list_images(pred_p, HDR_EXTS)}
+        refs = {p.stem: p for p in _list_images(ref_p, HDR_EXTS)}
         stems = sorted(set(preds) & set(refs))
         if not stems:
             print("error: no matching prediction/reference stems", file=sys.stderr)

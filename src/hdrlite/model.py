@@ -278,7 +278,7 @@ class Network:
     def local_forward(self, x: Tensor) -> Tensor:
         """The local network; its masks and SFT priors come from x itself."""
         cfg = self.cfg
-        n, c, h0, w0 = x.shape
+        h0, w0 = x.shape[2:]
         mult = 1 << UNET_LEVELS
         x = T.pad_reflect(x, (-h0) % mult, (-w0) % mult)
         pr = np.clip(x.data, 0.0, 1.0)
@@ -291,8 +291,8 @@ class Network:
         mp_levels = [Tensor(m.astype(x.dtype)) for m in mp_levels]
 
         # encoder-decoder branch, run before the dense branch so that its
-        # activations and the dense stack are never alive at once; each skip
-        # is dropped as soon as it is consumed
+        # activations and the dense features are never alive at once; each
+        # skip is dropped as soon as it is consumed
         hT = self.conv("local.head", x, act=True)
         mask = bright_invalid_mask(p).astype(x.dtype) if cfg.use_partial_conv else None
         skips = []
@@ -311,13 +311,13 @@ class Network:
             hT = self.conv(f"local.skip{lvl}", [hT, skips.pop()], act=True)
             hT = self._sft_rb(f"local.dec{lvl}.rb0", hT, mp_levels[lvl])
 
-        # dense branch: every layer reads the input and all earlier outputs,
-        # a leading-channel view of one growing stack
-        stack = T.ChannelStack(x, c + cfg.dense_layers * cfg.dense_growth)
+        # dense branch: every layer reads the channel concat of the input and
+        # all earlier outputs, one conv per part
+        feats = [x]
         for i in range(cfg.dense_layers):
-            stack.push(self.conv(f"local.dense{i}", stack.view(), act=True))
+            feats.append(self.conv(f"local.dense{i}", feats, act=True))
 
-        out = self.conv("local.fuse", [stack.view(1), hT], act=True)
+        out = self.conv("local.fuse", feats[1:] + [hT], act=True)
         return T.crop(out, 0, 0, h0, w0)
 
     def forward(self, x: Tensor) -> Tensor:

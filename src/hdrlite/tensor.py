@@ -312,57 +312,12 @@ def concat_channels(*tensors: Tensor) -> Tensor:
         if t.shape[0] != ref[0] or t.shape[2:] != ref[2:]:
             raise ValueError(f"concat spatial/batch mismatch: {ref} vs {t.shape}")
     offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
-    return _node(np.concatenate([t.data for t in tensors], axis=1), "concat", tensors,
-                 _split_channels(tensors, offsets))
 
-
-def _split_channels(parts, offsets):
-    """Backward of a channel concat: part i gets g's channels
-    [offsets[i] - offsets[0], offsets[i + 1] - offsets[0])."""
     def bwd(g):
-        for t, c0, c1 in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(t, g[:, c0 - offsets[0]:c1 - offsets[0]])
-    return bwd
+        for t, c0, c1 in zip(tensors, offsets[:-1], offsets[1:]):
+            _accum(t, g[:, c0:c1])
 
-
-class ChannelStack:
-    """A channel concat that grows in one preallocated buffer (Pleiss et al.,
-    "Memory-Efficient Implementation of DenseNets", 2017).
-
-    It holds a batch of one, whose channel slices are contiguous.  The first
-    part (the caller's input) is copied in.  push() moves each later part
-    in: its data becomes its slice of the buffer, so the part's own array is
-    freed unless something else holds it.  view() gives the parts pushed so
-    far, from part `first` on, as one tensor on the buffer's channels, with
-    no copy.  Its backward splits g as concat_channels does.
-    """
-
-    def __init__(self, first: Tensor, channels: int):
-        n, c, h, w = first.shape
-        if n != 1:
-            raise ValueError(f"a channel stack holds a batch of one, got {first.shape}")
-        self.buf = np.empty((n, channels, h, w), dtype=first.dtype)
-        self.buf[:, :c] = first.data
-        self.parts = [first]
-        self.ends = [0, c]
-
-    def push(self, t: Tensor):
-        c0, c1 = self.ends[-1], self.ends[-1] + t.shape[1]
-        if c1 > self.buf.shape[1] or t.shape[0] != self.buf.shape[0] \
-                or t.shape[2:] != self.buf.shape[2:]:
-            raise ValueError(f"cannot push {t.shape} onto a stack of {self.buf.shape} "
-                             f"filled to {c0} channels")
-        self.buf[:, c0:c1] = t.data
-        t.data = self.buf[:, c0:c1]
-        self.parts.append(t)
-        self.ends.append(c1)
-
-    def view(self, first: int = 0) -> Tensor:
-        parts, ends = self.parts[first:], self.ends[first:]
-        if len(parts) == 1:
-            return parts[0]
-        return _node(self.buf[:, ends[0]:ends[-1]], "concat", parts,
-                     _split_channels(parts, ends))
+    return _node(np.concatenate([t.data for t in tensors], axis=1), "concat", tensors, bwd)
 
 
 def narrow_channels(x: Tensor, start: int, length: int) -> Tensor:
@@ -682,28 +637,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     return _node(out, "conv2d", parents, bwd)
 
 
-def _in_frame_count(size: int, k: int):
-    """Per output row (or column), how many of a centred k-tap window's taps
-    fall inside a frame of `size` rows."""
-    idx = np.arange(size)
-    return np.minimum(idx + k // 2, size - 1) - np.maximum(idx - k // 2, 0) + 1
-
-
-def mask_window_sum(mask, k: int):
-    """Sum of a 1-channel mask over the k x k window centred on each pixel,
-    zero outside the frame (plain numpy helper): each tap adds the mask,
-    shifted, to the pixels whose tap lies inside the frame."""
-    n, c, h, w = mask.shape
-    p = k // 2
-    out = np.zeros_like(mask)
-    for i in range(k):
-        r0, r1 = _in_frame(h, i - p)
-        for j in range(k):
-            c0, c1 = _in_frame(w, j - p)
-            out[:, :, r0:r1, c0:c1] += mask[:, :, r0 + i - p:r1 + i - p, c0 + j - p:c1 + j - p]
-    return out
-
-
 def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,
                  groups: int = 1, slope: float | None = None):
     """Mask-gated convolution with per-window renormalization.
@@ -722,10 +655,15 @@ def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,
     if mask.shape != (n, 1, h, w):
         raise ValueError(f"mask shape {mask.shape} does not match input {x.shape}")
     k = weight.shape[2]
-    msum = mask_window_sum(mask, k)
+    # k x k window sums of the mask and of a plane of ones (the in-frame tap
+    # count, an exact integer) as one 2-group conv with all-ones taps.  The
+    # out-of-frame taps are added to the mask sum: k*k minus the window sum
+    # of 1 - mask would cancel where the mask is near 0
+    sums = _same_conv(np.concatenate([mask, np.ones_like(mask)], axis=1),
+                      np.ones((2, 1, k * k), dtype=x.dtype), k)
+    msum, inside = sums[:, :1], sums[:, 1:]
     valid = msum > 1e-8
-    outside = k * k - np.outer(_in_frame_count(h, k), _in_frame_count(w, k))
-    ratio = np.where(valid, (k * k) / np.maximum(msum + outside.astype(x.dtype), 1e-8), 0.0)
+    ratio = np.where(valid, (k * k) / np.maximum(msum + (k * k - inside), 1e-8), 0.0)
     new_mask = valid.astype(x.dtype)
 
     y = conv2d(mul_const(x, mask), weight, None, groups=groups)

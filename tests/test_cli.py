@@ -237,6 +237,20 @@ def test_eval_directory_mode(pair_dir, tmp_path, capsys):
     assert rc == EXIT_OK
 
 
+def test_eval_directory_mode_reads_only_hdr_files(pair_dir, tmp_path, capsys):
+    # predictions equal to the labels of a pairs dir: each is scored against
+    # its .pfm label (psnr=inf), never against the stem's SDR .ppm input
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for i in range(2):
+        write_image(pred / f"s{i}.pfm", read_image(pair_dir / f"s{i}.pfm"))
+    rc = main(["eval", "--pred", str(pred), "--ref", str(pair_dir)])
+    assert rc == EXIT_OK
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ": psnr=" in ln]
+    assert [ln.split(" ")[:2] for ln in lines] == [
+        ["s0.pfm:", "psnr=inf"], ["s1.pfm:", "psnr=inf"], ["mean:", "psnr=inf"]]
+
+
 # ---------------------------------------------------------------------------
 # info / bench
 # ---------------------------------------------------------------------------

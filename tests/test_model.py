@@ -166,8 +166,9 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     # 270 is not a multiple of 4: the local net runs on 272 padded rows and
     # the global net on the 270 cropped ones; count_macs must count both.
     # count_macs is the nominal count: global.mod1 runs on the pooled mod0
-    # features (one pixel), and the 1x1 convs over a channel concat
-    # (local.skip0, local.skip1, local.fuse) run once per part
+    # features (one pixel), and the convs over a channel concat run once per
+    # part: local.skip0 and local.skip1 over two parts, local.dense{i} over
+    # i + 1 and local.fuse over dense_layers + 1
     cfg = ModelConfig()
     net = make_net(cfg)
     for t in net.weights.values():
@@ -184,7 +185,8 @@ def test_count_macs_matches_executed_convs(monkeypatch):
 
     monkeypatch.setattr(T, "conv2d", counting_conv)
     net.forward(Tensor(np.zeros((1, 3, 270, 480), dtype=np.float32)))
-    assert len(executed) == len(layer_table(cfg)) + 3 == 36
+    extra_parts = 2 + sum(range(cfg.dense_layers)) + cfg.dense_layers
+    assert len(executed) == len(layer_table(cfg)) + extra_parts == 50
     mod1 = cfg.global_mlp_channels * 2 * cfg.global_mlp_channels
     assert sum(executed) == count_macs(cfg, 270, 480) - 270 * 480 * mod1 + mod1
     assert count_macs(cfg, 270, 480) == 10_367_385_600
@@ -343,13 +345,27 @@ def test_activation_census_no_normalization():
     assert not any("norm" in op for op in trace)
 
 
+@pytest.mark.parametrize("requires_grad", [False, True], ids=["inference", "training"])
+def test_forward_builds_no_channel_concat(requires_grad):
+    # the dense layers, local.skip* and local.fuse read a channel concat as
+    # one conv per part, so no forward copies one into a "concat" node
+    net = make_net(ModelConfig(), seed=16)
+    for t in net.weights.values():
+        t.requires_grad = requires_grad
+    x = Tensor(np.random.default_rng(17).random((1, 3, 12, 20)).astype(np.float32))
+    with T.trace_ops() as trace:
+        y = net.forward(x)
+    assert y.requires_grad == requires_grad
+    assert "conv2d" in trace and "concat" not in trace
+
+
 def test_forward_working_set_bound():
     # the traced numpy peak of a no-grad default-config forward at 66x98 stays
-    # under the dense stack (3 + 5*16 = 83 channels), the conv column buffer
-    # (_COL_BYTES) and three of the widest (48-channel) full-resolution
+    # under the dense features (3 + 5*16 = 83 channels), the conv column
+    # buffer (_COL_BYTES) and three of the widest (48-channel) full-resolution
     # activations, all float32 planes of the frame padded to 68x100: about
-    # 8.3 MB.  It fails if the stack outlives the dense branch's place in the
-    # forward, if a pushed dense output keeps a second copy, or if the
+    # 8.3 MB.  It fails if the dense features outlive the dense branch's place
+    # in the forward, if a dense output keeps a second copy, or if the
     # elementwise tails each allocate again.
     cfg = ModelConfig()
     net = make_net(cfg, seed=14)

@@ -1,4 +1,3 @@
-import weakref
 import zlib
 
 import numpy as np
@@ -282,22 +281,30 @@ def test_partial_conv_renormalization():
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_partial_conv_matches_two_pass_reference(k):
     # reference: the window sum with zero padding judges validity, the one
-    # with the frame padded by ones renormalizes
+    # with the frame padded by ones renormalizes.  float32 runs the window
+    # sums through the conv kernel's GEMM; the mask scaled by 1e-3 catches a
+    # renormalization sum that cancels (k*k minus the sum of 1 - mask)
     rng = np.random.default_rng(20 + k)
     p = k // 2
     for h, wd in ((6, 7), (3, 2)):
         x, w = rng.normal(0, 1, (2, 4, h, wd)), rng.normal(0, 1, (4, 2, k, k))
         mask = rng.random((2, 1, h, wd)) * (rng.random((2, 1, h, wd)) > 0.6)
+        for m_in in (mask, mask * 1e-3):
 
-        def window_sum(pad_value):
-            mp = np.pad(mask, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
-            return sum(mp[:, :, i:i + h, j:j + wd] for i in range(k) for j in range(k))
-        valid = window_sum(0.0) > 1e-8
-        ratio = np.where(valid, k * k / np.maximum(window_sum(1.0), 1e-8), 0.0)
-        ref = conv_reference(x * mask, w, np.zeros((1, 4, 1, 1)), 2) * ratio
-        y, m = T.partial_conv(Tensor(x), mask, Tensor(w), groups=2)
-        np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(m, valid)
+            def window_sum(pad_value):
+                mp = np.pad(m_in, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
+                return sum(mp[:, :, i:i + h, j:j + wd] for i in range(k) for j in range(k))
+            valid = window_sum(0.0) > 1e-8
+            ratio = np.where(valid, k * k / np.maximum(window_sum(1.0), 1e-8), 0.0)
+            ref = conv_reference(x * m_in, w, np.zeros((1, 4, 1, 1)), 2) * ratio
+            y, m = T.partial_conv(Tensor(x), m_in, Tensor(w), groups=2)
+            np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(m, valid)
+            y, m = T.partial_conv(Tensor(x.astype(np.float32)), m_in,
+                                  Tensor(w.astype(np.float32)), groups=2)
+            assert y.dtype == m.dtype == np.float32
+            close(y.data, ref, np.float32)
+            np.testing.assert_array_equal(m, valid)
 
 
 GRAD_CASES = {}
@@ -471,22 +478,6 @@ def test_band_cols_bit_equal_to_padded_gather(monkeypatch, k, band_rows):
             np.testing.assert_array_equal(g[3], r[3])
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-def test_mask_window_sum_matches_padded_formula(k):
-    # exact equality with the zero-padded shifted sum (adding the zeros it
-    # adds changes no bit)
-    rng = np.random.default_rng(50 + k)
-    p = k // 2
-    for h, w in ((6, 7), (3, 2), (1, 1)):
-        mask = rng.random((2, 1, h, w)) * (rng.random((2, 1, h, w)) > 0.5)
-        mp = np.pad(mask, ((0, 0), (0, 0), (p, p), (p, p)))
-        ref = np.zeros_like(mask)
-        for i in range(k):
-            for j in range(k):
-                ref += mp[:, :, i:i + h, j:j + w]
-        np.testing.assert_array_equal(T.mask_window_sum(mask, k), ref)
-
-
 def conv_and_grads(x, w, b, gy, groups, fused):
     """Output and (dx, dw, db) of sum(gy * y) for y = conv2d with slope 0.2
     fused, or leaky_relu(conv2d(...), 0.2)."""
@@ -622,55 +613,6 @@ def test_depth_to_space_layout_and_errors():
         T.depth_to_space(Tensor(np.zeros((1, 6, 2, 2), dtype=np.float32)))
     with pytest.raises(ValueError, match="3x3"):
         T.up2_conv_weight(Tensor(np.zeros((2, 2, 1, 1), dtype=np.float32)))
-
-
-def test_channel_stack_views_match_concat():
-    # each view equals the concat of its parts, shares the buffer, and its
-    # backward splits g among the parts
-    rng = np.random.default_rng(73)
-    parts = [t64(rng, (1, c, 4, 5)) for c in (3, 2, 2)]
-    stack = T.ChannelStack(parts[0], 7)
-    assert stack.view() is parts[0]
-    for t in parts[1:]:
-        stack.push(t)
-    v = stack.view(1)
-    np.testing.assert_array_equal(v.data, np.concatenate([t.data for t in parts[1:]], axis=1))
-    np.testing.assert_array_equal(stack.view().data,
-                                  np.concatenate([t.data for t in parts], axis=1))
-    assert np.shares_memory(v.data, stack.buf)
-    gy, gv = rng.normal(0, 1, (1, 7, 4, 5)), rng.normal(0, 1, (1, 4, 4, 5))
-    T.backward(T.add(T.sum_all(T.mul_const(stack.view(), gy)),
-                     T.sum_all(T.mul_const(v, gv))))
-    np.testing.assert_array_equal(parts[0].grad, gy[:, 0:3])
-    np.testing.assert_array_equal(parts[1].grad, gy[:, 3:5] + gv[:, 0:2])
-    np.testing.assert_array_equal(parts[2].grad, gy[:, 5:7] + gv[:, 2:4])
-    with pytest.raises(ValueError, match="cannot push"):
-        stack.push(parts[1])  # the buffer is full
-    with pytest.raises(ValueError, match="cannot push"):
-        T.ChannelStack(parts[0], 9).push(t64(rng, (1, 2, 4, 4)))
-
-
-def test_channel_stack_push_keeps_one_copy():
-    # a pushed part's data becomes its slice of the buffer and its own array
-    # is released; the first part (the caller's input) is copied
-    rng = np.random.default_rng(74)
-    x = t64(rng, (1, 3, 4, 5))
-    stack = T.ChannelStack(x, 7)
-    assert not np.shares_memory(x.data, stack.buf)
-    y = t64(rng, (1, 4, 4, 5))
-    own, values = weakref.ref(y.data), y.data.copy()
-    stack.push(y)
-    assert np.shares_memory(y.data, stack.buf) and y.data.flags.c_contiguous
-    assert own() is None
-    np.testing.assert_array_equal(y.data, values)
-    np.testing.assert_array_equal(stack.view(1).data, values)
-
-
-def test_channel_stack_takes_a_batch_of_one():
-    # the network runs one image at a time; a channel slice of a larger
-    # batch would not be contiguous, so views would copy
-    with pytest.raises(ValueError, match="batch of one"):
-        T.ChannelStack(t64(np.random.default_rng(75), (2, 3, 4, 5)), 7)
 
 
 # ---------------------------------------------------------------------------
