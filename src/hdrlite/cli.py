@@ -3,8 +3,9 @@
 Subcommands: degrade, stats, train, infer, eval, info, bench.  Every run
 echoes its resolved configuration before acting; degrade, stats, train,
 infer and eval end with seconds=, peak_rss_mb= and threads= lines.  degrade
-and stats read only the .ppm (SDR) files of their input directory, eval in
-directory mode only the .pfm and .hdr (HDR) files.
+and stats read only the .ppm (SDR) files of their input directory, and infer
+only an SDR image; eval reads only .pfm and .hdr (HDR) files, given two
+files or two directories.
 Exit codes: 0 success, 1 failure, 2 usage error, 3 partial success (some
 files failed).
 """
@@ -129,15 +130,11 @@ def cmd_stats(args) -> int:
 
 def _load_pairs(data_dir):
     """HDR label + SDR input pairs matched by stem: stem.pfm/.hdr with stem.ppm."""
-    data_dir = Path(data_dir)
     pairs = []
-    for hdr_path in sorted(data_dir.iterdir()):
-        if hdr_path.suffix not in HDR_EXTS:
-            continue
+    for hdr_path in _list_images(data_dir, HDR_EXTS):
         sdr_path = hdr_path.with_suffix(".ppm")
-        if not sdr_path.exists():
-            continue
-        pairs.append((imgio.read_image(hdr_path), imgio.read_image(sdr_path)))
+        if sdr_path.exists():
+            pairs.append((imgio.read_image(hdr_path), imgio.read_image(sdr_path)))
     return pairs
 
 
@@ -200,6 +197,9 @@ def cmd_eval(args) -> int:
             return EXIT_FAIL
         items = [(preds[s], refs[s]) for s in stems]
     else:
+        for p in (pred_p, ref_p):
+            if p.suffix not in HDR_EXTS:
+                raise ValueError(f"{p}: eval reads only {' and '.join(HDR_EXTS)} files")
         items = [(pred_p, ref_p)]
     ps, ss = [], []
     for pp, rp in items:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.ndimage
 
 from .degrade import DegradationConfig, conventional_degrade
-from .imgio import Image, LINEAR_HDR, float_to_code
+from .imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
 from .model import ModelConfig, Network, count_macs, count_params, ablation_config
 from .tensor import Tensor
 from .training import (
@@ -109,6 +109,8 @@ def tonemap_preview(hdr: Image) -> np.ndarray:
 
 def reconstruct_hdr(net: Network, sdr: Image) -> Image:
     """SDR in [0,1] -> relative linear HDR via the two-step network."""
+    if sdr.domain != NONLINEAR_SDR:
+        raise ValueError(f"reconstruct_hdr reads {NONLINEAR_SDR} images, got {sdr.domain}")
     x = Tensor(sdr.data.transpose(2, 0, 1)[None].astype(np.float32))
     y = net.forward(x)
     linear = postprocess_gamma(y.data[0].transpose(1, 2, 0))
@@ -195,12 +197,14 @@ def ablation_suite(model_cfg: ModelConfig, train_cfg: TrainConfig,
     Returns one row per variant with params, MACs (at the training patch
     size) and PSNR/SSIM on degraded test inputs.
     """
-    rows = []
+    runs = []  # every variant's configs, so an unknown name fails before any training
     for name in variants:
         if name == "no_conventional_degradation":
-            cfg, tcfg = model_cfg, replace(train_cfg, apply_degradation=False)
+            runs.append((name, model_cfg, replace(train_cfg, apply_degradation=False)))
         else:
-            cfg, tcfg = ablation_config(model_cfg, name), train_cfg
+            runs.append((name, ablation_config(model_cfg, name), train_cfg))
+    rows = []
+    for name, cfg, tcfg in runs:
         net, _ = train_loop(cfg, tcfg, dataset, degrade_cfg)
         p, s = evaluate_on_degraded(net, test_pairs, degrade_cfg, train_cfg.seed)
         rows.append({

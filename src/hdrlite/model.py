@@ -48,10 +48,12 @@ class ModelConfig:
     use_partial_conv: bool = True
 
     def validate(self):
+        for key in ("dense_layers", "dense_growth", "unet_base_channels", "groups",
+                    "global_mlp_channels"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.unet_base_channels % self.groups:
             raise ValueError("unet_base_channels must be divisible by groups")
-        if self.dense_layers < 1:
-            raise ValueError("dense_layers must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +76,6 @@ def bright_invalid_mask(p) -> np.ndarray:
     """1 below MASK_THRESHOLD, falling linearly to 0 at full saturation."""
     p = np.clip(np.asarray(p), 0.0, 1.0)
     return np.minimum((p - 1.0) / (MASK_THRESHOLD - 1.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Modulation
-# ---------------------------------------------------------------------------
-
-def channel_modulation(x: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
-    """Per-channel affine: alpha and beta are (n,c,1,1)."""
-    if alpha.shape[1] != x.shape[1] or beta.shape[1] != x.shape[1]:
-        raise ValueError(f"modulation channels {alpha.shape[1]} do not match input {x.shape[1]}")
-    return T.affine(x, alpha, beta)
-
-
-def sft_modulation(x: Tensor, alpha_map: Tensor, beta_map: Tensor) -> Tensor:
-    """Per-pixel affine: alpha_map and beta_map share x's full shape."""
-    if alpha_map.shape != x.shape or beta_map.shape != x.shape:
-        raise ValueError(f"SFT map shape must equal input shape {x.shape}")
-    return T.affine(x, alpha_map, beta_map)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +216,13 @@ class Network:
                               self.weights[f"{name}.bias"], groups=li.spec.groups,
                               slope=LEAKY_SLOPE if act else None)
 
+    @staticmethod
+    def _modulate(h: Tensor, ab: Tensor) -> Tensor:
+        """h * alpha + beta, where alpha is the first h.shape[1] channels of
+        ab and beta the next: per pixel (SFT maps) or per channel."""
+        c = h.shape[1]
+        return T.affine(h, T.narrow_channels(ab, 0, c), T.narrow_channels(ab, c, c))
+
     # -- residual blocks: each ends in leaky_relu(h + y) as one affine op ----
 
     def _pconv_rb(self, prefix: str, h: Tensor, mask):
@@ -245,12 +236,8 @@ class Network:
         return T.affine(h, shift=y, slope=LEAKY_SLOPE)
 
     def _sft_rb(self, prefix: str, h: Tensor, mprior: Tensor) -> Tensor:
-        ch = h.shape[1]
         s = self.conv(f"{prefix}.sft0", mprior, act=True)
-        s = self.conv(f"{prefix}.sft1", s)
-        alpha = T.narrow_channels(s, 0, ch)
-        beta = T.narrow_channels(s, ch, ch)
-        y = sft_modulation(h, alpha, beta)
+        y = self._modulate(h, self.conv(f"{prefix}.sft1", s))
         y = self.conv(f"{prefix}.conv1", y, act=True)
         y = self.conv(f"{prefix}.conv2", y)
         return T.affine(h, shift=y, slope=LEAKY_SLOPE)
@@ -262,9 +249,6 @@ class Network:
         # it runs on the pooled mod0 features instead of the whole frame
         m = self.conv("global.mod0", prior, act=True)
         m = self.conv("global.mod1", T.global_avg_pool(m))
-        G = self.cfg.global_mlp_channels
-        alpha = T.narrow_channels(m, 0, G)
-        beta = T.narrow_channels(m, G, G)
         h = x
         for i in range(GLOBAL_MLP_LAYERS):
             last = i == GLOBAL_MLP_LAYERS - 1
@@ -272,7 +256,7 @@ class Network:
             if last:
                 h = T.relu(h)
             elif i + 1 == MODULATION_AFTER_LAYER:
-                h = channel_modulation(h, alpha, beta)
+                h = self._modulate(h, m)
         return h
 
     def local_forward(self, x: Tensor) -> Tensor:

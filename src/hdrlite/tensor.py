@@ -177,25 +177,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data * b.data, "mul", (a, b), bwd)
 
 
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bwd(g):
-        _accum(x, g * s)
-
-    return _node(x.data * s, "scale", (x,), bwd)
-
-
-def mul_const(x: Tensor, arr) -> Tensor:
-    """Multiply by a fixed array that carries no gradient (e.g. a mask)."""
-    arr = np.asarray(arr, dtype=x.dtype)
-
-    def bwd(g):
-        _accum(x, _unbroadcast(g * arr, x.shape))
-
-    return _node(x.data * arr, "mul_const", (x,), bwd)
-
-
 def abs_(x: Tensor) -> Tensor:
     def bwd(g):
         _accum(x, g * np.sign(x.data))
@@ -239,18 +220,20 @@ def affine(x: Tensor, scale=None, shift: Tensor | None = None, *,
            slope: float | None = None) -> Tensor:
     """leaky_relu(x * scale + shift, slope) in one output array.
 
-    scale is a Tensor, a fixed array that carries no gradient (e.g. the
-    partial-conv ratio) or None, broadcast against x; shift is a Tensor of
-    shape (1 or n, c, 1, 1) or x's shape, or None; slope None applies no
-    activation.  The shift and the activation run in conv2d's blocked
-    epilogue, and the backward builds the derivative from the output's sign.
+    scale is a Tensor, a fixed array or number that carries no gradient
+    (e.g. the partial-conv mask and ratio, the loss weight) or None; a 4-D
+    scale broadcasts against x, a 0-d one scales all of it.  shift is a
+    Tensor of shape (1 or n, c, 1, 1) or x's shape, or None; slope None
+    applies no activation.  The shift and the activation run in conv2d's
+    blocked epilogue, and the backward builds the derivative from the
+    output's sign.
     """
     n, c, h, w = x.shape
     st = scale if isinstance(scale, Tensor) else None
     s = scale if st is None else st.data
     if s is not None:
         s = np.asarray(s, dtype=x.dtype)
-        if s.ndim != 4 or any(d not in (1, e) for d, e in zip(s.shape, x.shape)):
+        if s.ndim not in (0, 4) or any(d not in (1, e) for d, e in zip(s.shape, x.shape)):
             raise ValueError(f"scale {s.shape} does not broadcast to {x.shape}")
     if shift is not None and shift.shape not in ((1, c, 1, 1), (n, c, 1, 1), x.shape):
         raise ValueError(f"shift must be (1 or {n},{c},1,1) or {x.shape}, got {shift.shape}")
@@ -258,7 +241,8 @@ def affine(x: Tensor, scale=None, shift: Tensor | None = None, *,
         _check_slope(slope)
 
     out = x.data * s if s is not None else x.data.copy()
-    _bias_leaky_inplace(out, None if shift is None else shift.data, slope)
+    if shift is not None or slope is not None:
+        _bias_leaky_inplace(out, None if shift is None else shift.data, slope)
     parents = tuple(t for t in (x, st, shift) if t is not None)
 
     def bwd(g):
@@ -666,7 +650,7 @@ def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,
     ratio = np.where(valid, (k * k) / np.maximum(msum + (k * k - inside), 1e-8), 0.0)
     new_mask = valid.astype(x.dtype)
 
-    y = conv2d(mul_const(x, mask), weight, None, groups=groups)
+    y = conv2d(affine(x, mask), weight, None, groups=groups)
     return affine(y, ratio, bias, slope=slope), new_mask
 
 

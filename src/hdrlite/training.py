@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError("lr0 must be positive")
         if self.patch_size < 1:
             raise ValueError("patch_size must be >= 1")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -85,7 +87,7 @@ def loss_terms(pred: Tensor, target: Tensor):
     diff = T.sub(pred, target)
     l1 = T.mean_all(T.abs_(diff))
     lg = T.mean_all(T.abs_(T.grad_map(diff)))
-    total = T.add(l1, T.scale(lg, LOSS_GRAD_WEIGHT))
+    total = T.add(l1, T.affine(lg, LOSS_GRAD_WEIGHT))
     return total, l1, lg
 
 

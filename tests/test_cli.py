@@ -214,6 +214,37 @@ def test_train_infer_eval_pipeline(pair_dir, tiny_model_cfg, tmp_path, capsys):
     assert "gamma045" in out
 
 
+def test_train_negative_iters_fails_without_checkpoint(pair_dir, tiny_model_cfg, tmp_path,
+                                                       capsys):
+    ckpt = tmp_path / "model.ckpt"
+    rc = main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--iters", "-3",
+               "--model-config", str(tiny_model_cfg)])
+    assert rc == EXIT_FAIL
+    assert "max_iters" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_infer_rejects_hdr_input(pair_dir, tiny_model_cfg, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--iters", "0",
+                 "--model-config", str(tiny_model_cfg)]) == EXIT_OK
+    capsys.readouterr()
+    pred = tmp_path / "pred.pfm"
+    rc = main(["infer", "--checkpoint", str(ckpt), "--in", str(pair_dir / "s0.pfm"),
+               "--out", str(pred)])
+    assert rc == EXIT_FAIL
+    assert "linear_hdr" in capsys.readouterr().err
+    assert not pred.exists()
+
+
+def test_eval_file_mode_reads_only_hdr_files(pair_dir, capsys):
+    # an SDR .ppm against its label would be scored on SDR codes
+    rc = main(["eval", "--pred", str(pair_dir / "s0.ppm"), "--ref", str(pair_dir / "s0.pfm")])
+    assert rc == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "s0.ppm" in err and "psnr=" not in out
+
+
 def test_train_no_pairs_fails(tmp_path, tiny_model_cfg, capsys):
     d = tmp_path / "lonely"
     d.mkdir()

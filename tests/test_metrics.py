@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
+from hdrlite import metrics
 from hdrlite.degrade import DegradationConfig
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR
 from hdrlite.metrics import (
@@ -163,6 +164,8 @@ def test_reconstruct_hdr_contract():
     assert hdr.domain == LINEAR_HDR
     assert hdr.data.shape == (24, 20, 3)
     assert (hdr.data >= 0).all()
+    with pytest.raises(ValueError, match="nonlinear_sdr"):
+        reconstruct_hdr(net, Image(sdr.data, LINEAR_HDR))
 
 
 def test_bench_forward_contract():
@@ -193,6 +196,11 @@ def test_evaluate_on_degraded_smoke():
     assert -1.0 <= s <= 1.0
 
 
-def test_ablation_suite_rejects_unknown_variant_before_training():
-    with pytest.raises(ValueError, match="unknown ablation 'no_dense'"):
-        ablation_suite(ModelConfig(), None, None, None, None, variants=("no_dense",))
+def test_ablation_suite_rejects_unknown_variant_before_training(monkeypatch):
+    def no_training(*args, **kw):
+        raise AssertionError("train_loop called before every variant was checked")
+
+    monkeypatch.setattr(metrics, "train_loop", no_training)
+    for variants in (("no_dense",), ("baseline", "no_dense")):
+        with pytest.raises(ValueError, match="unknown ablation 'no_dense'"):
+            ablation_suite(ModelConfig(), None, None, None, None, variants=variants)

@@ -10,9 +10,8 @@ from hdrlite import tensor as T
 from hdrlite.kvtext import loads
 from hdrlite.model import (
     GLOBAL_MLP_LAYERS, LEAKY_SLOPE, MODULATION_AFTER_LAYER, UNET_LEVELS, ModelConfig,
-    Network, ablation_config, bright_invalid_mask, bright_valid_mask, channel_modulation,
-    count_macs, count_params, layer_breakdown, layer_table, load_checkpoint, prior_scalar,
-    save_checkpoint, sft_modulation,
+    Network, ablation_config, bright_invalid_mask, bright_valid_mask, count_macs,
+    count_params, layer_breakdown, layer_table, load_checkpoint, prior_scalar, save_checkpoint,
 )
 from hdrlite.tensor import Tensor
 from hdrlite.training import kaiming_init
@@ -82,38 +81,6 @@ def test_prior_scalar_is_channel_max():
     p = prior_scalar(x)
     assert p[0, 0, 0, 0] == pytest.approx(0.95)
     assert p[0, 0, 0, 1] == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
-# Modulation
-# ---------------------------------------------------------------------------
-
-def test_channel_modulation():
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.random((2, 3, 4, 4)).astype(np.float32))
-    ones = Tensor(np.ones((2, 3, 1, 1), dtype=np.float32))
-    zeros = Tensor(np.zeros((2, 3, 1, 1), dtype=np.float32))
-    np.testing.assert_array_equal(channel_modulation(x, ones, zeros).data, x.data)
-    fives = Tensor(np.full((2, 3, 1, 1), 5.0, dtype=np.float32))
-    np.testing.assert_array_equal(channel_modulation(x, zeros, fives).data, 5.0)
-    # channel mean maps linearly: alpha 2, beta 1 -> 2m + 1
-    twos = Tensor(np.full((2, 3, 1, 1), 2.0, dtype=np.float32))
-    out = channel_modulation(x, twos, ones)
-    np.testing.assert_allclose(out.data.mean(axis=(2, 3)),
-                               2 * x.data.mean(axis=(2, 3)) + 1, rtol=1e-6)
-    with pytest.raises(ValueError):
-        channel_modulation(x, Tensor(np.ones((2, 4, 1, 1), dtype=np.float32)), zeros)
-
-
-def test_sft_modulation():
-    x = Tensor(np.full((1, 1, 1, 1), 2.0, dtype=np.float32))
-    a = Tensor(np.full((1, 1, 1, 1), 3.0, dtype=np.float32))
-    b = Tensor(np.full((1, 1, 1, 1), -1.0, dtype=np.float32))
-    assert sft_modulation(x, a, b).data[0, 0, 0, 0] == pytest.approx(5.0)
-    z = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
-    np.testing.assert_array_equal(sft_modulation(z, a, b).data, b.data)
-    with pytest.raises(ValueError):
-        sft_modulation(x, Tensor(np.ones((1, 1, 2, 2), dtype=np.float32)), b)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +423,15 @@ def test_config_validation():
         ModelConfig(unet_base_channels=6, groups=4).validate()
 
 
+@pytest.mark.parametrize("key", ["dense_growth", "unet_base_channels", "groups",
+                                 "global_mlp_channels"])
+def test_config_rejects_widths_below_one(key):
+    # checked before the divisibility test, so groups=0 is no modulo by zero
+    for value in (0, -4):
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            ModelConfig(**{key: value}).validate()
+
+
 @pytest.mark.parametrize("word,value", [("true", True), ("False", False), ("1", True),
                                         ("0", False), ("YES", True), ("no", False)])
 def test_config_text_bool_words(word, value):
@@ -493,7 +469,7 @@ def reference_forward(net, x):
     def sft_rb(prefix, h, mprior):
         s = conv(f"{prefix}.sft1", lrelu(conv(f"{prefix}.sft0", mprior)))
         ch = h.shape[1]
-        y = sft_modulation(h, T.narrow_channels(s, 0, ch), T.narrow_channels(s, ch, ch))
+        y = T.add(T.mul(h, T.narrow_channels(s, 0, ch)), T.narrow_channels(s, ch, ch))
         y = conv(f"{prefix}.conv2", lrelu(conv(f"{prefix}.conv1", y)))
         return lrelu(T.add(h, y))
 
@@ -553,7 +529,7 @@ def reference_forward(net, x):
         else:
             h = lrelu(h)
             if i + 1 == MODULATION_AFTER_LAYER:
-                h = channel_modulation(h, alpha, beta)
+                h = T.add(T.mul(h, alpha), beta)
     return h
 
 

@@ -126,7 +126,7 @@ def test_conv_matches_nested_loop_reference(monkeypatch, k, batch, groups, band_
             assert y.dtype == dtype and y.shape == gy.shape
             np.testing.assert_allclose(y.data, conv_reference(x, w, b, groups),
                                        rtol=tol[dtype], atol=tol[dtype])
-            T.backward(T.sum_all(T.mul_const(y, gy)))
+            T.backward(T.sum_all(T.mul(y, Tensor(gy))))
             for t, ref in zip((xt, wt, bt), conv_reference_grads(x, w, gy, groups)):
                 assert t.grad.dtype == dtype
                 np.testing.assert_allclose(t.grad, ref, rtol=tol[dtype], atol=tol[dtype])
@@ -486,7 +486,7 @@ def conv_and_grads(x, w, b, gy, groups, fused):
         y = T.conv2d(xt, wt, bt, groups=groups, slope=0.2)
     else:
         y = T.leaky_relu(T.conv2d(xt, wt, bt, groups=groups), 0.2)
-    T.backward(T.sum_all(T.mul_const(y, gy)))
+    T.backward(T.sum_all(T.mul(y, Tensor(gy))))
     return y.data, xt.grad, wt.grad, bt.grad
 
 
@@ -542,7 +542,7 @@ def close(got, ref, dtype):
 def value_and_grads(fn, arrays, gy):
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     y = fn(*tensors)
-    T.backward(T.sum_all(T.mul_const(y, gy)))
+    T.backward(T.sum_all(T.mul(y, Tensor(gy))))
     return [y.data] + [t.grad for t in tensors]
 
 
@@ -632,8 +632,8 @@ AFFINE_SHAPES = {  # (scale shape, shift shape) for x of shape (n, c, h, w)
 def test_affine_bit_equal_to_unfused(dtype, kind, batch):
     # values and every gradient equal the unfused compositions (tolerance 0):
     # the modulations add(mul(x, a), b), partial_conv's former
-    # leaky_relu(add(mul_const(y, ratio), bias)) and the residual tail
-    # leaky_relu(add(h, y))
+    # leaky_relu(add(mul(y, ratio), bias)), the residual tail
+    # leaky_relu(add(h, y)) and the loss weight's 0-d scale mul(x, w)
     rng = np.random.default_rng(80 + batch)
     shape = (batch, 4, 5, 6)
     sshape, bshape = AFFINE_SHAPES[kind](*shape)
@@ -643,9 +643,11 @@ def test_affine_bit_equal_to_unfused(dtype, kind, batch):
         (lambda x, a, b: T.affine(x, a, b),
          lambda x, a, b: T.add(T.mul(x, a), b), (x, a, b)),
         (lambda x, b: T.affine(x, r, b, slope=0.2),
-         lambda x, b: T.leaky_relu(T.add(T.mul_const(x, r), b), 0.2), (x, b)),
+         lambda x, b: T.leaky_relu(T.add(T.mul(x, Tensor(r)), b), 0.2), (x, b)),
         (lambda h, y: T.affine(h, shift=y, slope=0.2),
          lambda h, y: T.leaky_relu(T.add(h, y), 0.2), (x, gy[::-1].copy())),
+        (lambda x: T.affine(x, 0.1),
+         lambda x: T.mul(x, Tensor(np.full((1, 1, 1, 1), 0.1, dtype=dtype))), (x,)),
     ]
     for fused, plain, arrays in pairs:
         got = value_and_grads(fused, arrays, gy)
@@ -666,7 +668,7 @@ def test_affine_gradient_check(slope):
 
     def f(x, a, b):
         y = T.affine(T.affine(x, a, b, slope=slope), ratio, a, slope=slope)
-        return T.sum_all(T.mul_const(y, gy))
+        return T.sum_all(T.mul(y, Tensor(gy)))
     assert T.gradient_check(f, [x, a, b], eps=1e-6) <= 1e-6
 
 
@@ -679,3 +681,6 @@ def test_affine_rejects_bad_slope_and_shapes():
         T.affine(x, shift=Tensor(np.zeros((2, 3, 4, 1), dtype=np.float32)))
     with pytest.raises(ValueError, match="scale"):
         T.affine(x, np.ones((3, 1, 1, 1), dtype=np.float32))
+    for shape in ((1,), (1, 1), (1, 1, 1)):  # only 0-d and 4-D scales broadcast
+        with pytest.raises(ValueError, match="scale"):
+            T.affine(x, np.ones(shape, dtype=np.float32))

@@ -190,6 +190,9 @@ def test_train_config_validation():
         TrainConfig(lr0=0.0).validate()
     with pytest.raises(ValueError):
         TrainConfig(patch_size=0).validate()
+    with pytest.raises(ValueError, match="max_iters"):
+        TrainConfig(max_iters=-1).validate()
+    TrainConfig(max_iters=0).validate()
 
 
 # ---------------------------------------------------------------------------
