@@ -128,10 +128,22 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _hdr_by_stem(directory) -> dict[str, Path]:
+    """The .pfm/.hdr images of a directory keyed by stem; a stem with both is
+    an error, as neither may silently stand for the other."""
+    found = {}
+    for path in _list_images(directory, HDR_EXTS):
+        if path.stem in found:
+            raise ValueError(f"{directory}: stem {path.stem!r} has both "
+                             f"{found[path.stem].name} and {path.name}")
+        found[path.stem] = path
+    return found
+
+
 def _load_pairs(data_dir):
     """HDR label + SDR input pairs matched by stem: stem.pfm/.hdr with stem.ppm."""
     pairs = []
-    for hdr_path in _list_images(data_dir, HDR_EXTS):
+    for hdr_path in _hdr_by_stem(data_dir).values():
         sdr_path = hdr_path.with_suffix(".ppm")
         if sdr_path.exists():
             pairs.append((imgio.read_image(hdr_path), imgio.read_image(sdr_path)))
@@ -189,8 +201,7 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_FAIL
     if pred_p.is_dir():
-        preds = {p.stem: p for p in _list_images(pred_p, HDR_EXTS)}
-        refs = {p.stem: p for p in _list_images(ref_p, HDR_EXTS)}
+        preds, refs = _hdr_by_stem(pred_p), _hdr_by_stem(ref_p)
         stems = sorted(set(preds) & set(refs))
         if not stems:
             print("error: no matching prediction/reference stems", file=sys.stderr)

@@ -295,13 +295,20 @@ class Network:
             hT = self.conv(f"local.skip{lvl}", [hT, skips.pop()], act=True)
             hT = self._sft_rb(f"local.dec{lvl}.rb0", hT, mp_levels[lvl])
 
+        # local.fuse reads the channel concat of the dense outputs and hT.
+        # Its hT part runs first, so hT is freed before the dense features
+        # exist, and its dense part is one 1x1 over the dense stack
+        dense_ch = cfg.dense_layers * cfg.dense_growth
+        w_fuse = self.weights["local.fuse.weight"]
+        out = T.conv2d(hT, T.narrow_channels(w_fuse, dense_ch, hT.shape[1]),
+                       self.weights["local.fuse.bias"])
+        del hT
         # dense branch: every layer reads the channel concat of the input and
-        # all earlier outputs, one conv per part
-        feats = [x]
-        for i in range(cfg.dense_layers):
-            feats.append(self.conv(f"local.dense{i}", feats, act=True))
-
-        out = self.conv("local.fuse", feats[1:] + [hT], act=True)
+        # all earlier outputs, each part gathered once
+        names = [f"local.dense{i}" for i in range(cfg.dense_layers)]
+        dense = T._dense_block(x, [self.weights[f"{n}.weight"] for n in names],
+                               [self.weights[f"{n}.bias"] for n in names], slope=LEAKY_SLOPE)
+        out = T.conv2d(dense, T.narrow_channels(w_fuse, 0, dense_ch), out, slope=LEAKY_SLOPE)
         return T.crop(out, 0, 0, h0, w0)
 
     def forward(self, x: Tensor) -> Tensor:

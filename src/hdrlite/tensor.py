@@ -608,17 +608,123 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             _accum(bias, g if bias.shape == g.shape
                    else g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
         if weight.requires_grad:
-            dw = np.zeros_like(wmat)
-            for b, r0, r1, cols in _band_cols(x.data, k):
-                gb = g[b, :, r0:r1].reshape(groups, ocg, -1)
-                dw += gb @ cols.reshape(groups, icg * k * k, -1).transpose(0, 2, 1)
-            _accum(weight, dw.reshape(weight.shape))
+            _accum(weight, _band_dw(x.data, g, groups, k).reshape(weight.shape))
         if x.requires_grad:
-            wflip = weight.data[:, :, ::-1, ::-1].reshape(groups, ocg, icg, k * k)
-            wflip = wflip.transpose(0, 2, 1, 3).reshape(groups, icg, ocg * k * k)
-            _accum(x, _same_conv(g, wflip, k))
+            _accum(x, _same_conv(g, _adjoint_wmat(weight.data, groups), k))
 
     return _node(out, "conv2d", parents, bwd)
+
+
+def _band_dw(x, g, groups: int, k: int):
+    """Weight gradient (groups, ocg, icg*k*k) of a 'same' k x k conv of the
+    array x whose output gradient is g: the sum over x's bands of the band's
+    g times its transposed columns."""
+    n, c, h, w = x.shape
+    ocg, icg = g.shape[1] // groups, c // groups
+    dw = np.zeros((groups, ocg, icg * k * k), dtype=g.dtype)
+    for b, r0, r1, cols in _band_cols(x, k):
+        gb = g[b, :, r0:r1].reshape(groups, ocg, -1)
+        dw += gb @ cols.reshape(groups, icg * k * k, -1).transpose(0, 2, 1)
+    return dw
+
+
+def _adjoint_wmat(weight, groups: int):
+    """(groups, icg, ocg*k*k) matrix of the 'same' conv that gives a conv's
+    input gradient from its output gradient: the (oc, icg, k, k) weights
+    flipped in both spatial axes and transposed within each group."""
+    oc, icg, k, _ = weight.shape
+    ocg = oc // groups
+    wflip = weight[:, :, ::-1, ::-1].reshape(groups, ocg, icg, k * k)
+    return wflip.transpose(0, 2, 1, 3).reshape(groups, icg, ocg * k * k)
+
+
+def _dense_block(x: Tensor, weights, biases, *, slope: float) -> Tensor:
+    """The (n, L*g, h, w) stack [d_0, ..., d_{L-1}] of a dense branch:
+    d_i = leaky_relu(conv(concat(x, d_0, ..., d_{i-1}), weights[i]) + biases[i])
+    for L same k x k convs of g outputs each (weights[i] is (g, c + i*g, k, k),
+    biases[i] (1, g, 1, 1)).
+
+    The stack is one preactivation buffer, filled in place (Pleiss et al.,
+    "Memory-Efficient Implementation of DenseNets", 2017).  Each part x, d_0,
+    ..., d_{L-2} is gathered once: per band of its columns, one GEMM with the
+    rows of every later layer that reads it, stacked, is added into those
+    layers' slices of the buffer.  Layer p's slice is then final, and the
+    leaky ReLU runs on it in place, band by band, before it is gathered as
+    the next part.
+
+    Backward runs the layers in reverse.  Each layer's preactivation
+    gradient gives the gradient of all of its input parts in one adjoint
+    conv (x's rows only when x requires grad), and one band pass per part
+    gives the stacked weight gradient of the layers that read it.
+    """
+    n, c, h, w = x.shape
+    L = len(weights)
+    if L < 1 or len(biases) != L:
+        raise ValueError(f"need one bias per dense layer and at least one layer, "
+                         f"got {L} weights and {len(biases)} biases")
+    g, _, k, _ = weights[0].shape
+    if k % 2 == 0:
+        raise ValueError(f"dense kernels must be odd, got {weights[0].shape}")
+    _check_slope(slope)
+    for i, (wt, bt) in enumerate(zip(weights, biases)):
+        if wt.shape != (g, c + i * g, k, k):
+            raise ValueError(f"dense layer {i}: weight {wt.shape} != {(g, c + i * g, k, k)}")
+        if bt.shape != (1, g, 1, 1):
+            raise ValueError(f"dense layer {i}: bias must be (1,{g},1,1), got {bt.shape}")
+
+    def part(p):  # (array, channel offset in each reader's weight, channels)
+        return (x.data, 0, c) if p == 0 else (a[:, (p - 1) * g:p * g], c + (p - 1) * g, g)
+
+    a = np.empty((n, L * g, h, w), dtype=x.dtype)
+    bias_col = np.concatenate([bt.data.reshape(g, 1) for bt in biases]).astype(x.dtype)
+    tmp = None  # the band GEMM's output, added into a
+    for p in range(L):
+        src, c0, cp = part(p)
+        m = (L - p) * g  # rows of layers p .. L-1, a contiguous slice of a
+        wstack = np.concatenate([wt.data[:, c0:c0 + cp].reshape(g, -1)
+                                 for wt in weights[p:]])
+        for b, r0, r1, cols in _band_cols(src, k):
+            dst = a[b, p * g:, r0:r1].reshape(m, -1)
+            if p == 0:  # the first part writes the buffer, then the biases
+                np.matmul(wstack, cols, out=dst)
+                dst += bias_col
+            else:
+                if tmp is None or tmp.size < dst.size:
+                    tmp = np.empty(dst.size, dtype=x.dtype)
+                t = tmp[:dst.size].reshape(dst.shape)
+                np.matmul(wstack, cols, out=t)
+                dst += t
+            # layer p's rows of this band are final
+            _bias_leaky_inplace(a[b:b + 1, p * g:(p + 1) * g, r0:r1], None, slope)
+        del cols  # this part's column buffer, before the next part's
+
+    def bwd(G):
+        ga = np.array(G)  # becomes the preactivation gradient, layer by layer
+        gx = np.zeros_like(x.data) if x.requires_grad else None
+        for i in reversed(range(L)):
+            gi = ga[:, i * g:(i + 1) * g]
+            gi[...] = _leaky_grad(gi, a[:, i * g:(i + 1) * g], slope)
+            _accum(biases[i], gi.sum(axis=(0, 2, 3)).reshape(1, g, 1, 1))
+            skip = 0 if gx is not None else c  # input channels with no gradient
+            if i * g + c > skip:
+                d_in = _same_conv(gi, _adjoint_wmat(weights[i].data[:, skip:], 1), k)
+                if gx is not None:
+                    gx += d_in[:, :c]
+                ga[:, :i * g] += d_in[:, c - skip:]
+        if gx is not None:
+            _accum(x, gx)
+        if not any(wt.requires_grad for wt in weights):
+            return
+        dws = [np.zeros(wt.shape, dtype=G.dtype) for wt in weights]
+        for p in range(L):
+            src, c0, cp = part(p)
+            dw = _band_dw(src, ga[:, p * g:], 1, k).reshape(L - p, g, cp, k, k)
+            for i in range(p, L):
+                dws[i][:, c0:c0 + cp] = dw[i - p]
+        for wt, dw in zip(weights, dws):
+            _accum(wt, dw)
+
+    return _node(a, "dense_block", (x, *weights, *biases), bwd)
 
 
 def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,

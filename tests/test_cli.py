@@ -282,6 +282,31 @@ def test_eval_directory_mode_reads_only_hdr_files(pair_dir, tmp_path, capsys):
         ["s0.pfm:", "psnr=inf"], ["s1.pfm:", "psnr=inf"], ["mean:", "psnr=inf"]]
 
 
+@pytest.fixture
+def duplicate_label_dir(pair_dir):
+    # s0 has a .pfm and a .hdr label: train would sample it twice and eval
+    # would keep one of them
+    write_image(pair_dir / "s0.hdr", read_image(pair_dir / "s0.pfm"))
+    return pair_dir
+
+
+def test_train_rejects_a_stem_with_two_labels(duplicate_label_dir, tiny_model_cfg,
+                                              tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    rc = main(["train", "--data", str(duplicate_label_dir), "--out", str(ckpt),
+               "--iters", "1", "--model-config", str(tiny_model_cfg)])
+    assert rc == EXIT_FAIL and not ckpt.exists()
+    err = capsys.readouterr().err
+    assert "'s0'" in err and "s0.hdr" in err and "s0.pfm" in err
+
+
+def test_eval_directory_mode_rejects_a_stem_with_two_labels(duplicate_label_dir, capsys):
+    rc = main(["eval", "--pred", str(duplicate_label_dir), "--ref", str(duplicate_label_dir)])
+    assert rc == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "'s0'" in err and "psnr=" not in out
+
+
 # ---------------------------------------------------------------------------
 # info / bench
 # ---------------------------------------------------------------------------

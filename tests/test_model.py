@@ -133,14 +133,14 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     # 270 is not a multiple of 4: the local net runs on 272 padded rows and
     # the global net on the 270 cropped ones; count_macs must count both.
     # count_macs is the nominal count: global.mod1 runs on the pooled mod0
-    # features (one pixel), and the convs over a channel concat run once per
-    # part: local.skip0 and local.skip1 over two parts, local.dense{i} over
-    # i + 1 and local.fuse over dense_layers + 1
+    # features (one pixel).  The dense layers run as one _dense_block call,
+    # and the convs over a channel concat run once per part: local.skip0,
+    # local.skip1 and local.fuse (hT, then the dense stack) over two parts
     cfg = ModelConfig()
     net = make_net(cfg)
     for t in net.weights.values():
         t.requires_grad = False  # an inference forward: no graph kept
-    conv = T.conv2d
+    conv, dense_block = T.conv2d, T._dense_block
     executed = []
 
     def counting_conv(x, weight, *args, **kw):
@@ -150,10 +150,16 @@ def test_count_macs_matches_executed_convs(monkeypatch):
         executed.append(n * oc * oh * ow * icg * k * k)
         return out
 
+    def counting_dense_block(x, weights, *args, **kw):
+        out = dense_block(x, weights, *args, **kw)
+        n, _, oh, ow = out.shape
+        executed.append(sum(n * oh * ow * w.data.size for w in weights))
+        return out
+
     monkeypatch.setattr(T, "conv2d", counting_conv)
+    monkeypatch.setattr(T, "_dense_block", counting_dense_block)
     net.forward(Tensor(np.zeros((1, 3, 270, 480), dtype=np.float32)))
-    extra_parts = 2 + sum(range(cfg.dense_layers)) + cfg.dense_layers
-    assert len(executed) == len(layer_table(cfg)) + extra_parts == 50
+    assert len(executed) == len(layer_table(cfg)) - cfg.dense_layers + 3 + 1 == 32
     mod1 = cfg.global_mlp_channels * 2 * cfg.global_mlp_channels
     assert sum(executed) == count_macs(cfg, 270, 480) - 270 * 480 * mod1 + mod1
     assert count_macs(cfg, 270, 480) == 10_367_385_600
@@ -324,6 +330,36 @@ def test_forward_builds_no_channel_concat(requires_grad):
         y = net.forward(x)
     assert y.requires_grad == requires_grad
     assert "conv2d" in trace and "concat" not in trace
+
+
+def test_dense_branch_gathers_each_part_once(monkeypatch):
+    # a default no-grad forward gathers the input and each dense output but
+    # the last once: dense_layers column walks in all, not one per layer
+    # and part (15 for the default 5 layers)
+    cfg = ModelConfig()
+    net = make_net(cfg, seed=18)
+    for t in net.weights.values():
+        t.requires_grad = False
+    band_cols, dense_block = T._band_cols, T._dense_block
+    walks = []
+    inside = []
+
+    def counting_band_cols(x, k):
+        if inside:
+            walks.append(x.shape[1])
+        return band_cols(x, k)
+
+    def marked_dense_block(*args, **kw):
+        inside.append(True)
+        try:
+            return dense_block(*args, **kw)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(T, "_band_cols", counting_band_cols)
+    monkeypatch.setattr(T, "_dense_block", marked_dense_block)
+    net.forward(Tensor(np.random.default_rng(19).random((1, 3, 12, 20)).astype(np.float32)))
+    assert walks == [3] + [cfg.dense_growth] * (cfg.dense_layers - 1)
 
 
 def test_forward_working_set_bound():

@@ -684,3 +684,91 @@ def test_affine_rejects_bad_slope_and_shapes():
     for shape in ((1,), (1, 1), (1, 1, 1)):  # only 0-d and 4-D scales broadcast
         with pytest.raises(ValueError, match="scale"):
             T.affine(x, np.ones(shape, dtype=np.float32))
+
+
+# ---------------------------------------------------------------------------
+# The dense branch as one op
+# ---------------------------------------------------------------------------
+
+def dense_arrays(rng, n, c, g, layers, h, w, k=3):
+    x = rng.normal(0, 1, (n, c, h, w))
+    ws = [rng.normal(0, 0.3, (g, c + i * g, k, k)) for i in range(layers)]
+    bs = [rng.normal(0, 0.3, (1, g, 1, 1)) for _ in range(layers)]
+    return x, ws, bs
+
+
+def per_part_dense(x, weights, biases, slope=0.2):
+    """The dense stack as one conv2d per layer and part, each adding the
+    previous part's output, and a channel concat of the layer outputs."""
+    feats = [x]
+    for wt, bt in zip(weights, biases):
+        out, c0 = bt, 0
+        for i, part in enumerate(feats):
+            c = part.shape[1]
+            out = T.conv2d(part, T.narrow_channels(wt, c0, c), out,
+                           slope=slope if i == len(feats) - 1 else None)
+            c0 += c
+        feats.append(out)
+    return feats[1] if len(feats) == 2 else T.concat_channels(*feats[1:])
+
+
+def test_dense_block_gradient_check():
+    # float64 central differences for x, every weight and every bias, max
+    # relative error <= 1e-6; the loss is linear in the stack
+    rng = np.random.default_rng(90)
+    x, ws, bs = dense_arrays(rng, 1, 2, 3, 2, 5, 6)
+    tensors = [Tensor(a, requires_grad=True) for a in [x, *ws, *bs]]
+    gy = rng.normal(0, 1, (1, 6, 5, 6))
+
+    def f(x, w0, w1, b0, b1):
+        return T.sum_all(T.mul(T._dense_block(x, [w0, w1], [b0, b1], slope=0.2), Tensor(gy)))
+    assert T.gradient_check(f, tensors, eps=1e-6) <= 1e-6
+
+
+@pytest.mark.parametrize("band_rows", [None, 1], ids=["whole", "1row"])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_fixed"])
+@pytest.mark.parametrize("shape", [(1, 7, 9), (2, 5, 11)], ids=["7x9", "b2_5x11"])
+@pytest.mark.parametrize("layers", [1, 2, 5])
+def test_dense_block_matches_per_part_composition(monkeypatch, layers, shape, x_grad,
+                                                  band_rows):
+    # the stack, dx and every dW and db within 1e-12 (float64) and 1e-5
+    # (float32) of the per-part convs, relative to each one's largest value
+    n, h, w = shape
+    c, g = 3, 4
+    if band_rows:
+        set_band_rows(monkeypatch, band_rows, g, 3, w, np.float64)
+    rng = np.random.default_rng(91 + layers)
+    x, ws, bs = dense_arrays(rng, n, c, g, layers, h, w)
+    gy = rng.normal(0, 1, (n, layers * g, h, w))
+    for dtype in (np.float64, np.float32):
+        results = []
+        for fn in (lambda x, ws, bs: T._dense_block(x, ws, bs, slope=0.2), per_part_dense):
+            xt = Tensor(x.astype(dtype), requires_grad=x_grad)
+            wts = [Tensor(a.astype(dtype), requires_grad=True) for a in ws]
+            bts = [Tensor(a.astype(dtype), requires_grad=True) for a in bs]
+            y = fn(xt, wts, bts)
+            T.backward(T.sum_all(T.mul(y, Tensor(gy.astype(dtype)))))
+            results.append([y.data, xt.grad] + [t.grad for t in wts + bts])
+        got, ref = results
+        assert got[0].dtype == dtype
+        assert (got[1] is None) == (not x_grad)
+        for i, (a, b) in enumerate(zip(got, ref)):
+            if b is not None:
+                assert a.dtype == dtype, i
+                close(a, b, dtype)
+
+
+def test_dense_block_rejects_bad_shapes_and_slope():
+    rng = np.random.default_rng(93)
+    x, ws, bs = dense_arrays(rng, 1, 3, 4, 2, 5, 5)
+    x, ws, bs = Tensor(x), [Tensor(a) for a in ws], [Tensor(a) for a in bs]
+    with pytest.raises(ValueError, match="dense layer 1: weight"):
+        T._dense_block(x, [ws[0], ws[0]], bs, slope=0.2)
+    with pytest.raises(ValueError, match="dense layer 0: bias"):
+        T._dense_block(x, ws, [Tensor(np.zeros((1, 3, 1, 1))), bs[1]], slope=0.2)
+    with pytest.raises(ValueError, match="one bias per dense layer"):
+        T._dense_block(x, ws, bs[:1], slope=0.2)
+    with pytest.raises(ValueError, match="slope"):
+        T._dense_block(x, ws, bs, slope=1.0)
+    with pytest.raises(ValueError, match="odd"):
+        T._dense_block(x, [Tensor(np.zeros((4, 3, 2, 2)))], bs[:1], slope=0.2)
