@@ -7,6 +7,11 @@ chain injects sensor noise in the linearized RAW domain followed by a
 double block-DCT compression roundtrip at the nonlinear end.
 Every stochastic step draws only from an explicit Generator, so a fixed
 seed reproduces outputs bit-exactly.
+
+The color transforms, the compression roundtrip and the rescale run on
+channel planes, with the same float64 operations in the same order as
+np.einsum and scipy.ndimage.zoom (order 1, grid_mode, mode "nearest"), so
+their outputs are bit-identical to those references.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
-import scipy.ndimage
 
 from .imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
 
@@ -67,13 +71,29 @@ def srgb_decode(nonlinear: np.ndarray) -> np.ndarray:
     return np.clip(nonlinear, 0.0, 1.0) ** 2.2
 
 
+def _mix(row: np.ndarray, planes, out: np.ndarray) -> np.ndarray:
+    """out = row . planes, associated as np.einsum("ij,hwj->hwi") sums a row:
+    (p0 + p2) + p1."""
+    np.multiply(planes[0], row[0], out=out)
+    out += planes[2] * row[2]
+    out += planes[1] * row[1]
+    return out
+
+
 def cst_apply(img: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Apply a 3x3 color matrix to every pixel of an (h, w, 3) array; the
+    result keeps the input's memory layout."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"color matrix must be 3x3, got {m.shape}")
     if abs(np.linalg.det(m)) < 1e-12:
         raise ValueError("color matrix is singular")
-    return np.einsum("ij,hwj->hwi", m, np.asarray(img, dtype=np.float64))
+    x = np.asarray(img, dtype=np.float64)
+    planes = [x[..., j] for j in range(3)]
+    out = np.empty_like(x)
+    for i in range(3):
+        _mix(m[i], planes, out[..., i])
+    return out
 
 
 def add_camera_noise(linear: np.ndarray, sigma: float,
@@ -82,8 +102,13 @@ def add_camera_noise(linear: np.ndarray, sigma: float,
     x = np.asarray(linear, dtype=np.float64)
     if sigma == 0.0:
         return x.copy()
-    std = np.sqrt(sigma * sigma * np.clip(x, 0.0, None) + sigma * sigma)
-    return np.clip(x + rng.standard_normal(x.shape) * std, 0.0, 1.0)
+    noisy = np.clip(x, 0.0, None)
+    noisy *= sigma * sigma
+    noisy += sigma * sigma
+    np.sqrt(noisy, out=noisy)
+    noisy *= rng.standard_normal(x.shape)
+    noisy += x
+    return np.clip(noisy, 0.0, 1.0, out=noisy)
 
 
 def virtual_shot(hdr: Image, exposure_scale: float = 1.0,
@@ -151,43 +176,92 @@ def _dct_roundtrip(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _down2(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    return plane.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+    """Means of the 2x2 cells, summed as np.mean over the cell axes sums
+    them in planes at least 4 wide (jpeg_sim's are 16-aligned):
+    (a00 + a01) + (a10 + a11)."""
+    out = plane[0::2, 0::2] + plane[0::2, 1::2]
+    out += plane[1::2, 0::2] + plane[1::2, 1::2]
+    out /= 4.0
+    return out
 
 
-def _up2(plane: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(plane, 2, axis=0), 2, axis=1)
+def _require_sdr(fn: str, img: Image):
+    if img.domain != NONLINEAR_SDR:
+        raise ValueError(f"{fn} reads {NONLINEAR_SDR} images, got {img.domain}")
 
 
 def jpeg_sim(img: Image, qf: int) -> Image:
     """Block-DCT quantization roundtrip with 4:2:0 chroma, no entropy coding.
 
     Reproduces blocking and ringing artifacts without producing a bitstream.
+    The frame is edge-padded to a multiple of 16 for the transform and cropped
+    back. The returned data is an (h, w, 3) view of three channel planes.
     """
-    x = np.asarray(img.data, dtype=np.float64) * 255.0
-    h, w = x.shape[:2]
-    ph, pw = (-h) % 16, (-w) % 16
-    if ph or pw:
-        x = np.pad(x, ((0, ph), (0, pw), (0, 0)), mode="edge")
-    ycc = np.einsum("ij,hwj->hwi", _RGB_TO_YCC, x)
-    y = _dct_roundtrip(ycc[..., 0] - 128.0, _qf_table(_Q_LUMA, qf)) + 128.0
-    chroma = []
-    ctab = _qf_table(_Q_CHROMA, qf)
-    for c in (1, 2):
-        sub = _down2(ycc[..., c])
-        chroma.append(_up2(_dct_roundtrip(sub, ctab)))
-    out = np.einsum("ij,hwj->hwi", _YCC_TO_RGB, np.stack([y] + chroma, axis=-1))
-    out = np.clip(out[:h, :w] / 255.0, 0.0, 1.0)
-    return Image(out.astype(np.float32), NONLINEAR_SDR)
+    _require_sdr("jpeg_sim", img)
+    ytab, ctab = _qf_table(_Q_LUMA, qf), _qf_table(_Q_CHROMA, qf)
+    h, w = img.height, img.width
+    ph, pw = h + (-h) % 16, w + (-w) % 16
+    rgb = [np.multiply(img.data[..., c], 255.0, dtype=np.float64) for c in range(3)]
+    ycc = np.empty((3, ph, pw))
+    for i in range(3):
+        _mix(_RGB_TO_YCC[i], rgb, ycc[i, :h, :w])
+    ycc[:, h:, :w] = ycc[:, h - 1:h, :w]
+    ycc[:, :, w:] = ycc[:, :, w - 1:w]
+    y = _dct_roundtrip(ycc[0] - 128.0, ytab)
+    y += 128.0
+    cb, cr = (_dct_roundtrip(_down2(ycc[c]), ctab) for c in (1, 2))
+    out = np.empty((3, h, w), dtype=np.float32)
+    for i, row in enumerate(_YCC_TO_RGB):
+        # (y * r0 + up2(cr) * r2) + up2(cb) * r1, the chroma products taken at
+        # half resolution and broadcast over each 2x2 cell
+        acc = y * row[0]
+        cells = acc.reshape(ph // 2, 2, pw // 2, 2)
+        cells += (cr * row[2])[:, None, :, None]
+        cells += (cb * row[1])[:, None, :, None]
+        acc = acc[:h, :w]
+        acc /= 255.0
+        np.clip(acc, 0.0, 1.0, out=out[i])
+    return Image(out.transpose(1, 2, 0), NONLINEAR_SDR)
+
+
+def _taps(n_in: int, n_out: int):
+    """Source indices and weights along one axis of scipy.ndimage.zoom's
+    order-1 interpolation with grid_mode=True and mode="nearest": output j
+    samples input coordinate (j + 0.5) * n_in / n_out - 0.5 (not clamped),
+    between taps i0 = floor of it and i0 + 1, each clipped to the axis."""
+    cc = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.floor(cc)
+    w0 = 1.0 - (cc - i0)
+    i0 = i0.astype(np.intp)
+    return np.clip(i0, 0, n_in - 1), np.clip(i0 + 1, 0, n_in - 1), w0, 1.0 - w0
 
 
 def _resize_bilinear(img: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Bilinear resize of an (sh, sw, 3) array to (h, w, 3), clipped to [0, 1].
+
+    Bit-identical to np.clip(scipy.ndimage.zoom(img, (h / sh, w / sw, 1),
+    order=1, grid_mode=True, mode="nearest"), 0, 1): like zoom, each output
+    sample adds its four taps (v * wy) * wx onto 0 in the order
+    ((p00 + p01) + p10) + p11. A resized result is an (h, w, 3) view of three
+    channel planes; the same size returns a copy.
+    """
+    img = np.asarray(img, dtype=np.float64)
     sh, sw = img.shape[:2]
     if (sh, sw) == (h, w):
         return img.copy()
-    out = scipy.ndimage.zoom(img, (h / sh, w / sw, 1.0), order=1, grid_mode=True,
-                             mode="nearest")
-    return np.clip(out, 0.0, 1.0)
+    (y0, y1, wy0, wy1), (x0, x1, wx0, wx1) = _taps(sh, h), _taps(sw, w)
+    out = np.zeros((3, h, w))
+    rows, tap = np.empty((h, sw)), np.empty((h, w))
+    for c in range(3):
+        for iy, wy in ((y0, wy0), (y1, wy1)):
+            # the indices are in range; mode="clip" lets take fill `out` unbuffered
+            np.take(img[..., c], iy, axis=0, out=rows, mode="clip")
+            rows *= wy[:, None]
+            for ix, wx in ((x0, wx0), (x1, wx1)):
+                np.take(rows, ix, axis=1, out=tap, mode="clip")
+                tap *= wx
+                out[c] += tap
+    return np.clip(out, 0.0, 1.0, out=out).transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +278,7 @@ def conventional_degrade(sdr: Image, cfg: DegradationConfig,
     Quality 100 disables a compression stage entirely, so a recipe of
     sigma 0, qf 100/100, scale 1 passes images through nearly unchanged.
     """
+    _require_sdr("conventional_degrade", sdr)
     cfg.validate()
     lo, hi = cfg.noise_sigma_range
     sigma = float(rng.uniform(lo, hi)) if hi > lo else float(lo)
@@ -213,24 +288,25 @@ def conventional_degrade(sdr: Image, cfg: DegradationConfig,
     scale = float(rng.uniform(rlo, rhi)) if rhi > rlo else float(rlo)
 
     m = cfg.cst_matrix
-    x = srgb_decode(np.asarray(sdr.data, dtype=np.float64))
+    # every stage below keeps this layout: (h, w, 3) views of channel planes
+    x = np.ascontiguousarray(sdr.data.transpose(2, 0, 1), dtype=np.float64)
+    x = srgb_decode(x.transpose(1, 2, 0))
     x = cst_apply(x, np.linalg.inv(m))
-    x = np.clip(x, 0.0, 1.0)
+    np.clip(x, 0.0, 1.0, out=x)
     x = add_camera_noise(x, sigma, rng)
-    x = np.clip(cst_apply(x, m), 0.0, 1.0)
-    x = srgb_encode(x)
+    x = srgb_encode(cst_apply(x, m))
     out = Image(x.astype(np.float32), NONLINEAR_SDR)
     if qf1 < 100:
         out = jpeg_sim(out, qf1)
     h, w = out.height, out.width
     rh, rw = max(8, round(h * scale)), max(8, round(w * scale))
-    rescaled = _resize_bilinear(np.asarray(out.data, dtype=np.float64), rh, rw)
+    rescaled = _resize_bilinear(out.data, rh, rw)
     out = Image(rescaled.astype(np.float32), NONLINEAR_SDR)
     if cfg.jpeg_qf2 < 100:
         out = jpeg_sim(out, cfg.jpeg_qf2)
-    restored = _resize_bilinear(np.asarray(out.data, dtype=np.float64), h, w)
+    restored = _resize_bilinear(out.data, h, w)
     manifest = {"sigma": sigma, "qf1": qf1, "qf2": cfg.jpeg_qf2, "rescale": scale}
-    return Image(restored.astype(np.float32), NONLINEAR_SDR), manifest
+    return Image(np.ascontiguousarray(restored, dtype=np.float32), NONLINEAR_SDR), manifest
 
 
 # ---------------------------------------------------------------------------

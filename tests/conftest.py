@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,25 @@ def make_hdr_scene(seed: int, size: int = 64) -> Image:
                               / (2 * (size / 8) ** 2)))
         base += blob[..., None] * r.random(3)
     return Image(base.astype(np.float32), LINEAR_HDR)
+
+
+def sdr_frame(seed: int, h: int, w: int) -> Image:
+    """A virtual shot (exposure 0.5) of a seeded scene, cropped to h x w."""
+    hdr = make_hdr_scene(seed, max(h, w))
+    return virtual_shot(Image(hdr.data[:h, :w], LINEAR_HDR), 0.5)
+
+
+# The versions the pinned output digests in the tests were recorded with. The
+# degradation chain is float64 numpy/scipy arithmetic, so another version may
+# round differently and change a digest without any change to hdrlite.
+PINNED_WITH = "numpy 2.4.6 / scipy 1.17.1"
+
+
+def sha256_hex(*blobs: bytes) -> str:
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()
 
 
 def make_pairs(count: int = 8, size: int = 64, exposure: float = 0.5):

@@ -5,7 +5,7 @@ from hdrlite.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, main
 from hdrlite.imgio import (
     Image, LINEAR_HDR, NONLINEAR_SDR, read_image, write_image,
 )
-from tests.conftest import make_hdr_scene, make_pairs
+from tests.conftest import PINNED_WITH, make_hdr_scene, make_pairs, sha256_hex
 
 TINY_MODEL = """\
 dense_layers=2
@@ -73,6 +73,29 @@ def test_degrade_deterministic_per_seed(sdr_dir, tmp_path):
     main(["degrade", "--in", str(sdr_dir), "--out", str(out2), "--seed", "5"])
     for name in ("img0.ppm", "img1.ppm"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# SHA-256 of each file `hdrlite degrade --seed 5` writes for three 40x40
+# make_pairs scenes.
+DEGRADE_DIGESTS = {
+    "s0.manifest.txt": "ef685febb81e9dad306975421f32919056d7857be6b2360ed1bf37d874810d3a",
+    "s0.ppm": "d803b8f35306d74679262de16c9f0f285860bcf57b27d18cd96790d127412308",
+    "s1.manifest.txt": "9dd56563639bceb6ffc2ddec7febbeeac47cf52989b8c85e4fe637d3cec56e9b",
+    "s1.ppm": "d0fd7bc620546b98e6c97b56428ed68cfe2a7010e6fc67a33f8409f90378a166",
+    "s2.manifest.txt": "9d8f33932d76c921fb4f418084efa96a264070d8ac45de21fc579c08649aa5a8",
+    "s2.ppm": "b5a01dd43dadd80a29a46ef8ca26c02d78b233fd6d70070a365010e115e86ea8",
+}
+
+
+def test_degrade_outputs_match_pinned_digests(tmp_path):
+    src, out = tmp_path / "sdr", tmp_path / "out"
+    src.mkdir()
+    for i, (_, sdr) in enumerate(make_pairs(3, 40)):
+        write_image(src / f"s{i}.ppm", sdr)
+    assert main(["degrade", "--in", str(src), "--out", str(out), "--seed", "5"]) == EXIT_OK
+    got = {p.name: sha256_hex(p.read_bytes()) for p in sorted(out.iterdir())}
+    assert got == DEGRADE_DIGESTS, (
+        f"hdrlite degrade outputs changed (digests pinned with {PINNED_WITH})")
 
 
 def test_degrade_partial_failure(sdr_dir, tmp_path, capsys):

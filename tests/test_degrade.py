@@ -2,15 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from hdrlite.cli import _load_degrade_config
 from hdrlite.degrade import (
-    DEFAULT_CST, DegradationConfig, add_camera_noise, conventional_degrade,
-    cst_apply, exposure_stats, jpeg_sim, srgb_decode, srgb_encode, virtual_shot,
+    DEFAULT_CST, DegradationConfig, _RGB_TO_YCC, _YCC_TO_RGB, _down2,
+    _resize_bilinear, add_camera_noise, conventional_degrade, cst_apply,
+    exposure_stats, jpeg_sim, srgb_decode, srgb_encode, virtual_shot,
 )
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
 from hdrlite.kvtext import dumps, loads
-from tests.conftest import make_hdr_scene
+from tests.conftest import PINNED_WITH, make_hdr_scene, sdr_frame, sha256_hex
 
 
 def psnr(a, b):
@@ -44,6 +46,58 @@ def test_cst_roundtrip():
     x = rng.random((5, 7, 3))
     back = cst_apply(cst_apply(x, DEFAULT_CST), np.linalg.inv(DEFAULT_CST))
     np.testing.assert_allclose(back, x, atol=1e-5)
+
+
+def planar(x):
+    """x as an (h, w, 3) view of contiguous channel planes, the layout the
+    conventional chain works in."""
+    return np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+COLOR_MATRICES = {"DEFAULT_CST": DEFAULT_CST,
+                  "inverse DEFAULT_CST": np.linalg.inv(DEFAULT_CST),
+                  "RGB_TO_YCC": _RGB_TO_YCC, "YCC_TO_RGB": _YCC_TO_RGB}
+
+
+@pytest.mark.parametrize("name", sorted(COLOR_MATRICES))
+def test_cst_matches_einsum_bit_for_bit(name):
+    m = COLOR_MATRICES[name]
+    rng = np.random.default_rng(sorted(COLOR_MATRICES).index(name))
+    for shape in ((1, 1, 3), (37, 53, 3), (270, 480, 3)):
+        x = rng.random(shape) * 255.0
+        want = np.einsum("ij,hwj->hwi", m, x)
+        assert np.array_equal(cst_apply(x, m), want), shape
+        assert np.array_equal(cst_apply(planar(x), m), want), shape
+
+
+def test_down2_matches_mean_over_cells():
+    rng = np.random.default_rng(12)
+    for h, w in ((16, 16), (32, 48), (272, 480)):  # jpeg_sim pads to multiples of 16
+        x = rng.random((h, w, 3)) * 255.0
+        for c in range(3):
+            want = x[..., c].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
+            assert np.array_equal(_down2(x[..., c]), want), (h, w)
+            assert np.array_equal(_down2(np.ascontiguousarray(x[..., c])), want), (h, w)
+
+
+def test_resize_matches_scipy_zoom_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for case in range(240):
+        sh, sw = (int(n) for n in rng.integers(8, 301, size=2))
+        scale = rng.uniform(0.7, 1.0)
+        if case % 2:
+            scale = 1.0 / scale
+        h, w = max(8, round(sh * scale)), max(8, round(sw * scale))
+        if case % 10 == 0:
+            h = sh  # one axis keeps its size
+        if case % 30 == 0:
+            h, w = sh, sw  # the same-size path
+        img = rng.random((sh, sw, 3))
+        want = np.clip(scipy.ndimage.zoom(img, (h / sh, w / sw, 1.0), order=1,
+                                          grid_mode=True, mode="nearest"), 0.0, 1.0)
+        got = _resize_bilinear(img if case % 3 else planar(img), h, w)
+        assert got.shape == (h, w, 3)
+        assert np.array_equal(got, want), (sh, sw, h, w)
 
 
 def test_cst_rejects_singular():
@@ -137,6 +191,11 @@ def test_jpeg_preserves_shape_on_nonmultiple_sizes():
     assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
 
+def test_jpeg_rejects_linear_hdr_input():
+    with pytest.raises(ValueError, match=f"jpeg_sim.*{LINEAR_HDR}"):
+        jpeg_sim(make_hdr_scene(0, 16), 75)
+
+
 def test_jpeg_rejects_bad_quality():
     sdr = sdr_scene(7, 16)
     for qf in (0, 101, -5):
@@ -157,6 +216,13 @@ def test_conventional_chain_is_deterministic():
     assert m1 == m2
     out3, _ = conventional_degrade(sdr, cfg, np.random.default_rng(4))
     assert np.abs(out3.data - out1.data).max() > 0
+
+
+def test_conventional_chain_rejects_linear_hdr_input():
+    # an HDR label would be clipped to [0, 1] and come back tagged as SDR
+    with pytest.raises(ValueError, match=f"conventional_degrade.*{LINEAR_HDR}"):
+        conventional_degrade(make_hdr_scene(0, 16), DegradationConfig(),
+                             np.random.default_rng(0))
 
 
 def test_conventional_chain_manifest_ranges():
@@ -183,6 +249,46 @@ def test_conventional_chain_damage_bounds():
                                rescale_range=(1.0, 1.0))
     near, _ = conventional_degrade(sdr, gentle, np.random.default_rng(0))
     assert psnr(near.data, sdr.data) > 40.0
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the float32 output bytes followed by the manifest text of
+# conventional_degrade(sdr_frame(11, h, w), DegradationConfig(), default_rng(seed)).
+CHAIN_DIGESTS = {
+    (270, 480, 0): "1b1705eff56f8739a5a68e2c43660a535aa04b2e92ac74225b5dd8e8ca36a0ba",
+    (270, 480, 1): "c087f94842c727afd0e14a2a51ebd127cf991b0bdca298f9a674b49473932746",
+    (64, 64, 0): "2b84a562dc3acc5145a4e1a7c23f7739a877a806f78f6d9765dcbe39be9714e2",
+    (64, 64, 1): "da7b74f67f0a33f0cda1b345f11c17cd38bb2df7ae1cd3a89790219777677907",
+    (37, 53, 0): "11c8dc3757ea542da9803e43dbfd4ece0ea46825119ecae015a1eb4385e6306c",
+    (37, 53, 1): "c78c2fdccda85c405e4a0f2436bf0800a309e2d1b97e6fa8e60520e9bbd39778",
+}
+
+# SHA-256 of the float32 output bytes of jpeg_sim(sdr_frame(12, 37, 53), qf):
+# neither side is a multiple of 16, so the edge padding runs.
+JPEG_DIGESTS = {
+    10: "6df3dd456b585c0fceeb2753c85d8fea7ad58644eb143a3f9135e0027a997484",
+    75: "f8c67910c78e17d0682c515e8cc3055f4cf5b29d84ec7606b546026caae965c1",
+}
+
+
+@pytest.mark.parametrize("h,w,seed", sorted(CHAIN_DIGESTS))
+def test_conventional_chain_matches_pinned_digest(h, w, seed):
+    out, manifest = conventional_degrade(sdr_frame(11, h, w), DegradationConfig(),
+                                         np.random.default_rng(seed))
+    got = sha256_hex(out.data.tobytes(), dumps(manifest).encode())
+    assert got == CHAIN_DIGESTS[h, w, seed], (
+        f"conventional_degrade output for {h}x{w}, seed {seed} changed "
+        f"(digest pinned with {PINNED_WITH})")
+
+
+@pytest.mark.parametrize("qf", sorted(JPEG_DIGESTS))
+def test_jpeg_matches_pinned_digest(qf):
+    got = sha256_hex(jpeg_sim(sdr_frame(12, 37, 53), qf).data.tobytes())
+    assert got == JPEG_DIGESTS[qf], (
+        f"jpeg_sim output at qf {qf} changed (digest pinned with {PINNED_WITH})")
 
 
 # ---------------------------------------------------------------------------
