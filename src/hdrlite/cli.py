@@ -69,6 +69,13 @@ def _list_images(directory, suffixes) -> list[Path]:
     return sorted(p for p in directory.iterdir() if p.suffix in suffixes)
 
 
+def _warn_skipped(what: str, names):
+    """Name on stderr what a command skips for lack of a match; stdout and
+    the exit code stay as they are."""
+    if names:
+        print(f"warning: skipped {what}: {', '.join(sorted(names))}", file=sys.stderr)
+
+
 def _parse_resolution(text: str):
     try:
         w, h = (int(t) for t in text.lower().split("x"))
@@ -142,11 +149,14 @@ def _hdr_by_stem(directory) -> dict[str, Path]:
 
 def _load_pairs(data_dir):
     """HDR label + SDR input pairs matched by stem: stem.pfm/.hdr with stem.ppm."""
-    pairs = []
+    pairs, unpaired = [], []
     for hdr_path in _hdr_by_stem(data_dir).values():
         sdr_path = hdr_path.with_suffix(".ppm")
         if sdr_path.exists():
             pairs.append((imgio.read_image(hdr_path), imgio.read_image(sdr_path)))
+        else:
+            unpaired.append(hdr_path.name)
+    _warn_skipped("labels with no .ppm input", unpaired)
     return pairs
 
 
@@ -202,6 +212,8 @@ def cmd_eval(args) -> int:
         return EXIT_FAIL
     if pred_p.is_dir():
         preds, refs = _hdr_by_stem(pred_p), _hdr_by_stem(ref_p)
+        _warn_skipped("stems only in --pred", set(preds) - set(refs))
+        _warn_skipped("stems only in --ref", set(refs) - set(preds))
         stems = sorted(set(preds) & set(refs))
         if not stems:
             print("error: no matching prediction/reference stems", file=sys.stderr)

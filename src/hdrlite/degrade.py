@@ -42,11 +42,13 @@ class DegradationConfig:
 
     def validate(self):
         m = np.asarray(self.cst_matrix, dtype=np.float64)
-        if m.shape != (3, 3) or abs(np.linalg.det(m)) < 1e-12:
-            raise ValueError("cst_matrix must be an invertible 3x3 matrix")
+        if m.shape != (3, 3) or not np.isfinite(m).all() or abs(np.linalg.det(m)) < 1e-12:
+            raise ValueError("cst_matrix must be a finite, invertible 3x3 matrix")
         self.cst_matrix = m
         for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
             lo, hi = getattr(self, name)
+            if not np.isfinite([lo, hi]).all():
+                raise ValueError(f"{name} must be finite, got ({lo}, {hi})")
             if lo > hi:
                 raise ValueError(f"{name} must have lo <= hi, got ({lo}, {hi})")
         if self.noise_sigma_range[0] < 0:

@@ -190,7 +190,7 @@ class Network:
         set (fused into the conv).
 
         x may be a list of tensors, read as their channel concat: the conv
-        then runs once per part, each run adding the previous one's output,
+        then runs as one dense op of one layer that gathers each part once,
         so the concat is never built.  local.up* take the low-resolution
         input of the nearest 2x upsampling they follow and run on it.
         """
@@ -200,15 +200,9 @@ class Network:
         if name.startswith("local.up"):
             y = T.conv2d(x, T.up2_conv_weight(weight), T.repeat_channels(bias, 4), slope=slope)
             return T.depth_to_space(y)
-        parts = [x] if isinstance(x, Tensor) else x
-        out, c0 = bias, 0
-        for i, part in enumerate(parts):
-            c = part.shape[1]
-            w = weight if len(parts) == 1 else T.narrow_channels(weight, c0, c)
-            out = T.conv2d(part, w, out, groups=li.spec.groups,
-                           slope=slope if i == len(parts) - 1 else None)
-            c0 += c
-        return out
+        if isinstance(x, Tensor):
+            return T.conv2d(x, weight, bias, groups=li.spec.groups, slope=slope)
+        return T._dense_block(x, [weight], [bias], slope=slope)
 
     def pconv(self, name: str, x: Tensor, mask, *, act: bool = False):
         li = self.layers[name]
@@ -297,7 +291,8 @@ class Network:
 
         # local.fuse reads the channel concat of the dense outputs and hT.
         # Its hT part runs first, so hT is freed before the dense features
-        # exist, and its dense part is one 1x1 over the dense stack
+        # exist, and its dense part is one 1x1 over the dense stack, added
+        # as a full-shape shift
         dense_ch = cfg.dense_layers * cfg.dense_growth
         w_fuse = self.weights["local.fuse.weight"]
         out = T.conv2d(hT, T.narrow_channels(w_fuse, dense_ch, hT.shape[1]),
@@ -306,9 +301,10 @@ class Network:
         # dense branch: every layer reads the channel concat of the input and
         # all earlier outputs, each part gathered once
         names = [f"local.dense{i}" for i in range(cfg.dense_layers)]
-        dense = T._dense_block(x, [self.weights[f"{n}.weight"] for n in names],
+        dense = T._dense_block([x], [self.weights[f"{n}.weight"] for n in names],
                                [self.weights[f"{n}.bias"] for n in names], slope=LEAKY_SLOPE)
-        out = T.conv2d(dense, T.narrow_channels(w_fuse, 0, dense_ch), out, slope=LEAKY_SLOPE)
+        out = T.affine(T.conv2d(dense, T.narrow_channels(w_fuse, 0, dense_ch)), shift=out,
+                       slope=LEAKY_SLOPE)
         return T.crop(out, 0, 0, h0, w0)
 
     def forward(self, x: Tensor) -> Tensor:

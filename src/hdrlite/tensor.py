@@ -192,7 +192,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _check_slope(slope: float):
-    if not 0.0 < slope < 1.0:
+    if slope is None or not 0.0 < slope < 1.0:
         raise ValueError(f"leaky slope must lie in (0,1), got {slope}")
 
 
@@ -570,11 +570,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     size; plain, grouped, pointwise and partial convs all run this one
     im2col + GEMM kernel.
 
-    bias is (1, oc, 1, 1), or a tensor of the output's shape that is added
-    whole (so a conv over a channel concat can run as one conv per part, each
-    adding the previous one's output).  With slope set, leaky_relu(., slope)
-    is applied in place on the output array; its backward builds the
-    derivative from the output's sign.
+    bias is (1, oc, 1, 1).  With slope set, leaky_relu(., slope) is applied
+    in place on the output array; its backward builds the derivative from
+    the output's sign.
 
     Backward walks the same bands for dW += g @ cols^T.  The input gradient
     is the same kernel run on g with the flipped, group-transposed weights
@@ -588,8 +586,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ValueError(f"groups={groups} must divide channels ({c} -> {oc})")
     if icg != c // groups:
         raise ValueError(f"weight expects {icg * groups} input channels, got {c}")
-    if bias is not None and bias.shape not in ((1, oc, 1, 1), (n, oc, h, w)):
-        raise ValueError(f"bias must be (1,{oc},1,1) or {(n, oc, h, w)}, got {bias.shape}")
+    if bias is not None and bias.shape != (1, oc, 1, 1):
+        raise ValueError(f"bias must be (1,{oc},1,1), got {bias.shape}")
     if slope is not None:
         _check_slope(slope)
 
@@ -605,8 +603,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         if slope is not None:
             g = _leaky_grad(g, out, slope)
         if bias is not None:
-            _accum(bias, g if bias.shape == g.shape
-                   else g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
+            _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
         if weight.requires_grad:
             _accum(weight, _band_dw(x.data, g, groups, k).reshape(weight.shape))
         if x.requires_grad:
@@ -638,30 +635,37 @@ def _adjoint_wmat(weight, groups: int):
     return wflip.transpose(0, 2, 1, 3).reshape(groups, icg, ocg * k * k)
 
 
-def _dense_block(x: Tensor, weights, biases, *, slope: float) -> Tensor:
-    """The (n, L*g, h, w) stack [d_0, ..., d_{L-1}] of a dense branch:
+def _dense_block(xs, weights, biases, *, slope: float) -> Tensor:
+    """The (n, L*g, h, w) stack [d_0, ..., d_{L-1}] of a dense branch over
+    the input parts xs, read as their channel concat x of c channels:
     d_i = leaky_relu(conv(concat(x, d_0, ..., d_{i-1}), weights[i]) + biases[i])
     for L same k x k convs of g outputs each (weights[i] is (g, c + i*g, k, k),
-    biases[i] (1, g, 1, 1)).
+    biases[i] (1, g, 1, 1)).  With one layer this is one conv over a concat.
 
     The stack is one preactivation buffer, filled in place (Pleiss et al.,
-    "Memory-Efficient Implementation of DenseNets", 2017).  Each part x, d_0,
-    ..., d_{L-2} is gathered once: per band of its columns, one GEMM with the
-    rows of every later layer that reads it, stacked, is added into those
-    layers' slices of the buffer.  Layer p's slice is then final, and the
+    "Memory-Efficient Implementation of DenseNets", 2017).  Each part (the
+    inputs, then d_0, ..., d_{L-2}) is gathered once: per band of its
+    columns, one GEMM with the rows of every layer that reads it, stacked,
+    is added into those layers' slices of the buffer.  After the last input
+    part and after each d_i, the first layer that read it is final, and the
     leaky ReLU runs on it in place, band by band, before it is gathered as
     the next part.
 
     Backward runs the layers in reverse.  Each layer's preactivation
     gradient gives the gradient of all of its input parts in one adjoint
-    conv (x's rows only when x requires grad), and one band pass per part
-    gives the stacked weight gradient of the layers that read it.
+    conv (input rows only from the first input part that requires grad), and
+    one band pass per part gives the stacked weight gradient of the layers
+    that read it.
     """
-    n, c, h, w = x.shape
-    L = len(weights)
+    n, _, h, w = xs[0].shape
+    P, L = len(xs), len(weights)
     if L < 1 or len(biases) != L:
         raise ValueError(f"need one bias per dense layer and at least one layer, "
                          f"got {L} weights and {len(biases)} biases")
+    if any(t.shape[0] != n or t.shape[2:] != (h, w) for t in xs):
+        raise ValueError(f"input parts differ in batch or size: {[t.shape for t in xs]}")
+    offsets = np.cumsum([0] + [t.shape[1] for t in xs]).tolist()
+    c = offsets[-1]
     g, _, k, _ = weights[0].shape
     if k % 2 == 0:
         raise ValueError(f"dense kernels must be odd, got {weights[0].shape}")
@@ -672,59 +676,63 @@ def _dense_block(x: Tensor, weights, biases, *, slope: float) -> Tensor:
         if bt.shape != (1, g, 1, 1):
             raise ValueError(f"dense layer {i}: bias must be (1,{g},1,1), got {bt.shape}")
 
-    def part(p):  # (array, channel offset in each reader's weight, channels)
-        return (x.data, 0, c) if p == 0 else (a[:, (p - 1) * g:p * g], c + (p - 1) * g, g)
+    def part(p):  # (array, channel offset in each reader's weight, channels, first reader)
+        if p < P:
+            return xs[p].data, offsets[p], xs[p].shape[1], 0
+        return a[:, (p - P) * g:(p - P + 1) * g], c + (p - P) * g, g, p - P + 1
 
-    a = np.empty((n, L * g, h, w), dtype=x.dtype)
-    bias_col = np.concatenate([bt.data.reshape(g, 1) for bt in biases]).astype(x.dtype)
+    a = np.empty((n, L * g, h, w), dtype=xs[0].dtype)
+    bias_col = np.concatenate([bt.data.reshape(g, 1) for bt in biases]).astype(a.dtype)
     tmp = None  # the band GEMM's output, added into a
-    for p in range(L):
-        src, c0, cp = part(p)
-        m = (L - p) * g  # rows of layers p .. L-1, a contiguous slice of a
+    for p in range(P + L - 1):
+        src, c0, cp, f = part(p)
+        m = (L - f) * g  # rows of layers f .. L-1, a contiguous slice of a
         wstack = np.concatenate([wt.data[:, c0:c0 + cp].reshape(g, -1)
-                                 for wt in weights[p:]])
+                                 for wt in weights[f:]])
         for b, r0, r1, cols in _band_cols(src, k):
-            dst = a[b, p * g:, r0:r1].reshape(m, -1)
+            dst = a[b, f * g:, r0:r1].reshape(m, -1)
             if p == 0:  # the first part writes the buffer, then the biases
                 np.matmul(wstack, cols, out=dst)
                 dst += bias_col
             else:
                 if tmp is None or tmp.size < dst.size:
-                    tmp = np.empty(dst.size, dtype=x.dtype)
+                    tmp = np.empty(dst.size, dtype=a.dtype)
                 t = tmp[:dst.size].reshape(dst.shape)
                 np.matmul(wstack, cols, out=t)
                 dst += t
-            # layer p's rows of this band are final
-            _bias_leaky_inplace(a[b:b + 1, p * g:(p + 1) * g, r0:r1], None, slope)
+            if p >= P - 1:  # layer f's rows of this band are final
+                _bias_leaky_inplace(a[b:b + 1, f * g:(f + 1) * g, r0:r1], None, slope)
         del cols  # this part's column buffer, before the next part's
 
     def bwd(G):
         ga = np.array(G)  # becomes the preactivation gradient, layer by layer
-        gx = np.zeros_like(x.data) if x.requires_grad else None
+        # input channels below skip have no gradient
+        skip = next((o for t, o in zip(xs, offsets) if t.requires_grad), c)
+        gx = np.zeros((n, c - skip, h, w), dtype=G.dtype) if skip < c else None
         for i in reversed(range(L)):
             gi = ga[:, i * g:(i + 1) * g]
             gi[...] = _leaky_grad(gi, a[:, i * g:(i + 1) * g], slope)
             _accum(biases[i], gi.sum(axis=(0, 2, 3)).reshape(1, g, 1, 1))
-            skip = 0 if gx is not None else c  # input channels with no gradient
             if i * g + c > skip:
                 d_in = _same_conv(gi, _adjoint_wmat(weights[i].data[:, skip:], 1), k)
                 if gx is not None:
-                    gx += d_in[:, :c]
+                    gx += d_in[:, :c - skip]
                 ga[:, :i * g] += d_in[:, c - skip:]
-        if gx is not None:
-            _accum(x, gx)
+        for t, o in zip(xs, offsets):
+            if t.requires_grad:
+                _accum(t, gx[:, o - skip:o - skip + t.shape[1]])
         if not any(wt.requires_grad for wt in weights):
             return
         dws = [np.zeros(wt.shape, dtype=G.dtype) for wt in weights]
-        for p in range(L):
-            src, c0, cp = part(p)
-            dw = _band_dw(src, ga[:, p * g:], 1, k).reshape(L - p, g, cp, k, k)
-            for i in range(p, L):
-                dws[i][:, c0:c0 + cp] = dw[i - p]
+        for p in range(P + L - 1):
+            src, c0, cp, f = part(p)
+            dw = _band_dw(src, ga[:, f * g:], 1, k).reshape(L - f, g, cp, k, k)
+            for i in range(f, L):
+                dws[i][:, c0:c0 + cp] = dw[i - f]
         for wt, dw in zip(weights, dws):
             _accum(wt, dw)
 
-    return _node(a, "dense_block", (x, *weights, *biases), bwd)
+    return _node(a, "dense_block", (*xs, *weights, *biases), bwd)
 
 
 def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,

@@ -39,8 +39,8 @@ class TrainConfig:
     apply_degradation: bool = True
 
     def validate(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if self.patch_size < 1:
             raise ValueError("patch_size must be >= 1")
         if self.max_iters < 0:

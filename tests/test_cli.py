@@ -237,6 +237,32 @@ def test_train_infer_eval_pipeline(pair_dir, tiny_model_cfg, tmp_path, capsys):
     assert "gamma045" in out
 
 
+@pytest.mark.parametrize("line", ["noise_sigma_range=nan,nan", "rescale_range=0.7,inf",
+                                  "cst_matrix=1,0,0,0,nan,0,0,0,1"])
+def test_non_finite_recipe_fails_by_key_before_any_file(line, sdr_dir, tmp_path, capsys):
+    key = line.split("=", 1)[0]
+    recipe = tmp_path / "recipe.txt"
+    recipe.write_text(line + "\n")
+    rc = main(["degrade", "--in", str(sdr_dir), "--out", str(tmp_path / "o"),
+               "--config", str(recipe)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_non_finite_lr_fails_before_training(lr, pair_dir, tiny_model_cfg, tmp_path,
+                                                   capsys):
+    ckpt = tmp_path / "model.ckpt"
+    rc = main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--iters", "2",
+               "--lr", lr, "--model-config", str(tiny_model_cfg)])
+    assert rc == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "lr0 must be positive and finite" in err and "final loss" not in out
+    assert not ckpt.exists()
+
+
 def test_train_negative_iters_fails_without_checkpoint(pair_dir, tiny_model_cfg, tmp_path,
                                                        capsys):
     ckpt = tmp_path / "model.ckpt"
@@ -289,6 +315,33 @@ def test_eval_directory_mode(pair_dir, tmp_path, capsys):
     # self-evaluation of references: identical pairs give inf psnr
     rc = main(["eval", "--pred", str(pair_dir), "--ref", str(pair_dir)])
     assert rc == EXIT_OK
+
+
+def test_eval_directory_mode_names_unmatched_stems(pair_dir, tmp_path, capsys):
+    # pred {s0, s1} against ref {s0, r9}: s0 is scored, and the stems found
+    # on one side only are named on stderr; stdout and the exit code are
+    # those of a run over s0 alone
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for name in ("s0", "r9"):
+        write_image(ref / f"{name}.pfm", read_image(pair_dir / "s0.pfm"))
+    rc = main(["eval", "--pred", str(pair_dir), "--ref", str(ref)])
+    assert rc == EXIT_OK
+    out, err = capsys.readouterr()
+    assert [ln.split(":")[0] for ln in out.splitlines() if "psnr=" in ln] == ["s0.pfm", "mean"]
+    assert "skipped stems only in --pred: s1" in err
+    assert "skipped stems only in --ref: r9" in err
+    assert main(["eval", "--pred", str(pair_dir), "--ref", str(pair_dir)]) == EXIT_OK
+    assert "skipped" not in capsys.readouterr().err
+
+
+def test_train_names_labels_without_an_sdr_input(pair_dir, tiny_model_cfg, tmp_path,
+                                                  capsys):
+    write_image(pair_dir / "lone.pfm", make_hdr_scene(0, 16))  # no lone.ppm
+    rc = main(["train", "--data", str(pair_dir), "--out", str(tmp_path / "m.ckpt"),
+               "--iters", "0", "--model-config", str(tiny_model_cfg)])
+    assert rc == EXIT_OK
+    assert "skipped labels with no .ppm input: lone.pfm" in capsys.readouterr().err
 
 
 def test_eval_directory_mode_reads_only_hdr_files(pair_dir, tmp_path, capsys):

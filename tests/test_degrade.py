@@ -361,6 +361,13 @@ def test_config_validation():
     ("jpeg_qf2", 0),
     ("jpeg_qf2", 101),
     ("rescale_range", (0.0, 1.0)),
+    # non-finite values, which the range and sign checks alone let through
+    ("cst_matrix", np.where(np.eye(3) > 0, np.nan, 0.0)),
+    ("cst_matrix", np.diag([1.0, np.inf, 1.0])),
+    ("noise_sigma_range", (np.nan, np.nan)),
+    ("noise_sigma_range", (0.001, np.inf)),
+    ("rescale_range", (0.7, np.inf)),
+    ("rescale_range", (np.nan, 1.0)),
 ])
 def test_config_validation_names_the_field(field, value):
     with pytest.raises(ValueError, match=field):

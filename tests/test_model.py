@@ -134,8 +134,8 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     # the global net on the 270 cropped ones; count_macs must count both.
     # count_macs is the nominal count: global.mod1 runs on the pooled mod0
     # features (one pixel).  The dense layers run as one _dense_block call,
-    # and the convs over a channel concat run once per part: local.skip0,
-    # local.skip1 and local.fuse (hT, then the dense stack) over two parts
+    # and so do local.skip0 and local.skip1 (one layer over two parts);
+    # local.fuse runs as two convs, over hT and then over the dense stack
     cfg = ModelConfig()
     net = make_net(cfg)
     for t in net.weights.values():
@@ -150,8 +150,8 @@ def test_count_macs_matches_executed_convs(monkeypatch):
         executed.append(n * oc * oh * ow * icg * k * k)
         return out
 
-    def counting_dense_block(x, weights, *args, **kw):
-        out = dense_block(x, weights, *args, **kw)
+    def counting_dense_block(xs, weights, *args, **kw):
+        out = dense_block(xs, weights, *args, **kw)
         n, _, oh, ow = out.shape
         executed.append(sum(n * oh * ow * w.data.size for w in weights))
         return out
@@ -159,7 +159,7 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     monkeypatch.setattr(T, "conv2d", counting_conv)
     monkeypatch.setattr(T, "_dense_block", counting_dense_block)
     net.forward(Tensor(np.zeros((1, 3, 270, 480), dtype=np.float32)))
-    assert len(executed) == len(layer_table(cfg)) - cfg.dense_layers + 3 + 1 == 32
+    assert len(executed) == len(layer_table(cfg)) - cfg.dense_layers + 1 + 1 == 30
     mod1 = cfg.global_mlp_channels * 2 * cfg.global_mlp_channels
     assert sum(executed) == count_macs(cfg, 270, 480) - 270 * 480 * mod1 + mod1
     assert count_macs(cfg, 270, 480) == 10_367_385_600
@@ -320,8 +320,9 @@ def test_activation_census_no_normalization():
 
 @pytest.mark.parametrize("requires_grad", [False, True], ids=["inference", "training"])
 def test_forward_builds_no_channel_concat(requires_grad):
-    # the dense layers, local.skip* and local.fuse read a channel concat as
-    # one conv per part, so no forward copies one into a "concat" node
+    # the dense layers and local.skip* read a channel concat as one
+    # _dense_block node, and local.fuse as one conv per part, so no forward
+    # copies one into a "concat" node
     net = make_net(ModelConfig(), seed=16)
     for t in net.weights.values():
         t.requires_grad = requires_grad
@@ -335,7 +336,8 @@ def test_forward_builds_no_channel_concat(requires_grad):
 def test_dense_branch_gathers_each_part_once(monkeypatch):
     # a default no-grad forward gathers the input and each dense output but
     # the last once: dense_layers column walks in all, not one per layer
-    # and part (15 for the default 5 layers)
+    # and part (15 for the default 5 layers).  Only the dense branch's call
+    # is counted: the local.skip* calls (one layer each) walk in the op too
     cfg = ModelConfig()
     net = make_net(cfg, seed=18)
     for t in net.weights.values():
@@ -345,14 +347,14 @@ def test_dense_branch_gathers_each_part_once(monkeypatch):
     inside = []
 
     def counting_band_cols(x, k):
-        if inside:
+        if inside and inside[-1]:
             walks.append(x.shape[1])
         return band_cols(x, k)
 
-    def marked_dense_block(*args, **kw):
-        inside.append(True)
+    def marked_dense_block(xs, weights, *args, **kw):
+        inside.append(len(weights) == cfg.dense_layers)  # the dense branch's call
         try:
-            return dense_block(*args, **kw)
+            return dense_block(xs, weights, *args, **kw)
         finally:
             inside.pop()
 

@@ -527,8 +527,11 @@ def test_conv_rejects_bad_slope_and_bias_shape():
     w = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
     with pytest.raises(ValueError, match="slope"):
         T.conv2d(x, w, slope=1.0)
-    with pytest.raises(ValueError, match="bias"):
-        T.conv2d(x, w, Tensor(np.zeros((1, 3, 4, 5), dtype=np.float32)))
+    # the bias is per channel only, of no other shape, the output's included:
+    # a conv over a channel concat is one _dense_block node
+    for shape in ((1, 3, 4, 5), (2, 3, 4, 5)):
+        with pytest.raises(ValueError, match=r"bias must be \(1,3,1,1\)"):
+            T.conv2d(x, w, Tensor(np.zeros(shape, dtype=np.float32)))
 
 
 def close(got, ref, dtype):
@@ -548,8 +551,8 @@ def value_and_grads(fn, arrays, gy):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_conv_over_parts_with_full_bias_matches_concat(dtype):
-    # a 1x1 (or 3x3) conv over concat(a, b) equals the conv of b whose bias is
-    # the conv of a with the real bias; values and gradients
+    # the one-layer dense op over the parts [a, b] equals the leaky conv of
+    # concat(a, b), for 1x1 and 3x3 kernels at batch 2; values and gradients
     rng = np.random.default_rng(70)
     a, b = rng.normal(0, 1, (2, 3, 5, 6)), rng.normal(0, 1, (2, 2, 5, 6))
     for k in (1, 3):
@@ -557,13 +560,12 @@ def test_conv_over_parts_with_full_bias_matches_concat(dtype):
         gy = rng.normal(0, 1, (2, 4, 5, 6)).astype(dtype)
         arrays = [t.astype(dtype) for t in (a, b, w, bias)]
 
-        def split(a, b, w, bias):
-            y = T.conv2d(a, T.narrow_channels(w, 0, 3), bias)
-            return T.conv2d(b, T.narrow_channels(w, 3, 2), y, slope=0.2)
+        def over_parts(a, b, w, bias):
+            return T._dense_block([a, b], [w], [bias], slope=0.2)
 
         def whole(a, b, w, bias):
             return T.leaky_relu(T.conv2d(T.concat_channels(a, b), w, bias), 0.2)
-        for got, ref in zip(value_and_grads(split, arrays, gy),
+        for got, ref in zip(value_and_grads(over_parts, arrays, gy),
                             value_and_grads(whole, arrays, gy)):
             close(got, ref, dtype)
 
@@ -697,19 +699,16 @@ def dense_arrays(rng, n, c, g, layers, h, w, k=3):
     return x, ws, bs
 
 
-def per_part_dense(x, weights, biases, slope=0.2):
-    """The dense stack as one conv2d per layer and part, each adding the
-    previous part's output, and a channel concat of the layer outputs."""
-    feats = [x]
+def per_part_dense(xs, weights, biases, slope=0.2):
+    """The dense stack as one conv2d per layer over the channel concat of
+    the input parts and the earlier layer outputs, and a channel concat of
+    the layer outputs."""
+    feats = list(xs)
     for wt, bt in zip(weights, biases):
-        out, c0 = bt, 0
-        for i, part in enumerate(feats):
-            c = part.shape[1]
-            out = T.conv2d(part, T.narrow_channels(wt, c0, c), out,
-                           slope=slope if i == len(feats) - 1 else None)
-            c0 += c
-        feats.append(out)
-    return feats[1] if len(feats) == 2 else T.concat_channels(*feats[1:])
+        x = feats[0] if len(feats) == 1 else T.concat_channels(*feats)
+        feats.append(T.conv2d(x, wt, bt, slope=slope))
+    outs = feats[len(xs):]
+    return outs[0] if len(outs) == 1 else T.concat_channels(*outs)
 
 
 def test_dense_block_gradient_check():
@@ -721,8 +720,21 @@ def test_dense_block_gradient_check():
     gy = rng.normal(0, 1, (1, 6, 5, 6))
 
     def f(x, w0, w1, b0, b1):
-        return T.sum_all(T.mul(T._dense_block(x, [w0, w1], [b0, b1], slope=0.2), Tensor(gy)))
+        return T.sum_all(T.mul(T._dense_block([x], [w0, w1], [b0, b1], slope=0.2), Tensor(gy)))
     assert T.gradient_check(f, tensors, eps=1e-6) <= 1e-6
+
+
+def test_dense_block_over_two_parts_gradient_check():
+    # float64 central differences for both parts, the weight and the bias of
+    # one layer over [a, b] (a 3x3 conv over their concat)
+    rng = np.random.default_rng(94)
+    a, b = t64(rng, (2, 2, 4, 5)), t64(rng, (2, 3, 4, 5))
+    w, bias = t64(rng, (4, 5, 3, 3)), t64(rng, (1, 4, 1, 1))
+    gy = rng.normal(0, 1, (2, 4, 4, 5))
+
+    def f(a, b, w, bias):
+        return T.sum_all(T.mul(T._dense_block([a, b], [w], [bias], slope=0.2), Tensor(gy)))
+    assert T.gradient_check(f, [a, b, w, bias], eps=1e-6) <= 1e-6
 
 
 @pytest.mark.parametrize("band_rows", [None, 1], ids=["whole", "1row"])
@@ -742,11 +754,11 @@ def test_dense_block_matches_per_part_composition(monkeypatch, layers, shape, x_
     gy = rng.normal(0, 1, (n, layers * g, h, w))
     for dtype in (np.float64, np.float32):
         results = []
-        for fn in (lambda x, ws, bs: T._dense_block(x, ws, bs, slope=0.2), per_part_dense):
+        for fn in (lambda xs, ws, bs: T._dense_block(xs, ws, bs, slope=0.2), per_part_dense):
             xt = Tensor(x.astype(dtype), requires_grad=x_grad)
             wts = [Tensor(a.astype(dtype), requires_grad=True) for a in ws]
             bts = [Tensor(a.astype(dtype), requires_grad=True) for a in bs]
-            y = fn(xt, wts, bts)
+            y = fn([xt], wts, bts)
             T.backward(T.sum_all(T.mul(y, Tensor(gy.astype(dtype)))))
             results.append([y.data, xt.grad] + [t.grad for t in wts + bts])
         got, ref = results
@@ -758,17 +770,51 @@ def test_dense_block_matches_per_part_composition(monkeypatch, layers, shape, x_
                 close(a, b, dtype)
 
 
+@pytest.mark.parametrize("grad_part", [0, 1], ids=["a_grad", "b_grad"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_dense_block_with_one_of_two_parts_requiring_grad(layers, grad_part):
+    # over the parts [a, b], only one of which requires grad: that part's
+    # gradient, the stack and every dW and db match the concat composition,
+    # and the other part gets no gradient
+    rng = np.random.default_rng(95 + layers)
+    g, shape = 4, (2, 5, 7)
+    arrays = [rng.normal(0, 1, (shape[0], c, *shape[1:])) for c in (2, 3)]
+    _, ws, bs = dense_arrays(rng, shape[0], 5, g, layers, *shape[1:])
+    gy = rng.normal(0, 1, (shape[0], layers * g, *shape[1:]))
+    for dtype in (np.float64, np.float32):
+        results = []
+        for fn in (lambda xs, ws, bs: T._dense_block(xs, ws, bs, slope=0.2), per_part_dense):
+            parts = [Tensor(a.astype(dtype), requires_grad=i == grad_part)
+                     for i, a in enumerate(arrays)]
+            wts = [Tensor(a.astype(dtype), requires_grad=True) for a in ws]
+            bts = [Tensor(a.astype(dtype), requires_grad=True) for a in bs]
+            y = fn(parts, wts, bts)
+            T.backward(T.sum_all(T.mul(y, Tensor(gy.astype(dtype)))))
+            assert parts[1 - grad_part].grad is None
+            results.append([y.data, parts[grad_part].grad] + [t.grad for t in wts + bts])
+        for a, b in zip(*results):
+            assert a.dtype == dtype and a.shape == b.shape
+            close(a, b, dtype)
+
+
 def test_dense_block_rejects_bad_shapes_and_slope():
     rng = np.random.default_rng(93)
     x, ws, bs = dense_arrays(rng, 1, 3, 4, 2, 5, 5)
-    x, ws, bs = Tensor(x), [Tensor(a) for a in ws], [Tensor(a) for a in bs]
+    x, ws, bs = [Tensor(x)], [Tensor(a) for a in ws], [Tensor(a) for a in bs]
     with pytest.raises(ValueError, match="dense layer 1: weight"):
         T._dense_block(x, [ws[0], ws[0]], bs, slope=0.2)
     with pytest.raises(ValueError, match="dense layer 0: bias"):
         T._dense_block(x, ws, [Tensor(np.zeros((1, 3, 1, 1))), bs[1]], slope=0.2)
     with pytest.raises(ValueError, match="one bias per dense layer"):
         T._dense_block(x, ws, bs[:1], slope=0.2)
-    with pytest.raises(ValueError, match="slope"):
-        T._dense_block(x, ws, bs, slope=1.0)
+    for slope in (1.0, None):
+        with pytest.raises(ValueError, match="slope"):
+            T._dense_block(x, ws, bs, slope=slope)
     with pytest.raises(ValueError, match="odd"):
         T._dense_block(x, [Tensor(np.zeros((4, 3, 2, 2)))], bs[:1], slope=0.2)
+    # parts whose batch or size differ from the first part's
+    w1, b1 = Tensor(np.zeros((4, 5, 1, 1))), Tensor(np.zeros((1, 4, 1, 1)))
+    for other in ((2, 2, 5, 5), (1, 2, 4, 5), (1, 2, 5, 6)):
+        with pytest.raises(ValueError, match="batch or size"):
+            T._dense_block([Tensor(np.zeros((1, 3, 5, 5))), Tensor(np.zeros(other))],
+                           [w1], [b1], slope=0.2)

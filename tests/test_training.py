@@ -188,6 +188,9 @@ def test_lr_schedule_halving():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr0=0.0).validate()
+    for lr0 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr0"):
+            TrainConfig(lr0=lr0).validate()
     with pytest.raises(ValueError):
         TrainConfig(patch_size=0).validate()
     with pytest.raises(ValueError, match="max_iters"):
