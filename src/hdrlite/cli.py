@@ -148,12 +148,17 @@ def _hdr_by_stem(directory) -> dict[str, Path]:
 
 
 def _load_pairs(data_dir):
-    """HDR label + SDR input pairs matched by stem: stem.pfm/.hdr with stem.ppm."""
+    """HDR label + SDR input pairs matched by stem: stem.pfm/.hdr with stem.ppm.
+    A label with a negative pixel is an error, found before training starts."""
     pairs, unpaired = [], []
     for hdr_path in _hdr_by_stem(data_dir).values():
         sdr_path = hdr_path.with_suffix(".ppm")
         if sdr_path.exists():
-            pairs.append((imgio.read_image(hdr_path), imgio.read_image(sdr_path)))
+            hdr = imgio.read_image(hdr_path)
+            if hdr.data.min() < 0:
+                raise ValueError(f"{hdr_path}: label has a negative pixel "
+                                 f"(linear HDR must be non-negative)")
+            pairs.append((hdr, imgio.read_image(sdr_path)))
         else:
             unpaired.append(hdr_path.name)
     _warn_skipped("labels with no .ppm input", unpaired)

@@ -2,8 +2,9 @@
 manifests and the checkpoint header.
 
 A file is one ``key=value`` line per field; blank lines and ``#`` comments are
-skipped.  Tuples and arrays are comma-separated, booleans are
-true/false/1/0/yes/no in any case, and every conversion error names its key.
+skipped, and a key given twice is an error.  Tuples and arrays are
+comma-separated, booleans are true/false/1/0/yes/no in any case, and every
+conversion error names its key.
 """
 from __future__ import annotations
 
@@ -61,6 +62,8 @@ def loads(cls, text: str):
         if "=" not in line:
             raise ValueError(f"malformed key=value line: {line!r}")
         k, v = (s.strip() for s in line.split("=", 1))
+        if k in kwargs or k in extra:
+            raise ValueError(f"duplicate key {k!r}")
         if k not in hints:
             extra[k] = v
             continue

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kvtext
 from . import tensor as T
-from .tensor import ConvSpec, Tensor, _pool2
+from .tensor import Tensor, _pool2
 
 CHECKPOINT_MAGIC = b"LHDR"
 CHECKPOINT_VERSION = 1
@@ -84,18 +84,30 @@ def bright_invalid_mask(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LayerInfo:
+    """One "same" conv layer of the network."""
     name: str
-    spec: ConvSpec
-    scale: int  # spatial downsampling factor of the layer's output
+    in_channels: int
+    out_channels: int
+    kernel: int
+    groups: int = 1
+    scale: int = 1  # spatial downsampling factor of the layer's output
+
+    @property
+    def weight_shape(self):
+        return (self.out_channels, self.in_channels // self.groups, self.kernel, self.kernel)
+
+    @property
+    def weight_count(self) -> int:
+        return int(np.prod(self.weight_shape))
 
 
 def _rb_layers(cfg: ModelConfig, prefix: str, ch: int, scale: int, sft: bool):
     out = []
     if sft:
-        out.append(LayerInfo(f"{prefix}.sft0", ConvSpec(3, ch, 1), scale))
-        out.append(LayerInfo(f"{prefix}.sft1", ConvSpec(ch, 2 * ch, 1), scale))
-    out.append(LayerInfo(f"{prefix}.conv1", ConvSpec(ch, ch, 3), scale))
-    out.append(LayerInfo(f"{prefix}.conv2", ConvSpec(ch, ch, 3, groups=cfg.groups), scale))
+        out.append(LayerInfo(f"{prefix}.sft0", 3, ch, 1, scale=scale))
+        out.append(LayerInfo(f"{prefix}.sft1", ch, 2 * ch, 1, scale=scale))
+    out.append(LayerInfo(f"{prefix}.conv1", ch, ch, 3, scale=scale))
+    out.append(LayerInfo(f"{prefix}.conv2", ch, ch, 3, groups=cfg.groups, scale=scale))
     return out
 
 
@@ -108,37 +120,35 @@ def layer_table(cfg: ModelConfig) -> list[LayerInfo]:
 
     # local net: dense small-scale branch
     for i in range(cfg.dense_layers):
-        layers.append(LayerInfo(f"local.dense{i}",
-                                ConvSpec(3 + i * cfg.dense_growth, cfg.dense_growth, 3), 1))
+        layers.append(LayerInfo(f"local.dense{i}", 3 + i * cfg.dense_growth, cfg.dense_growth, 3))
 
     # local net: encoder-decoder branch
-    layers.append(LayerInfo("local.head", ConvSpec(3, C, 3), 1))
+    layers.append(LayerInfo("local.head", 3, C, 3))
     for lvl in range(UNET_LEVELS):
         ch, sc = C << lvl, 1 << lvl
         layers += _rb_layers(cfg, f"local.enc{lvl}.rb0", ch, sc, sft=not cfg.use_partial_conv)
-        layers.append(LayerInfo(f"local.down{lvl}", ConvSpec(ch, 2 * ch, 3), sc * 2))
+        layers.append(LayerInfo(f"local.down{lvl}", ch, 2 * ch, 3, scale=sc * 2))
     mid_ch, mid_sc = C << UNET_LEVELS, 1 << UNET_LEVELS
     layers += _rb_layers(cfg, "local.mid.rb0", mid_ch, mid_sc, sft=False)
     for lvl in reversed(range(UNET_LEVELS)):
         ch, sc = C << lvl, 1 << lvl
-        layers.append(LayerInfo(f"local.up{lvl}", ConvSpec(2 * ch, ch, 3), sc))
-        layers.append(LayerInfo(f"local.skip{lvl}", ConvSpec(2 * ch, ch, 1), sc))
+        layers.append(LayerInfo(f"local.up{lvl}", 2 * ch, ch, 3, scale=sc))
+        layers.append(LayerInfo(f"local.skip{lvl}", 2 * ch, ch, 1, scale=sc))
         layers += _rb_layers(cfg, f"local.dec{lvl}.rb0", ch, sc, sft=True)
-    layers.append(LayerInfo("local.fuse",
-                            ConvSpec(cfg.dense_layers * cfg.dense_growth + C, 3, 1), 1))
+    layers.append(LayerInfo("local.fuse", cfg.dense_layers * cfg.dense_growth + C, 3, 1))
 
     # global net: pointwise MLP plus modulation branch
     for i in range(GLOBAL_MLP_LAYERS):
         ic = 3 if i == 0 else G
         oc = 3 if i == GLOBAL_MLP_LAYERS - 1 else G
-        layers.append(LayerInfo(f"global.mlp{i}", ConvSpec(ic, oc, 1), 1))
-    layers.append(LayerInfo("global.mod0", ConvSpec(3, G, 1), 1))
-    layers.append(LayerInfo("global.mod1", ConvSpec(G, 2 * G, 1), 1))
+        layers.append(LayerInfo(f"global.mlp{i}", ic, oc, 1))
+    layers.append(LayerInfo("global.mod0", 3, G, 1))
+    layers.append(LayerInfo("global.mod1", G, 2 * G, 1))
     return layers
 
 
 def count_params(cfg: ModelConfig) -> int:
-    return sum(li.spec.weight_count + li.spec.bias_count for li in layer_table(cfg))
+    return sum(li.weight_count + li.out_channels for li in layer_table(cfg))
 
 
 def count_macs(cfg: ModelConfig, h: int, w: int) -> int:
@@ -154,10 +164,9 @@ def layer_breakdown(cfg: ModelConfig, h: int, w: int):
     padded = (-(-h // mult) * mult, -(-w // mult) * mult)
     rows = []
     for li in layer_table(cfg):
-        s = li.spec
         fh, fw = padded if li.name.startswith("local.") else (h, w)
-        macs = (fh // li.scale) * (fw // li.scale) * s.weight_count
-        rows.append((li.name, s.weight_count + s.bias_count, macs))
+        macs = (fh // li.scale) * (fw // li.scale) * li.weight_count
+        rows.append((li.name, li.weight_count + li.out_channels, macs))
     return rows
 
 
@@ -178,10 +187,10 @@ class Network:
                              f"extra={set(weights) - expected}, missing={expected - set(weights)}")
         for name, li in self.layers.items():
             w = weights[f"{name}.weight"]
-            if w.shape != li.spec.weight_shape:
-                raise ValueError(f"{name}: weight shape {w.shape} != {li.spec.weight_shape}")
+            if w.shape != li.weight_shape:
+                raise ValueError(f"{name}: weight shape {w.shape} != {li.weight_shape}")
             b = weights[f"{name}.bias"]
-            if b.shape != (1, li.spec.out_channels, 1, 1):
+            if b.shape != (1, li.out_channels, 1, 1):
                 raise ValueError(f"{name}: bad bias shape {b.shape}")
         self.weights = weights
 
@@ -194,20 +203,18 @@ class Network:
         so the concat is never built.  local.up* take the low-resolution
         input of the nearest 2x upsampling they follow and run on it.
         """
-        li = self.layers[name]
         weight, bias = self.weights[f"{name}.weight"], self.weights[f"{name}.bias"]
         slope = LEAKY_SLOPE if act else None
         if name.startswith("local.up"):
             y = T.conv2d(x, T.up2_conv_weight(weight), T.repeat_channels(bias, 4), slope=slope)
             return T.depth_to_space(y)
         if isinstance(x, Tensor):
-            return T.conv2d(x, weight, bias, groups=li.spec.groups, slope=slope)
+            return T.conv2d(x, weight, bias, groups=self.layers[name].groups, slope=slope)
         return T._dense_block(x, [weight], [bias], slope=slope)
 
     def pconv(self, name: str, x: Tensor, mask, *, act: bool = False):
-        li = self.layers[name]
         return T.partial_conv(x, mask, self.weights[f"{name}.weight"],
-                              self.weights[f"{name}.bias"], groups=li.spec.groups,
+                              self.weights[f"{name}.bias"], groups=self.layers[name].groups,
                               slope=LEAKY_SLOPE if act else None)
 
     @staticmethod
@@ -217,24 +224,22 @@ class Network:
         c = h.shape[1]
         return T.affine(h, T.narrow_channels(ab, 0, c), T.narrow_channels(ab, c, c))
 
-    # -- residual blocks: each ends in leaky_relu(h + y) as one affine op ----
-
-    def _pconv_rb(self, prefix: str, h: Tensor, mask):
-        y, m = self.pconv(f"{prefix}.conv1", h, mask, act=True)
-        y, m = self.pconv(f"{prefix}.conv2", y, m)
-        return T.affine(h, shift=y, slope=LEAKY_SLOPE), m
-
-    def _plain_rb(self, prefix: str, h: Tensor) -> Tensor:
-        y = self.conv(f"{prefix}.conv1", h, act=True)
-        y = self.conv(f"{prefix}.conv2", y)
-        return T.affine(h, shift=y, slope=LEAKY_SLOPE)
-
-    def _sft_rb(self, prefix: str, h: Tensor, mprior: Tensor) -> Tensor:
-        s = self.conv(f"{prefix}.sft0", mprior, act=True)
-        y = self._modulate(h, self.conv(f"{prefix}.sft1", s))
-        y = self.conv(f"{prefix}.conv1", y, act=True)
-        y = self.conv(f"{prefix}.conv2", y)
-        return T.affine(h, shift=y, slope=LEAKY_SLOPE)
+    def _rb(self, prefix: str, h: Tensor, *, mask=None, mprior: Tensor | None = None):
+        """The residual block _rb_layers declares, as (output, mask).  h is
+        SFT-modulated by mprior when one is given, conv1 and conv2 run as
+        partial convs when mask is given (the mask they update is returned),
+        and the block ends in leaky_relu(h + y) as one affine op."""
+        y = h
+        if mprior is not None:
+            s = self.conv(f"{prefix}.sft0", mprior, act=True)
+            y = self._modulate(h, self.conv(f"{prefix}.sft1", s))
+        if mask is None:
+            y = self.conv(f"{prefix}.conv1", y, act=True)
+            y = self.conv(f"{prefix}.conv2", y)
+        else:
+            y, mask = self.pconv(f"{prefix}.conv1", y, mask, act=True)
+            y, mask = self.pconv(f"{prefix}.conv2", y, mask)
+        return T.affine(h, shift=y, slope=LEAKY_SLOPE), mask
 
     # -- sub-networks --------------------------------------------------------
 
@@ -275,19 +280,17 @@ class Network:
         mask = bright_invalid_mask(p).astype(x.dtype) if cfg.use_partial_conv else None
         skips = []
         for lvl in range(UNET_LEVELS):
-            if cfg.use_partial_conv:
-                if lvl:  # the mask at this level's resolution
-                    mask = _pool2(mask)
-                hT, mask = self._pconv_rb(f"local.enc{lvl}.rb0", hT, mask)
-            else:
-                hT = self._sft_rb(f"local.enc{lvl}.rb0", hT, mp_levels[lvl])
+            if lvl and mask is not None:  # the mask at this level's resolution
+                mask = _pool2(mask)
+            hT, mask = self._rb(f"local.enc{lvl}.rb0", hT, mask=mask,
+                                mprior=None if cfg.use_partial_conv else mp_levels[lvl])
             skips.append(hT)
             hT = self.conv(f"local.down{lvl}", T.down2(hT), act=True)
-        hT = self._plain_rb("local.mid.rb0", hT)
+        hT, _ = self._rb("local.mid.rb0", hT)
         for lvl in reversed(range(UNET_LEVELS)):
             hT = self.conv(f"local.up{lvl}", hT, act=True)  # conv of up2(hT)
             hT = self.conv(f"local.skip{lvl}", [hT, skips.pop()], act=True)
-            hT = self._sft_rb(f"local.dec{lvl}.rb0", hT, mp_levels[lvl])
+            hT, _ = self._rb(f"local.dec{lvl}.rb0", hT, mprior=mp_levels[lvl])
 
         # local.fuse reads the channel concat of the dense outputs and hT.
         # Its hT part runs first, so hT is freed before the dense features
@@ -312,6 +315,9 @@ class Network:
         the input itself."""
         if x.shape[:2] != (1, 3):
             raise ValueError(f"network input must be shaped (1, 3, h, w), got {x.shape}")
+        h, w = x.shape[2:]
+        if min(h, w) < 3:  # a side of 1 or 2 px cannot be reflect-padded to 4
+            raise ValueError(f"a {w}x{h} frame is too small: the network needs at least 3x3")
         y = self.local_forward(x)
         return self.global_forward(y, x)
 
@@ -374,6 +380,8 @@ def load_checkpoint(path):
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         name = take(name_len).decode("utf-8")
+        if name in weights:
+            raise ValueError(f"duplicate checkpoint record {name!r}")
         dims = struct.unpack("<4I", take(16))
         size = int(np.prod(dims))
         arr = np.frombuffer(take(4 * size), dtype="<f4").reshape(dims)

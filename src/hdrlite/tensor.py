@@ -9,7 +9,6 @@ a 64-bit check mode for finite-difference verification.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,36 +67,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self.op!r})"
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """Static description of a 2-D convolution layer."""
-
-    in_channels: int
-    out_channels: int
-    kernel: int
-    groups: int = 1
-
-    def __post_init__(self):
-        if min(self.in_channels, self.out_channels, self.kernel, self.groups) < 1:
-            raise ValueError(f"conv spec fields must be positive: {self}")
-        if self.in_channels % self.groups or self.out_channels % self.groups:
-            raise ValueError(
-                f"groups={self.groups} must divide in={self.in_channels} and out={self.out_channels}"
-            )
-
-    @property
-    def weight_shape(self):
-        return (self.out_channels, self.in_channels // self.groups, self.kernel, self.kernel)
-
-    @property
-    def weight_count(self) -> int:
-        return int(np.prod(self.weight_shape))
-
-    @property
-    def bias_count(self) -> int:
-        return self.out_channels
 
 
 def _node(data, op: str, parents, backward=None) -> Tensor:

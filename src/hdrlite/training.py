@@ -41,8 +41,8 @@ class TrainConfig:
     def validate(self):
         if not 0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
-        if self.patch_size < 1:
-            raise ValueError("patch_size must be >= 1")
+        if self.patch_size < 3:
+            raise ValueError(f"patch_size must be >= 3, got {self.patch_size}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
@@ -99,13 +99,12 @@ def kaiming_init(cfg: ModelConfig, rng: np.random.Generator) -> Network:
     """Conv weights ~ N(0, 2/fan_in) with fan_in = (in/groups) * k^2; zero biases."""
     weights = {}
     for li in layer_table(cfg):
-        s = li.spec
-        fan_in = s.weight_count // s.out_channels
+        fan_in = li.weight_count // li.out_channels
         std = np.sqrt(2.0 / fan_in)
         weights[f"{li.name}.weight"] = Tensor(
-            rng.normal(0.0, std, s.weight_shape).astype(np.float32), requires_grad=True)
+            rng.normal(0.0, std, li.weight_shape).astype(np.float32), requires_grad=True)
         weights[f"{li.name}.bias"] = Tensor(
-            np.zeros((1, s.out_channels, 1, 1), dtype=np.float32), requires_grad=True)
+            np.zeros((1, li.out_channels, 1, 1), dtype=np.float32), requires_grad=True)
     return Network(cfg, weights)
 
 
@@ -200,9 +199,12 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
             hdr_p, sdr_p = _sample_patch(rng, hdr, sdr, train_cfg.patch_size)
             if train_cfg.apply_degradation:
                 sdr_p, _ = conventional_degrade(sdr_p, degrade_cfg, rng)
-            target, _ = preprocess_gamma(hdr_p)
+            # an all-zero label patch (a black bar, say) has no maximum to
+            # normalize by, so its target is all zero too
+            target = (preprocess_gamma(hdr_p)[0].data if hdr_p.data.any()
+                      else np.zeros_like(hdr_p.data))
             x = Tensor(sdr_p.data.transpose(2, 0, 1)[None])
-            y = Tensor(target.data.transpose(2, 0, 1)[None])
+            y = Tensor(target.transpose(2, 0, 1)[None])
             for p in net.weights.values():
                 p.zero_grad()
             pred = net.forward(x)

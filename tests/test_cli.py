@@ -273,6 +273,43 @@ def test_train_negative_iters_fails_without_checkpoint(pair_dir, tiny_model_cfg,
     assert not ckpt.exists()
 
 
+def test_train_rejects_a_negative_label_before_training(pair_dir, tiny_model_cfg, tmp_path,
+                                                        capsys):
+    label = read_image(pair_dir / "s1.pfm")
+    label.data[5:9, 5:9] = -0.5
+    write_image(pair_dir / "s1.pfm", label)
+    ckpt, log = tmp_path / "m.ckpt", tmp_path / "loss.log"
+    rc = main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--iters", "50",
+               "--patch-size", "16", "--model-config", str(tiny_model_cfg), "--log", str(log)])
+    assert rc == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "s1.pfm" in err and "negative" in err and "final loss" not in out
+    assert not ckpt.exists() and not log.exists()
+
+
+def test_infer_rejects_a_frame_under_three_pixels(pair_dir, tiny_model_cfg, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--iters", "0",
+                 "--model-config", str(tiny_model_cfg)]) == EXIT_OK
+    small = tmp_path / "small.ppm"
+    write_image(small, Image(np.full((2, 9, 3), 0.5, np.float32), NONLINEAR_SDR))
+    capsys.readouterr()
+    pred = tmp_path / "pred.pfm"
+    rc = main(["infer", "--checkpoint", str(ckpt), "--in", str(small), "--out", str(pred)])
+    assert rc == EXIT_FAIL
+    assert "9x2 frame is too small: the network needs at least 3x3" in capsys.readouterr().err
+    assert not pred.exists()
+
+
+def test_train_rejects_a_patch_under_three_pixels(pair_dir, tiny_model_cfg, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    rc = main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--iters", "1",
+               "--patch-size", "2", "--model-config", str(tiny_model_cfg)])
+    assert rc == EXIT_FAIL
+    assert "patch_size must be >= 3" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_infer_rejects_hdr_input(pair_dir, tiny_model_cfg, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--iters", "0",

@@ -125,6 +125,17 @@ def test_loads_skips_comments_and_returns_unknown_keys():
         loads(ModelConfig, "groups=3\n")
 
 
+@pytest.mark.parametrize("cls,text,key", [
+    (DegradationConfig, "jpeg_qf2=75\njpeg_qf2=10\n", "jpeg_qf2"),
+    (ModelConfig, "groups=2\n# again\ngroups = 2\n", "groups"),
+    (ModelConfig, "opt.eps=1e-08\nopt.eps=1e-08\n", "opt.eps"),  # a key with no field
+])
+def test_loads_rejects_a_repeated_key(cls, text, key):
+    # the last value must not silently win over the first
+    with pytest.raises(ValueError, match=f"duplicate key '{key}'"):
+        loads(cls, text)
+
+
 @pytest.mark.parametrize("cls,line", [
     (DegradationConfig, "jpeg_qf1_range=60.7,80.9"),
     (DegradationConfig, "jpeg_qf2=abc"),

@@ -1,4 +1,5 @@
 import re
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hdrlite import model
 from hdrlite import tensor as T
 from hdrlite.kvtext import loads
 from hdrlite.model import (
-    GLOBAL_MLP_LAYERS, LEAKY_SLOPE, MODULATION_AFTER_LAYER, UNET_LEVELS, ModelConfig,
+    GLOBAL_MLP_LAYERS, LEAKY_SLOPE, MODULATION_AFTER_LAYER, UNET_LEVELS, LayerInfo, ModelConfig,
     Network, ablation_config, bright_invalid_mask, bright_valid_mask, count_macs,
     count_params, layer_breakdown, layer_table, load_checkpoint, prior_scalar, save_checkpoint,
 )
@@ -88,11 +89,16 @@ def test_prior_scalar_is_channel_max():
 # ---------------------------------------------------------------------------
 
 def test_single_conv_param_arithmetic():
-    from hdrlite.tensor import ConvSpec
-    plain = ConvSpec(8, 8, 3)
-    assert plain.weight_count + plain.bias_count == 8 * 8 * 9 + 8 == 584
-    grouped = ConvSpec(8, 8, 3, groups=4)
-    assert grouped.weight_count + grouped.bias_count == 8 * 2 * 9 + 8 == 152
+    plain = LayerInfo("plain", 8, 8, 3)
+    assert plain.weight_count + plain.out_channels == 8 * 8 * 9 + 8 == 584
+    grouped = LayerInfo("grouped", 8, 8, 3, groups=4)
+    assert grouped.weight_count + grouped.out_channels == 8 * 2 * 9 + 8 == 152
+
+
+def test_layerinfo_grouped_weight_count():
+    li = LayerInfo("grouped", 8, 8, 3, groups=4)
+    assert li.weight_shape == (8, 2, 3, 3)
+    assert li.weight_count == 8 * 2 * 9 == 144
 
 
 def test_default_params_pinned():
@@ -247,8 +253,8 @@ def test_encoder_block_excludes_masked_features():
     mask[:, :, 8:24, 8:24] = 0.0
     h2 = h1.copy()
     h2[:, :, 12:20, 12:20] += 3.0
-    y1, m1 = net._pconv_rb("local.enc0.rb0", Tensor(h1), mask)
-    y2, m2 = net._pconv_rb("local.enc0.rb0", Tensor(h2), mask)
+    y1, m1 = net._rb("local.enc0.rb0", Tensor(h1), mask=mask)
+    y2, m2 = net._rb("local.enc0.rb0", Tensor(h2), mask=mask)
     np.testing.assert_array_equal(m1, m2)
     diff = np.abs(y1.data - y2.data)
     outside = np.ones((32, 32), dtype=bool)
@@ -273,6 +279,20 @@ def test_forward_takes_a_batch_of_one():
     x = Tensor(np.random.default_rng(9).random((2, 3, 16, 16)).astype(np.float32))
     with pytest.raises(ValueError, match=re.escape("(1, 3, h, w)")):
         net.forward(x)
+
+
+def test_forward_needs_three_pixels_per_side():
+    # a side of 1 or 2 px cannot be reflect-padded to a multiple of 4, so
+    # 3x3 is the smallest frame that runs
+    net = make_net(small_cfg(), seed=8)
+    rng = np.random.default_rng(9)
+    for h, w in ((2, 9), (9, 2), (1, 1)):
+        x = Tensor(rng.random((1, 3, h, w)).astype(np.float32))
+        with pytest.raises(ValueError, match=f"{w}x{h} frame is too small.*at least 3x3"):
+            net.forward(x)
+    for h, w in ((3, 3), (3, 9), (5, 7)):
+        assert net.forward(Tensor(rng.random((1, 3, h, w)).astype(np.float32))).shape == (
+            1, 3, h, w)
 
 
 @pytest.mark.parametrize("use_partial_conv,pools", [(True, 2), (False, 1)],
@@ -449,6 +469,23 @@ def test_checkpoint_magic_and_truncation(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_rejects_a_repeated_record(tmp_path):
+    # a second, zeroed global.mlp0.bias record must not overwrite the first
+    net = make_net(small_cfg())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, net)
+    raw = path.read_bytes()
+    at = 10 + struct.unpack_from("<I", raw, 6)[0]  # the record count
+    (count,) = struct.unpack_from("<I", raw, at)
+    name = b"global.mlp0.bias"
+    bias = net.weights["global.mlp0.bias"]
+    record = (struct.pack("<I", len(name)) + name + struct.pack("<4I", *bias.shape)
+              + np.zeros(bias.shape, "<f4").tobytes())
+    path.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:] + record)
+    with pytest.raises(ValueError, match="duplicate checkpoint record 'global.mlp0.bias'"):
+        load_checkpoint(path)
+
+
 def test_network_missing_weight_names_the_key():
     weights = dict(make_net(small_cfg()).weights)
     del weights["local.head.weight"]
@@ -495,11 +532,11 @@ def reference_forward(net, x):
 
     def conv(name, inp):
         return T.conv2d(inp, W[f"{name}.weight"], W[f"{name}.bias"],
-                        groups=net.layers[name].spec.groups)
+                        groups=net.layers[name].groups)
 
     def pconv(name, inp, mask):
         return T.partial_conv(inp, mask, W[f"{name}.weight"], W[f"{name}.bias"],
-                              groups=net.layers[name].spec.groups)
+                              groups=net.layers[name].groups)
 
     def lrelu(t):
         return T.leaky_relu(t, LEAKY_SLOPE)

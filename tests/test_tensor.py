@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdrlite import tensor as T
-from hdrlite.tensor import ConvSpec, Tensor
+from hdrlite.tensor import Tensor
 
 
 def t64(rng, shape, rg=True):
@@ -31,16 +31,6 @@ def test_conv_allones_kernel_center_and_corner():
     y = T.conv2d(x, w)
     assert y.data[0, 0, 1, 1] == 18.0
     assert y.data[0, 0, 0, 0] == 8.0
-
-
-def test_convspec_grouped_weight_count():
-    spec = ConvSpec(8, 8, 3, groups=4)
-    assert spec.weight_count == 8 * 2 * 9 == 144
-
-
-def test_convspec_rejects_bad_groups():
-    with pytest.raises(ValueError):
-        ConvSpec(8, 6, 3, groups=4)
 
 
 def test_conv_shape_mismatch_raises():

@@ -193,6 +193,10 @@ def test_train_config_validation():
             TrainConfig(lr0=lr0).validate()
     with pytest.raises(ValueError):
         TrainConfig(patch_size=0).validate()
+    for size in (1, 2):  # the network needs at least 3x3
+        with pytest.raises(ValueError, match="patch_size must be >= 3"):
+            TrainConfig(patch_size=size).validate()
+    TrainConfig(patch_size=3).validate()
     with pytest.raises(ValueError, match="max_iters"):
         TrainConfig(max_iters=-1).validate()
     TrainConfig(max_iters=0).validate()
@@ -288,6 +292,25 @@ def test_train_loop_calls_schedule_and_adam_through_the_module(monkeypatch):
     with pytest.raises(Stop):
         train_loop(TINY, TrainConfig(max_iters=10 ** 9, patch_size=16), make_pairs(2, 32))
     assert calls == {"lr": 3, "adam": 2}
+
+
+def test_train_loop_trains_an_all_zero_label_patch_toward_zero(monkeypatch):
+    # a black (letterboxed) label patch has no maximum to normalize by: its
+    # target is all zero, and training goes on
+    import hdrlite.training as TR
+    hdr, sdr = make_pairs(1, 32)[0]
+    pairs = [(hdr, sdr), (Image(np.zeros_like(hdr.data), LINEAR_HDR), sdr)]
+    targets = []
+
+    def spy(pred, target):
+        targets.append(target.data.copy())
+        return loss_terms(pred, target)
+
+    monkeypatch.setattr(TR, "loss_terms", spy)
+    _, trace = train_loop(TINY, TrainConfig(max_iters=6, patch_size=16, seed=3), pairs)
+    assert len(trace) == 6 and all(np.isfinite(r["total"]) for r in trace)
+    zero = [not t.any() for t in targets]
+    assert any(zero) and not all(zero)
 
 
 def test_train_loop_rejects_empty_dataset():
