@@ -147,9 +147,11 @@ def _hdr_by_stem(directory) -> dict[str, Path]:
     return found
 
 
-def _load_pairs(data_dir):
+def _load_pairs(data_dir, patch_size):
     """HDR label + SDR input pairs matched by stem: stem.pfm/.hdr with stem.ppm.
-    A label with a negative pixel is an error, found before training starts."""
+    A label with a negative pixel, or a pair whose dimensions differ or are
+    below patch_size, is an error naming the files, found before training
+    starts."""
     pairs, unpaired = [], []
     for hdr_path in _hdr_by_stem(data_dir).values():
         sdr_path = hdr_path.with_suffix(".ppm")
@@ -158,7 +160,12 @@ def _load_pairs(data_dir):
             if hdr.data.min() < 0:
                 raise ValueError(f"{hdr_path}: label has a negative pixel "
                                  f"(linear HDR must be non-negative)")
-            pairs.append((hdr, imgio.read_image(sdr_path)))
+            sdr = imgio.read_image(sdr_path)
+            try:
+                TR.check_pair(hdr, sdr, patch_size)
+            except ValueError as e:
+                raise ValueError(f"{hdr_path}, {sdr_path.name}: {e}") from None
+            pairs.append((hdr, sdr))
         else:
             unpaired.append(hdr_path.name)
     _warn_skipped("labels with no .ppm input", unpaired)
@@ -175,7 +182,9 @@ def cmd_train(args) -> int:
                     "patch_size": args.patch_size, "lr0": args.lr,
                     "seed": args.seed, "degradation": not args.no_degrade,
                     "model": model_cfg})
-    pairs = _load_pairs(args.data)
+    train_cfg.validate()
+    # a run with no iterations samples no patch
+    pairs = _load_pairs(args.data, args.patch_size if args.iters else 0)
     if not pairs:
         print("error: no HDR/SDR pairs found (expected stem.pfm|.hdr + stem.ppm)",
               file=sys.stderr)

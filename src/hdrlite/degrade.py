@@ -324,7 +324,7 @@ def exposure_stats(codes: np.ndarray, over_code: int = 255, under_code: int = 0)
     codes = np.asarray(codes)
     if codes.ndim != 3 or codes.shape[2] != 3:
         raise ValueError(f"expected (h, w, 3) coded image, got {codes.shape}")
-    p = codes.max(axis=2)
+    p = np.maximum(np.maximum(codes[..., 0], codes[..., 1]), codes[..., 2])
     n = p.size
     return float((p <= under_code).sum() / n), float((p >= over_code).sum() / n)
 

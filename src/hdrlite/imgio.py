@@ -113,58 +113,93 @@ def write_pfm(img: Image) -> bytes:
 # ---------------------------------------------------------------------------
 
 def rgbe_to_float(rgbe: np.ndarray) -> np.ndarray:
-    """(..., 4) uint8 -> (..., 3) float; value = mantissa/256 * 2^(e-128)."""
+    """(..., 4) uint8 -> (..., 3) float; value = mantissa/256 * 2^(e-128).
+
+    Each channel plane is one product with the per-pixel power of two, which
+    is exact in float32 (down to its subnormals), so `rgbe` may be a strided
+    view such as the decoder's transposed component planes.
+    """
     rgbe = np.asarray(rgbe, dtype=np.uint8)
-    scale = np.ldexp(1.0 / 256.0, rgbe[..., 3].astype(np.int32) - 128)
-    out = rgbe[..., :3].astype(np.float32) * scale[..., None].astype(np.float32)
-    out[rgbe[..., 3] == 0] = 0.0
+    e = rgbe[..., 3]
+    scale = np.ldexp(np.float32(1.0 / 256.0), e.astype(np.int32) - 128)
+    scale[e == 0] = 0.0
+    out = np.empty(rgbe.shape[:-1] + (3,), dtype=np.float32)
+    for c in range(3):
+        np.multiply(rgbe[..., c], scale, out=out[..., c])
     return out
 
 
+# A pixel maximum this large rounds past mantissa 255 at exponent byte 255,
+# the largest RGBE code, so it cannot be encoded.
+RGBE_LIMIT = 255.5 / 256.0 * 2.0 ** 127
+
+
 def float_to_rgbe(rgb: np.ndarray) -> np.ndarray:
+    """(..., 3) float -> (..., 4) uint8 shared-exponent RGBE (Ward 1991).
+
+    Works on channel planes: the maximum is `np.maximum` over the three
+    channel views, and the power-of-two scaling runs in float32, where it is
+    exact. A pixel whose maximum is below 1e-32 (or NaN) encodes as zero; one
+    whose maximum reaches RGBE_LIMIT (or +inf) raises ValueError, since its
+    exponent byte would wrap.
+    """
     rgb = np.maximum(np.asarray(rgb, dtype=np.float32), 0.0)
-    v = rgb.max(axis=-1)
-    _, e = np.frexp(v)
-    scale = np.ldexp(np.float64(256.0), -e)
-    bytes_ = np.rint(rgb * scale[..., None])
-    # a max channel rounding up to 256 does not fit a byte: bump the exponent
-    over = bytes_.max(axis=-1) >= 256
+    v = np.maximum(np.maximum(rgb[..., 0], rgb[..., 1]), rgb[..., 2])
+    if (v >= RGBE_LIMIT).any():
+        raise ValueError(f"RGBE cannot encode a pixel whose largest channel is "
+                         f"{RGBE_LIMIT:.4g} or more")
+    zero = ~(v >= 1e-32)  # NaN maxima are zeroed too
+    # zeroed pixels take the exponent of 1e-32, so their scale stays finite
+    _, e = np.frexp(np.maximum(v, np.float32(1e-32)))
+    scale = np.ldexp(np.float32(256.0), -e)
+    # a maximum rounding up to 256 does not fit a byte: bump the exponent
+    over = np.rint(v * scale) >= 256
     if over.any():
         e[over] += 1
-        bytes_[over] = np.rint(rgb[over] * np.ldexp(np.float64(256.0), -e[over])[..., None])
+        scale[over] *= np.float32(0.5)
     out = np.empty(rgb.shape[:-1] + (4,), dtype=np.uint8)
-    zero = ~(v >= 1e-32)  # NaN maxima are zeroed too
-    bytes_[zero] = 0
-    out[..., :3] = bytes_
+    with np.errstate(invalid="ignore"):  # NaN pixels are zeroed below
+        for c in range(3):
+            out[..., c] = np.rint(rgb[..., c] * scale)
     out[..., 3] = e + 128
     out[zero] = 0
     return out
 
 
-def _rle_decode_component(data: bytes, off: int, w: int, dest: np.ndarray):
-    pos = 0
-    while pos < w:
-        _require(off < len(data), "truncated RGBE scanline")
-        code = data[off]
-        off += 1
-        if code > 128:
-            run = code - 128
-            _require(pos + run <= w, "RGBE run overflows scanline")
-            _require(off < len(data), "truncated RGBE run value")
-            dest[pos:pos + run] = data[off]
-            off += 1
-            pos += run
-        else:
-            _require(code > 0, "zero-length RGBE literal")
-            _require(pos + code <= w, "RGBE literal overflows scanline")
-            _require(off + code <= len(data), "truncated RGBE literal")
-            dest[pos:pos + code] = np.frombuffer(data, np.uint8, code, off)
-            off += code
-            pos += code
-    return off
+# Byte budget of one band's gather indices in read_rgbe.
+_RGBE_INDEX_BYTES = 1 << 20
+
+
+def _rle_expand(src: np.ndarray, codes: list, out: np.ndarray):
+    """Expand new-style RLE codes into `out`, one gather from `src`.
+
+    `codes` holds the offset in `src` of each code byte, in scanline order;
+    the walk in read_rgbe has checked them. A run code (> 128) repeats the
+    byte after it; a literal code n copies the n bytes after it. So the source
+    index of each output byte steps by 1 inside a literal and by 0 inside a
+    run, and jumps to the byte after the code at each code's first output.
+    """
+    at = np.array(codes, dtype=np.intp)
+    code = src[at].astype(np.intp)
+    step = (code <= 128).astype(np.intp)
+    lens = code - 128 * (1 - step)
+    idx = np.repeat(step, lens)
+    jump = at + 1
+    jump[1:] -= at[:-1] + 1 + (lens[:-1] - 1) * step[:-1]
+    idx[np.cumsum(lens) - lens] = jump
+    np.cumsum(idx, out=idx)
+    np.take(src, idx, out=out)
 
 
 def read_rgbe(data: bytes) -> Image:
+    """Decode a Radiance RGBE file, in flat or new-style RLE scanlines.
+
+    Scanlines are decoded in bands of rows within _RGBE_INDEX_BYTES of
+    gather indices. A Python walk visits only the code bytes of each RLE
+    scanline, checking truncation, zero-length literals and codes that
+    overflow a component; `_rle_expand` then fills the band's (4, w)
+    component planes with one gather. Flat scanlines are copied directly.
+    """
     _require(data.startswith(b"#?RADIANCE") or data.startswith(b"#?RGBE"),
              "missing Radiance signature")
     try:
@@ -180,23 +215,48 @@ def read_rgbe(data: bytes) -> Image:
     _require(0 < w <= _MAX_DIM and 0 < h <= _MAX_DIM, f"bad RGBE dims {w}x{h}")
     off = res_end + 1
 
-    rgbe = np.empty((h, w, 4), dtype=np.uint8)
-    for y in range(h):
-        _require(off + 4 <= len(data), "truncated RGBE scanline header")
-        head = data[off:off + 4]
-        if head[0] == 2 and head[1] == 2 and (head[2] << 8 | head[3]) == w and w >= 8:
+    n = len(data)
+    src = np.frombuffer(data, np.uint8)
+    planes = np.empty((h, 4, w), dtype=np.uint8)
+    rle_head = bytes((2, 2, w >> 8, w & 255)) if 8 <= w <= 0xFFFF else None
+    band = max(1, _RGBE_INDEX_BYTES // (np.dtype(np.intp).itemsize * 4 * w))
+    for y0 in range(0, h, band):
+        y1 = min(h, y0 + band)
+        codes, rle_rows = [], []
+        for y in range(y0, y1):
+            _require(off + 4 <= n, "truncated RGBE scanline header")
+            if data[off:off + 4] != rle_head:
+                _require(off + 4 * w <= n, "truncated flat RGBE scanline")
+                _require(data[off] != 1 or data[off + 1] != 1 or data[off + 2] != 1,
+                         "old-style RLE scanlines are not supported")
+                planes[y] = src[off:off + 4 * w].reshape(w, 4).T
+                off += 4 * w
+                continue
             off += 4
-            row = np.empty((4, w), dtype=np.uint8)
-            for comp in range(4):
-                off = _rle_decode_component(data, off, w, row[comp])
-            rgbe[y] = row.T
-        else:
-            _require(off + 4 * w <= len(data), "truncated flat RGBE scanline")
-            _require(head[0] != 1 or head[1] != 1 or head[2] != 1,
-                     "old-style RLE scanlines are not supported")
-            rgbe[y] = np.frombuffer(data, np.uint8, 4 * w, off).reshape(w, 4)
-            off += 4 * w
-    return Image(rgbe_to_float(rgbe), LINEAR_HDR)
+            rle_rows.append(y)
+            for _ in range(4):
+                pos = 0
+                while pos < w:  # the hot loop: its checks are inlined
+                    if off >= n:
+                        raise ImageFormatError("truncated RGBE scanline")
+                    code = data[off]
+                    codes.append(off)
+                    if code > 128:
+                        pos += code - 128
+                        off += 2
+                    elif code:
+                        pos += code
+                        off += code + 1
+                    else:
+                        raise ImageFormatError("zero-length RGBE literal")
+                _require(pos == w, "RGBE run or literal overflows scanline")
+                # a literal or run value cut off by the end of the data
+                _require(off <= n, "truncated RGBE scanline")
+        if rle_rows:
+            rows = np.empty((len(rle_rows), 4, w), dtype=np.uint8)
+            _rle_expand(src, codes, rows.reshape(-1))
+            planes[rle_rows] = rows
+    return Image(rgbe_to_float(planes.transpose(0, 2, 1)), LINEAR_HDR)
 
 
 def _rle_encode_scanlines(lines: np.ndarray, out: bytearray):

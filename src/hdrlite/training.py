@@ -159,12 +159,19 @@ def lr_schedule(iteration: int, cfg: TrainConfig) -> float:
 # Training loop
 # ---------------------------------------------------------------------------
 
-def _sample_patch(rng, hdr: Image, sdr: Image, size: int):
+def check_pair(hdr: Image, sdr: Image, size: int):
+    """Raise ValueError unless a training pair's label and input have the
+    same dimensions, each at least `size`."""
     h, w = hdr.height, hdr.width
     if (h, w) != (sdr.height, sdr.width):
-        raise ValueError("HDR/SDR pair dimensions differ")
+        raise ValueError(f"HDR/SDR pair dimensions differ: label {w}x{h}, "
+                         f"input {sdr.width}x{sdr.height}")
     if h < size or w < size:
         raise ValueError(f"image {w}x{h} smaller than patch size {size}")
+
+
+def _sample_patch(rng, hdr: Image, sdr: Image, size: int):
+    h, w = hdr.height, hdr.width
     y = int(rng.integers(0, h - size + 1))
     x = int(rng.integers(0, w - size + 1))
     return (Image(hdr.data[y:y + size, x:x + size].copy(), hdr.domain),
@@ -185,6 +192,9 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     train_cfg.validate()
     if not dataset:
         raise ValueError("training dataset is empty")
+    if train_cfg.max_iters:
+        for hdr, sdr in dataset:
+            check_pair(hdr, sdr, train_cfg.patch_size)
     rng = np.random.default_rng(train_cfg.seed)
     net = kaiming_init(model_cfg, rng)
     state = AdamState()

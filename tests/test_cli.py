@@ -273,6 +273,31 @@ def test_train_negative_iters_fails_without_checkpoint(pair_dir, tiny_model_cfg,
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("sdr_size, message", [
+    ((20, 20), "image 20x20 smaller than patch size 32"),
+    ((48, 40), "HDR/SDR pair dimensions differ: label 20x20, input 40x48"),
+])
+def test_train_rejects_an_unusable_pair_before_training(tmp_path, tiny_model_cfg, capsys,
+                                                        sdr_size, message):
+    # one usable 48x48 pair and one 20x20 label: too small for the patch, or
+    # paired with an input of other dimensions
+    data = tmp_path / "pairs"
+    data.mkdir()
+    (hdr, sdr), = make_pairs(1, 48)
+    write_image(data / "big.pfm", hdr)
+    write_image(data / "big.ppm", sdr)
+    write_image(data / "small.pfm", make_hdr_scene(1, 20))
+    h, w = sdr_size
+    write_image(data / "small.ppm", Image(np.full((h, w, 3), 0.5, np.float32)))
+    ckpt, log = tmp_path / "m.ckpt", tmp_path / "loss.log"
+    rc = main(["train", "--data", str(data), "--out", str(ckpt), "--iters", "50",
+               "--patch-size", "32", "--model-config", str(tiny_model_cfg), "--log", str(log)])
+    assert rc == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "small.pfm, small.ppm: " + message in err and "final loss" not in out
+    assert not ckpt.exists() and not log.exists()
+
+
 def test_train_rejects_a_negative_label_before_training(pair_dir, tiny_model_cfg, tmp_path,
                                                         capsys):
     label = read_image(pair_dir / "s1.pfm")

@@ -313,6 +313,19 @@ def test_exposure_stats_code_conventions():
         exposure_stats(codes[..., 0])
 
 
+@pytest.mark.parametrize("top", [256, 65536])
+def test_exposure_stats_matches_last_axis_max(top):
+    # the channel-plane maximum gives the fractions of the old codes.max(axis=2)
+    rng = np.random.default_rng(top)
+    codes = rng.integers(0, top, (37, 53, 3))
+    codes[rng.random(codes.shape[:2]) < 0.2] = 0
+    codes[rng.random(codes.shape) < 0.1] = top - 1
+    for over_code, under_code in ((255, 0), (top - 1, 0), (248, 7), (40000, 300)):
+        p = codes.max(axis=2)
+        want = (float((p <= under_code).sum() / p.size), float((p >= over_code).sum() / p.size))
+        assert exposure_stats(codes, over_code=over_code, under_code=under_code) == want
+
+
 # ---------------------------------------------------------------------------
 # Recipes
 # ---------------------------------------------------------------------------

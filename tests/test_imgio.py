@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from hdrlite import imgio
 from hdrlite.degrade import dataset_stats
 from hdrlite.imgio import (
-    Image, ImageFormatError, LINEAR_HDR, NONLINEAR_SDR, float_to_code,
+    Image, ImageFormatError, LINEAR_HDR, NONLINEAR_SDR, RGBE_LIMIT, float_to_code,
     float_to_rgbe, read_image, read_pfm, read_ppm, read_rgbe, rgbe_to_float,
     write_image, write_pfm, write_ppm, write_rgbe, _rle_encode_scanlines,
 )
@@ -304,6 +307,241 @@ def test_rgbe_rejects_bad_headers():
         read_rgbe(b"#?RADIANCE\n\n-Y 2 +X 2\n" + b"\0" * 3)
     with pytest.raises(ImageFormatError, match="old-style"):
         read_rgbe(b"#?RADIANCE\n\n-Y 1 +X 2\n" + bytes((1, 1, 1, 9)) + b"\0" * 4)
+
+
+def test_write_rgbe_rejects_exponent_overflow(tmp_path):
+    # mantissa 255 at exponent byte 255 is the largest code; a maximum of
+    # RGBE_LIMIT rounds to mantissa 256 there, and 2^127 or more would wrap
+    # the exponent byte (1.7e38 read back as 0, 3.4e38 as 2.9e-39)
+    limit = np.float32(RGBE_LIMIT)
+    below = np.nextafter(limit, np.float32(0))
+    img = random_hdr(5, h=2, w=8)
+    img.data[0, 2] = [below, below / 2, 0.0]
+    np.testing.assert_array_equal(float_to_rgbe(img.data)[0, 2], [255, 128, 0, 255])
+    assert write_rgbe(img) == oracle_write_rgbe(img)
+    for big in (limit, np.float32(1.7e38), np.float32(3.4e38)):
+        data = img.data.copy()
+        data[1, 3, 1] = big
+        with pytest.raises(ValueError, match="RGBE cannot encode"):
+            write_rgbe(Image(data, LINEAR_HDR))
+        with pytest.raises(ValueError, match="RGBE cannot encode"):
+            write_image(tmp_path / "big.hdr", Image(data, LINEAR_HDR))
+        assert not (tmp_path / "big.hdr").exists()
+    # the encoder alone rejects +inf the same way, rather than coding it as 0
+    with pytest.raises(ValueError, match="RGBE cannot encode"):
+        float_to_rgbe(np.array([[[np.inf, 1.0, 1.0]]], np.float32))
+
+
+# Oracle: the scalar RGBE reader, one code at a time into one scanline
+# component, and its float conversion. read_rgbe must decode the same pixels,
+# and raise ImageFormatError on exactly the inputs where the oracle raises.
+
+def _oracle_require(cond, msg):
+    if not cond:
+        raise ImageFormatError(msg)
+
+
+def oracle_rgbe_to_float(rgbe):
+    scale = np.ldexp(1.0 / 256.0, rgbe[..., 3].astype(np.int32) - 128)
+    out = rgbe[..., :3].astype(np.float32) * scale[..., None].astype(np.float32)
+    out[rgbe[..., 3] == 0] = 0.0
+    return out
+
+
+def oracle_rle_decode_component(data, off, w, dest):
+    pos = 0
+    while pos < w:
+        _oracle_require(off < len(data), "truncated RGBE scanline")
+        code = data[off]
+        off += 1
+        if code > 128:
+            run = code - 128
+            _oracle_require(pos + run <= w, "RGBE run overflows scanline")
+            _oracle_require(off < len(data), "truncated RGBE run value")
+            dest[pos:pos + run] = data[off]
+            off += 1
+            pos += run
+        else:
+            _oracle_require(code > 0, "zero-length RGBE literal")
+            _oracle_require(pos + code <= w, "RGBE literal overflows scanline")
+            _oracle_require(off + code <= len(data), "truncated RGBE literal")
+            dest[pos:pos + code] = np.frombuffer(data, np.uint8, code, off)
+            off += code
+            pos += code
+    return off
+
+
+def oracle_read_rgbe(data):
+    _oracle_require(data.startswith(b"#?RADIANCE") or data.startswith(b"#?RGBE"),
+                    "missing Radiance signature")
+    _oracle_require(b"\n\n" in data, "unterminated Radiance header")
+    off = data.index(b"\n\n") + 2
+    res_end = data.find(b"\n", off)
+    _oracle_require(res_end > 0, "missing resolution line")
+    m = re.fullmatch(rb"-Y (\d+) \+X (\d+)", data[off:res_end])
+    _oracle_require(m is not None, "unsupported resolution line")
+    h, w = int(m.group(1)), int(m.group(2))
+    _oracle_require(0 < w <= 1 << 20 and 0 < h <= 1 << 20, "bad RGBE dims")
+    off = res_end + 1
+    rgbe = np.empty((h, w, 4), dtype=np.uint8)
+    for y in range(h):
+        _oracle_require(off + 4 <= len(data), "truncated RGBE scanline header")
+        head = data[off:off + 4]
+        if head[0] == 2 and head[1] == 2 and (head[2] << 8 | head[3]) == w and w >= 8:
+            off += 4
+            row = np.empty((4, w), dtype=np.uint8)
+            for comp in range(4):
+                off = oracle_rle_decode_component(data, off, w, row[comp])
+            rgbe[y] = row.T
+        else:
+            _oracle_require(off + 4 * w <= len(data), "truncated flat RGBE scanline")
+            _oracle_require(head[0] != 1 or head[1] != 1 or head[2] != 1,
+                            "old-style RLE scanlines are not supported")
+            rgbe[y] = np.frombuffer(data, np.uint8, 4 * w, off).reshape(w, 4)
+            off += 4 * w
+    return oracle_rgbe_to_float(rgbe)
+
+
+def test_rgbe_to_float_matches_scalar_conversion_on_every_code():
+    m, e = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    rgbe = np.stack([m, 255 - m, m // 3, e], axis=-1).astype(np.uint8)
+    np.testing.assert_array_equal(rgbe_to_float(rgbe), oracle_rgbe_to_float(rgbe))
+    # a strided view, as read_rgbe passes its transposed component planes
+    planes = np.ascontiguousarray(rgbe.transpose(0, 2, 1))
+    np.testing.assert_array_equal(rgbe_to_float(planes.transpose(0, 2, 1)),
+                                  oracle_rgbe_to_float(rgbe))
+
+
+def assert_reads_like_oracle(data):
+    try:
+        want = oracle_read_rgbe(data)
+    except ImageFormatError:
+        with pytest.raises(ImageFormatError):
+            read_rgbe(data)
+        return
+    got = read_rgbe(data).data
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+
+
+def rgbe_file(w, rows):
+    """A Radiance file and the offsets of its RLE code bytes.
+
+    Each row is either the bytes of a flat scanline or four lists of pieces,
+    one list per component: ("run", n, value) or ("lit", [values])."""
+    out = bytearray(f"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y {len(rows)} +X {w}\n".encode())
+    codes = []
+    for row in rows:
+        if isinstance(row, bytes):
+            out += row
+            continue
+        out += bytes((2, 2, w >> 8, w & 255))
+        for pieces in row:
+            for piece in pieces:
+                codes.append(len(out))
+                if piece[0] == "run":
+                    out += bytes((128 + piece[1], piece[2]))
+                else:
+                    out.append(len(piece[1]))
+                    out += bytes(piece[1])
+    return bytes(out), codes
+
+
+def filled(pieces, w, rng):
+    """pieces, then random runs and literals up to width w."""
+    pieces = list(pieces)
+    pos = sum(p[1] if p[0] == "run" else len(p[1]) for p in pieces)
+    while pos < w:
+        if rng.random() < 0.5:
+            n = int(rng.integers(1, min(127, w - pos) + 1))
+            pieces.append(("run", n, int(rng.integers(0, 256))))
+        else:
+            n = int(rng.integers(1, min(128, w - pos) + 1))
+            pieces.append(("lit", rng.integers(0, 256, n).tolist()))
+        pos += n
+    return pieces
+
+
+def flat_row(rng, w):
+    row = rng.integers(0, 256, 4 * w, dtype=np.uint8)
+    row[0] = 3 + row[0] % 250  # neither a new-style nor an old-style RLE header
+    return row.tobytes()
+
+
+@pytest.mark.parametrize("w", [8, 9, 33, 480])
+def test_read_rgbe_matches_scalar_reader_on_every_run_and_literal_length(w):
+    # each component opens with one run of 1..127 or one literal of 1..128
+    rng = np.random.default_rng(w)
+    firsts = [("run", n, int(rng.integers(0, 256))) for n in range(1, min(127, w) + 1)]
+    firsts += [("lit", rng.integers(0, 256, n).tolist()) for n in range(1, min(128, w) + 1)]
+    rows = [[filled([firsts[(4 * i + c) % len(firsts)]], w, rng) for c in range(4)]
+            for i in range(len(firsts) // 4 + 1)]
+    data, _ = rgbe_file(w, rows)
+    assert_reads_like_oracle(data)
+
+
+@pytest.mark.parametrize("index_bytes", [1 << 20, 1])
+@pytest.mark.parametrize("seed", range(8))
+def test_read_rgbe_matches_scalar_reader_on_random_files(seed, index_bytes, monkeypatch):
+    # a budget of 1 byte decodes one scanline per band, so bands that hold
+    # only flat rows, or flat and RLE rows mixed, are decoded too
+    monkeypatch.setattr(imgio, "_RGBE_INDEX_BYTES", index_bytes)
+    rng = np.random.default_rng(seed)
+    w = [8, 9, 33, 480][seed % 4]
+    h = 150 if seed == 3 else int(rng.integers(1, 12))  # 150 rows span 3 default bands
+    flat_share = [0.0, 0.3][seed % 2]
+    rows = [flat_row(rng, w) if rng.random() < flat_share
+            else [filled([], w, rng) for _ in range(4)] for _ in range(h)]
+    data, _ = rgbe_file(w, rows)
+    assert_reads_like_oracle(data)
+
+
+def small_rle_file():
+    rng = np.random.default_rng(7)
+    w = 9
+    rows = [[[("lit", [1, 2, 3]), ("run", 6, 140)], [("run", 9, 7)],
+             [("lit", list(range(10, 19)))], [("run", 1, 5), ("lit", [9] * 8)]],
+            flat_row(rng, w),
+            [filled([], w, rng) for _ in range(4)]]
+    return rgbe_file(w, rows)
+
+
+def test_read_rgbe_matches_scalar_reader_on_every_truncation():
+    data, _ = small_rle_file()
+    assert_reads_like_oracle(data)
+    for end in range(len(data)):
+        assert_reads_like_oracle(data[:end])
+
+
+@pytest.mark.parametrize("value", [0, 1, 128, 129, 255])
+def test_read_rgbe_matches_scalar_reader_on_code_byte_mutations(value):
+    data, codes = small_rle_file()
+    for at in codes:
+        assert_reads_like_oracle(data[:at] + bytes((value,)) + data[at + 1:])
+
+
+def test_read_rgbe_rejects_a_zero_length_literal_between_valid_codes():
+    # a 0 code inserted before any code of a valid file, and nothing else wrong
+    data, codes = small_rle_file()
+    for at in codes:
+        bad = data[:at] + b"\0" + data[at:]
+        for read in (oracle_read_rgbe, read_rgbe):
+            with pytest.raises(ImageFormatError, match="zero-length"):
+                read(bad)
+
+
+@pytest.mark.parametrize("pieces", [
+    [("lit", [1, 2, 3, 4, 5]), ("run", 5, 9)],
+    [("run", 4, 9), ("lit", [1, 2, 3, 4, 5, 6])],
+    [("run", 8, 9), ("run", 2, 9)],
+])
+def test_read_rgbe_rejects_a_code_crossing_a_component_boundary(pieces):
+    # the last run or literal of the first component ends one byte past it
+    rest = [("lit", [7] * 8)]
+    data, _ = rgbe_file(9, [[pieces, rest, [("run", 9, 1)], [("run", 9, 128)]]])
+    for read in (oracle_read_rgbe, read_rgbe):
+        with pytest.raises(ImageFormatError, match="overflows"):
+            read(data)
 
 
 # ---------------------------------------------------------------------------

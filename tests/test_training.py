@@ -332,3 +332,18 @@ def test_end_to_end_loss_gradient_check():
         total, _, _ = loss_terms(net.forward(x), y)
         return total
     assert T.gradient_check(f, [w]) < 1e-3
+
+
+@pytest.mark.parametrize("second, message", [
+    (make_pairs(1, 20)[0], "smaller than patch size 32"),
+    ((make_pairs(1, 32)[0][0], make_pairs(1, 48)[0][1]), "dimensions differ"),
+])
+def test_train_loop_checks_every_pair_before_the_first_iteration(tmp_path, second, message):
+    log = tmp_path / "loss.log"
+    with pytest.raises(ValueError, match=message):
+        train_loop(TINY, TrainConfig(max_iters=50, patch_size=32),
+                   [make_pairs(1, 48)[0], second], log_path=log)
+    assert not log.exists()
+    # a run of no iterations samples no patch
+    _, trace = train_loop(TINY, TrainConfig(max_iters=0, patch_size=32), [second])
+    assert trace == []
