@@ -178,13 +178,10 @@ def cmd_train(args) -> int:
                                lr0=args.lr, seed=args.seed,
                                apply_degradation=not args.no_degrade)
     degrade_cfg = _load_degrade_config(args.degrade_config)
-    _echo("train", {"data": args.data, "out": args.out, "iters": args.iters,
-                    "patch_size": args.patch_size, "lr0": args.lr,
-                    "seed": args.seed, "degradation": not args.no_degrade,
-                    "model": model_cfg})
-    train_cfg.validate()
+    _echo("train", {"data": args.data, "out": args.out, **dict(kvtext.items(train_cfg)),
+                    **dict(kvtext.items(degrade_cfg)), "model": model_cfg})
     # a run with no iterations samples no patch
-    pairs = _load_pairs(args.data, args.patch_size if args.iters else 0)
+    pairs = _load_pairs(args.data, train_cfg.patch_size if train_cfg.max_iters else 0)
     if not pairs:
         print("error: no HDR/SDR pairs found (expected stem.pfm|.hdr + stem.ppm)",
               file=sys.stderr)
@@ -290,13 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--under-code", type=int, default=0)
     p.set_defaults(func=cmd_stats)
 
+    train = TR.TrainConfig()
     p = sub.add_parser("train", help="train on HDR/SDR pairs")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--patch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=train.max_iters)
+    p.add_argument("--patch-size", type=int, default=train.patch_size)
+    p.add_argument("--lr", type=float, default=train.lr0)
+    p.add_argument("--seed", type=int, default=train.seed)
     p.add_argument("--no-degrade", action="store_true")
     p.add_argument("--model-config", default=None)
     p.add_argument("--degrade-config", default=None)

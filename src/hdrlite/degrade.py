@@ -31,20 +31,21 @@ DEFAULT_CST = np.array([
 ], dtype=np.float64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegradationConfig:
     """A conventional-chain recipe: every field is read by conventional_degrade."""
     noise_sigma_range: tuple[float, float] = (0.001, 0.003)
     jpeg_qf1_range: tuple[int, int] = (60, 80)
     jpeg_qf2: int = 75
     rescale_range: tuple[float, float] = (0.7, 1.0)
-    cst_matrix: np.ndarray = field(default_factory=lambda: DEFAULT_CST.copy())
+    cst_matrix: np.ndarray = field(default_factory=lambda: DEFAULT_CST)
 
-    def validate(self):
-        m = np.asarray(self.cst_matrix, dtype=np.float64)
+    def __post_init__(self):
+        m = np.array(self.cst_matrix, dtype=np.float64)
         if m.shape != (3, 3) or not np.isfinite(m).all() or abs(np.linalg.det(m)) < 1e-12:
             raise ValueError("cst_matrix must be a finite, invertible 3x3 matrix")
-        self.cst_matrix = m
+        m.flags.writeable = False
+        object.__setattr__(self, "cst_matrix", m)
         for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
             lo, hi = getattr(self, name)
             if not np.isfinite([lo, hi]).all():
@@ -281,7 +282,6 @@ def conventional_degrade(sdr: Image, cfg: DegradationConfig,
     sigma 0, qf 100/100, scale 1 passes images through nearly unchanged.
     """
     _require_sdr("conventional_degrade", sdr)
-    cfg.validate()
     lo, hi = cfg.noise_sigma_range
     sigma = float(rng.uniform(lo, hi)) if hi > lo else float(lo)
     q1lo, q1hi = cfg.jpeg_qf1_range

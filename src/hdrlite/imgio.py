@@ -168,6 +168,8 @@ def float_to_rgbe(rgb: np.ndarray) -> np.ndarray:
 
 # Byte budget of one band's gather indices in read_rgbe.
 _RGBE_INDEX_BYTES = 1 << 20
+# Widths of run-length scanlines, written and read: Radiance's MINELEN..MAXELEN.
+_RLE_WIDTHS = range(8, 0x7FFF + 1)
 
 
 def _rle_expand(src: np.ndarray, codes: list, out: np.ndarray):
@@ -218,7 +220,7 @@ def read_rgbe(data: bytes) -> Image:
     n = len(data)
     src = np.frombuffer(data, np.uint8)
     planes = np.empty((h, 4, w), dtype=np.uint8)
-    rle_head = bytes((2, 2, w >> 8, w & 255)) if 8 <= w <= 0xFFFF else None
+    rle_head = bytes((2, 2, w >> 8, w & 255)) if w in _RLE_WIDTHS else None
     band = max(1, _RGBE_INDEX_BYTES // (np.dtype(np.intp).itemsize * 4 * w))
     for y0 in range(0, h, band):
         y1 = min(h, y0 + band)
@@ -316,7 +318,7 @@ def write_rgbe(img: Image) -> bytes:
     out += b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n"
     out += f"-Y {h} +X {w}\n".encode("ascii")
     rgbe = float_to_rgbe(img.data)
-    if 8 <= w <= 32767:
+    if w in _RLE_WIDTHS:
         _rle_encode_scanlines(np.ascontiguousarray(rgbe.transpose(0, 2, 1)), out)
     else:
         out += rgbe.tobytes()

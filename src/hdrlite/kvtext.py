@@ -4,7 +4,7 @@ manifests and the checkpoint header.
 A file is one ``key=value`` line per field; blank lines and ``#`` comments are
 skipped, and a key given twice is an error.  Tuples and arrays are
 comma-separated, booleans are true/false/1/0/yes/no in any case, and every
-conversion error names its key.
+conversion error names its key.  A config checks its own values when built.
 """
 from __future__ import annotations
 
@@ -49,9 +49,9 @@ def _convert(text: str, typ, default):
 
 
 def loads(cls, text: str):
-    """Parse ``text`` into a validated ``cls`` instance, converting each value by
-    the field's declared type.  Returns (instance, {key: raw text}) where the
-    dict holds the keys ``cls`` has no field for."""
+    """Parse ``text`` into a ``cls`` instance, which checks itself when built,
+    converting each value by the field's declared type.  Returns (instance,
+    {key: raw text}) where the dict holds the keys ``cls`` has no field for."""
     hints = typing.get_type_hints(cls)
     defaults = cls()
     kwargs, extra = {}, {}
@@ -71,6 +71,4 @@ def loads(cls, text: str):
             kwargs[k] = _convert(v, hints[k], getattr(defaults, k))
         except ValueError as e:
             raise ValueError(f"{k}: {e}") from None
-    obj = cls(**kwargs)
-    obj.validate()
-    return obj, extra
+    return cls(**kwargs), extra

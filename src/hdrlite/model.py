@@ -10,6 +10,7 @@ core" (excluded from encoder features via partial convolution).
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -37,7 +38,7 @@ _RETIRED_KEYS = {"unet_levels": UNET_LEVELS, "unet_rb_per_level": 1,
                  "leaky_slope": LEAKY_SLOPE, "modulation_after_layer": MODULATION_AFTER_LAYER}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """The widths of the network, and the partial-conv ablation toggle."""
     dense_layers: int = 5
@@ -47,7 +48,7 @@ class ModelConfig:
     global_mlp_channels: int = 48
     use_partial_conv: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         for key in ("dense_layers", "dense_growth", "unet_base_channels", "groups",
                     "global_mlp_channels"):
             if getattr(self, key) < 1:
@@ -113,7 +114,6 @@ def _rb_layers(cfg: ModelConfig, prefix: str, ch: int, scale: int, sft: bool):
 
 def layer_table(cfg: ModelConfig) -> list[LayerInfo]:
     """Every conv layer of the network, in serialization order."""
-    cfg.validate()
     layers: list[LayerInfo] = []
     C = cfg.unet_base_channels
     G = cfg.global_mlp_channels
@@ -178,7 +178,6 @@ class Network:
     """Configuration plus named weight tensors, with forward evaluation."""
 
     def __init__(self, cfg: ModelConfig, weights: dict[str, Tensor]):
-        cfg.validate()
         self.cfg = cfg
         self.layers = {li.name: li for li in layer_table(cfg)}
         expected = {f"{name}.{kind}" for name in self.layers for kind in ("weight", "bias")}
@@ -356,10 +355,10 @@ def load_checkpoint(path):
         data = f.read()
     off = 0
 
-    def take(n):
+    def take(n, what="checkpoint"):
         nonlocal off
         if off + n > len(data):
-            raise ValueError("truncated checkpoint")
+            raise ValueError(f"truncated {what}")
         chunk = data[off:off + n]
         off += n
         return chunk
@@ -383,8 +382,8 @@ def load_checkpoint(path):
         if name in weights:
             raise ValueError(f"duplicate checkpoint record {name!r}")
         dims = struct.unpack("<4I", take(16))
-        size = int(np.prod(dims))
-        arr = np.frombuffer(take(4 * size), dtype="<f4").reshape(dims)
+        raw = take(4 * math.prod(dims), f"checkpoint record {name!r}")
+        arr = np.frombuffer(raw, dtype="<f4").reshape(dims)
         weights[name] = Tensor(arr.astype(np.float32))
     if off != len(data):
         raise ValueError("trailing bytes after last checkpoint record")

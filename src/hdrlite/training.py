@@ -30,7 +30,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr0: float = 2e-4
     patch_size: int = 64
@@ -38,7 +38,7 @@ class TrainConfig:
     seed: int = 0
     apply_degradation: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         if self.patch_size < 3:
@@ -123,7 +123,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
     for name, p in params.items():
         g = p.grad
         if g is None:
-            g = np.zeros_like(p.data)
+            continue
         if not np.isfinite(g).all():
             raise TrainingDiverged(f"non-finite gradient in {name} at step {t}")
         if name not in state.m:
@@ -189,7 +189,6 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     is "iter, lr, l1, lg, total, seconds" followed by the gradient norms of
     GRAD_GROUPS; seconds is the iteration's wall time up to the Adam step.
     """
-    train_cfg.validate()
     if not dataset:
         raise ValueError("training dataset is empty")
     if train_cfg.max_iters:

@@ -358,9 +358,23 @@ def test_config_kv_comments_and_errors(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DegradationConfig(cst_matrix=np.zeros((3, 3))).validate()
+        DegradationConfig(cst_matrix=np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        DegradationConfig(cst_matrix=np.eye(4)).validate()
+        DegradationConfig(cst_matrix=np.eye(4))
+
+
+def test_config_keeps_a_read_only_copy_of_cst_matrix():
+    a = np.eye(3, dtype=np.float32)
+    cfg = DegradationConfig(cst_matrix=a)
+    assert cfg.cst_matrix.dtype == np.float64 and not cfg.cst_matrix.flags.writeable
+    a[0, 0] = 2.0  # the caller's array stays writable and detached
+    assert cfg.cst_matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        cfg.cst_matrix[0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.jpeg_qf2 = 10
+    with pytest.raises(ValueError, match="jpeg_qf2"):
+        dataclasses.replace(cfg, jpeg_qf2=0)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -384,16 +398,16 @@ def test_config_validation():
 ])
 def test_config_validation_names_the_field(field, value):
     with pytest.raises(ValueError, match=field):
-        DegradationConfig(**{field: value}).validate()
+        DegradationConfig(**{field: value})
 
 
 def test_config_validation_accepts_edge_recipes():
-    DegradationConfig().validate()
+    DegradationConfig()
     DegradationConfig(noise_sigma_range=(0.0, 0.0),
                       jpeg_qf1_range=(100, 100), jpeg_qf2=100,
-                      rescale_range=(1.0, 1.0)).validate()
+                      rescale_range=(1.0, 1.0))
     DegradationConfig(noise_sigma_range=(0.03, 0.05), jpeg_qf1_range=(1, 40),
-                      jpeg_qf2=1, rescale_range=(0.7, 0.9)).validate()
+                      jpeg_qf2=1, rescale_range=(0.7, 0.9))
 
 
 # A valid value other than the default for every recipe key.

@@ -114,6 +114,16 @@ def test_rgbe_narrow_image_uses_flat_scanlines():
     assert rel.max() < 1.0 / 256.0
 
 
+def test_rgbe_flat_scanline_past_the_rle_widths_roundtrips():
+    # 32897 = 0x8081 is past 0x7FFF, so the writer uses flat scanlines; their
+    # first pixel (2, 2, 128, 129) must not read as that width's RLE header
+    data = np.full((1, 32897, 3), 0.5, np.float32)
+    data[0, 0] = (0.015625, 0.015625, 1.0)
+    raw = write_rgbe(Image(data, LINEAR_HDR))
+    assert raw[raw.index(b"+X 32897\n") + 9:][:4] == bytes((2, 2, 128, 129))
+    np.testing.assert_array_equal(read_rgbe(raw).data, data)
+
+
 def test_rgbe_write_is_stable():
     # decode then re-encode reproduces the same bytes (codes are fixed points)
     img = random_hdr(4, h=16, w=33)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,18 @@ def test_conversion_errors_name_the_key(cls, line):
         loads(cls, line + "\n")
 
 
+@pytest.mark.parametrize("cls,line,message", [
+    (DegradationConfig, "jpeg_qf2=0", "jpeg_qf2 must lie in [1, 100]"),
+    (DegradationConfig, "rescale_range=1.0,0.7", "rescale_range must have lo <= hi"),
+    (ModelConfig, "dense_growth=0", "dense_growth must be >= 1"),
+    (TR.TrainConfig, "lr0=nan", "lr0 must be positive and finite"),
+])
+def test_loads_rejects_an_invalid_value_by_key(cls, line, message):
+    # the value converts; building the config is what rejects it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        loads(cls, line + "\n")
+
+
 def test_degrade_echo_roundtrips_the_recipe(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -163,3 +177,18 @@ def test_degrade_echo_roundtrips_the_recipe(tmp_path, capsys):
     back, _ = loads(DegradationConfig, text)
     np.testing.assert_array_equal(back.cst_matrix, DegradationConfig().cst_matrix)
     assert dumps(back) == dumps(DegradationConfig())
+
+
+def test_train_echo_roundtrips_its_configs(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    rc = main(["train", "--data", str(empty), "--out", str(tmp_path / "m.ckpt"),
+               "--iters", "3", "--lr", "0.001", "--no-degrade"])
+    assert rc == EXIT_FAIL
+    echoed = dict(line.strip().split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                  if " = " in line)
+    for cls, want in ((TR.TrainConfig, TR.TrainConfig(lr0=0.001, max_iters=3,
+                                                      apply_degradation=False)),
+                      (DegradationConfig, DegradationConfig())):
+        text = "".join(f"{k}={echoed[k]}\n" for k in vars(cls()))
+        assert dumps(loads(cls, text)[0]) == dumps(want)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 import tracemalloc
@@ -486,6 +487,21 @@ def test_checkpoint_rejects_a_repeated_record(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_record_whose_size_overflows(tmp_path):
+    # 65536**4 floats wrap to 0 in int64; the record must read as truncated
+    net = make_net(small_cfg())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, net)
+    raw = path.read_bytes()
+    at = 14 + struct.unpack_from("<I", raw, 6)[0]  # the first record
+    (name_len,) = struct.unpack_from("<I", raw, at)
+    name = raw[at + 4:at + 4 + name_len].decode()
+    dims_at = at + 4 + name_len
+    path.write_bytes(raw[:dims_at] + struct.pack("<4I", *[65536] * 4) + raw[dims_at + 16:])
+    with pytest.raises(ValueError, match=f"truncated checkpoint record '{name}'"):
+        load_checkpoint(path)
+
+
 def test_network_missing_weight_names_the_key():
     weights = dict(make_net(small_cfg()).weights)
     del weights["local.head.weight"]
@@ -495,7 +511,16 @@ def test_network_missing_weight_names_the_key():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(unet_base_channels=6, groups=4).validate()
+        ModelConfig(unet_base_channels=6, groups=4)
+
+
+def test_config_is_checked_when_built_and_frozen():
+    with pytest.raises(ValueError, match="unet_base_channels must be divisible by groups"):
+        replace(ModelConfig(), groups=3)
+    cfg = ModelConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.groups = 3
+    assert cfg.groups == 4
 
 
 @pytest.mark.parametrize("key", ["dense_growth", "unet_base_channels", "groups",
@@ -504,7 +529,7 @@ def test_config_rejects_widths_below_one(key):
     # checked before the divisibility test, so groups=0 is no modulo by zero
     for value in (0, -4):
         with pytest.raises(ValueError, match=f"{key} must be >= 1"):
-            ModelConfig(**{key: value}).validate()
+            ModelConfig(**{key: value})
 
 
 @pytest.mark.parametrize("word,value", [("true", True), ("False", False), ("1", True),

@@ -154,9 +154,22 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_zero_grad_keeps_params():
     p = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32), requires_grad=True)
     state = AdamState()
-    adam_step({"p": p}, state, lr=0.1)  # grad is None -> treated as zero
+    adam_step({"p": p}, state, lr=0.1)  # grad is None -> skipped
     np.testing.assert_array_equal(p.data, 1.0)
     assert state.step == 1
+
+
+def test_adam_keeps_a_param_without_grad_after_a_real_step():
+    # the momentum of the first step must not move the parameter on the second
+    p = Tensor(np.ones((1, 1, 1, 2), dtype=np.float32), requires_grad=True)
+    state = AdamState()
+    p.grad = np.array([[[[3.0, -0.5]]]], dtype=np.float32)
+    adam_step({"p": p}, state, lr=0.1)
+    after_first = p.data.copy()
+    p.grad = None
+    adam_step({"p": p}, state, lr=0.1)
+    np.testing.assert_array_equal(p.data, after_first)
+    assert state.step == 2
 
 
 def test_adam_determinism():
@@ -187,19 +200,19 @@ def test_lr_schedule_halving():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(lr0=0.0).validate()
+        TrainConfig(lr0=0.0)
     for lr0 in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lr0"):
-            TrainConfig(lr0=lr0).validate()
+            TrainConfig(lr0=lr0)
     with pytest.raises(ValueError):
-        TrainConfig(patch_size=0).validate()
+        TrainConfig(patch_size=0)
     for size in (1, 2):  # the network needs at least 3x3
         with pytest.raises(ValueError, match="patch_size must be >= 3"):
-            TrainConfig(patch_size=size).validate()
-    TrainConfig(patch_size=3).validate()
+            TrainConfig(patch_size=size)
+    TrainConfig(patch_size=3)
     with pytest.raises(ValueError, match="max_iters"):
-        TrainConfig(max_iters=-1).validate()
-    TrainConfig(max_iters=0).validate()
+        TrainConfig(max_iters=-1)
+    TrainConfig(max_iters=0)
 
 
 # ---------------------------------------------------------------------------
