@@ -34,10 +34,12 @@ SDR_EXTS = (".ppm",)
 RUN_STATS_COMMANDS = ("degrade", "stats", "train", "infer", "eval")
 
 
-def _echo(title: str, kv: dict):
+def _echo(title: str, *parts):
+    """[title], then each mapping's or config's kvtext items as `key = value`."""
     print(f"[{title}]")
-    for k, v in kv.items():
-        print(f"  {k} = {v}")
+    for part in parts:
+        for k, v in kvtext.items(part):
+            print(f"  {k} = {v}")
 
 
 def _print_kv(obj):
@@ -92,8 +94,7 @@ def _parse_resolution(text: str):
 
 def cmd_degrade(args) -> int:
     cfg = _load_degrade_config(args.config)
-    _echo("degrade", {"in": args.in_dir, "out": args.out_dir,
-                      **dict(kvtext.items(cfg)), "seed": args.seed})
+    _echo("degrade", {"in": args.in_dir, "out": args.out_dir}, cfg, {"seed": args.seed})
     files = _list_images(args.in_dir, SDR_EXTS)
     if not files:
         print("error: no input images", file=sys.stderr)
@@ -157,9 +158,6 @@ def _load_pairs(data_dir, patch_size):
         sdr_path = hdr_path.with_suffix(".ppm")
         if sdr_path.exists():
             hdr = imgio.read_image(hdr_path)
-            if hdr.data.min() < 0:
-                raise ValueError(f"{hdr_path}: label has a negative pixel "
-                                 f"(linear HDR must be non-negative)")
             sdr = imgio.read_image(sdr_path)
             try:
                 TR.check_pair(hdr, sdr, patch_size)
@@ -178,8 +176,7 @@ def cmd_train(args) -> int:
                                lr0=args.lr, seed=args.seed,
                                apply_degradation=not args.no_degrade)
     degrade_cfg = _load_degrade_config(args.degrade_config)
-    _echo("train", {"data": args.data, "out": args.out, **dict(kvtext.items(train_cfg)),
-                    **dict(kvtext.items(degrade_cfg)), "model": model_cfg})
+    _echo("train", {"data": args.data, "out": args.out}, train_cfg, degrade_cfg, model_cfg)
     # a run with no iterations samples no patch
     pairs = _load_pairs(args.data, train_cfg.patch_size if train_cfg.max_iters else 0)
     if not pairs:
@@ -201,7 +198,7 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     net, extra = mod.load_checkpoint(args.checkpoint)
     _echo("infer", {"checkpoint": args.checkpoint, "in": args.in_path,
-                    "out": args.out_path, "model": net.cfg})
+                    "out": args.out_path}, net.cfg)
     sdr = imgio.read_image(args.in_path)
     hdr = M.reconstruct_hdr(net, sdr)
     imgio.write_image(args.out_path, hdr)
@@ -248,7 +245,7 @@ def cmd_eval(args) -> int:
 def cmd_info(args) -> int:
     cfg = _load_model_config(args.model_config)
     w, h = _parse_resolution(args.resolution)
-    _echo("info", {"resolution": f"{w}x{h}", "model": cfg})
+    _echo("info", {"resolution": f"{w}x{h}"}, cfg)
     rows = mod.layer_breakdown(cfg, h, w)
     name_w = max(len(r[0]) for r in rows)
     for name, params, macs in rows:
@@ -261,8 +258,7 @@ def cmd_info(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _load_model_config(args.model_config)
     w, h = _parse_resolution(args.resolution)
-    _echo("bench", {"resolution": f"{w}x{h}", "repeats": args.repeats,
-                    "model": cfg})
+    _echo("bench", {"resolution": f"{w}x{h}", "repeats": args.repeats}, cfg)
     _print_kv(M.bench_forward(cfg, h, w, repeats=args.repeats, seed=args.seed))
     return EXIT_OK
 

@@ -15,7 +15,7 @@ their outputs are bit-identical to those references.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -38,26 +38,29 @@ class DegradationConfig:
     jpeg_qf1_range: tuple[int, int] = (60, 80)
     jpeg_qf2: int = 75
     rescale_range: tuple[float, float] = (0.7, 1.0)
-    cst_matrix: np.ndarray = field(default_factory=lambda: DEFAULT_CST)
+    cst_matrix: tuple[(float,) * 9] = tuple(DEFAULT_CST.ravel().tolist())  # row-major
 
     def __post_init__(self):
-        m = np.array(self.cst_matrix, dtype=np.float64)
-        if m.shape != (3, 3) or not np.isfinite(m).all() or abs(np.linalg.det(m)) < 1e-12:
+        m = np.asarray(self.cst_matrix, dtype=np.float64)
+        if m.size != 9 or not np.isfinite(m).all() or abs(np.linalg.det(m.reshape(3, 3))) < 1e-12:
             raise ValueError("cst_matrix must be a finite, invertible 3x3 matrix")
-        m.flags.writeable = False
-        object.__setattr__(self, "cst_matrix", m)
+        object.__setattr__(self, "cst_matrix", tuple(m.ravel().tolist()))
+        for name, qs in (("jpeg_qf1_range", self.jpeg_qf1_range),
+                         ("jpeg_qf2", (self.jpeg_qf2,))):
+            v = getattr(self, name)
+            if not all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) for q in qs):
+                raise ValueError(f"{name} must hold integers, got {v!r}")
+            if not all(1 <= q <= 100 for q in qs):
+                raise ValueError(f"{name} must lie in [1, 100], got {v}")
         for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
             lo, hi = getattr(self, name)
+            object.__setattr__(self, name, (lo, hi))  # a list becomes a hashable tuple
             if not np.isfinite([lo, hi]).all():
                 raise ValueError(f"{name} must be finite, got ({lo}, {hi})")
             if lo > hi:
                 raise ValueError(f"{name} must have lo <= hi, got ({lo}, {hi})")
         if self.noise_sigma_range[0] < 0:
             raise ValueError(f"noise_sigma_range must be >= 0, got {self.noise_sigma_range}")
-        if not all(1 <= q <= 100 for q in self.jpeg_qf1_range):
-            raise ValueError(f"jpeg_qf1_range must lie in [1, 100], got {self.jpeg_qf1_range}")
-        if not 1 <= self.jpeg_qf2 <= 100:
-            raise ValueError(f"jpeg_qf2 must lie in [1, 100], got {self.jpeg_qf2}")
         if self.rescale_range[0] <= 0:
             raise ValueError(f"rescale_range must be > 0, got {self.rescale_range}")
 
@@ -289,7 +292,7 @@ def conventional_degrade(sdr: Image, cfg: DegradationConfig,
     rlo, rhi = cfg.rescale_range
     scale = float(rng.uniform(rlo, rhi)) if rhi > rlo else float(rlo)
 
-    m = cfg.cst_matrix
+    m = np.reshape(cfg.cst_matrix, (3, 3))
     # every stage below keeps this layout: (h, w, 3) views of channel planes
     x = np.ascontiguousarray(sdr.data.transpose(2, 0, 1), dtype=np.float64)
     x = srgb_decode(x.transpose(1, 2, 0))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import re
-import struct
 from dataclasses import dataclass
 
 import numpy as np

@@ -2,8 +2,9 @@
 manifests and the checkpoint header.
 
 A file is one ``key=value`` line per field; blank lines and ``#`` comments are
-skipped, and a key given twice is an error.  Tuples and arrays are
-comma-separated, booleans are true/false/1/0/yes/no in any case, and every
+skipped, and a key given twice is an error.  Tuples are comma-separated with
+exactly as many values as their declared type has (nine for the row-major
+``cst_matrix``), booleans are true/false/1/0/yes/no in any case, and every
 conversion error names its key.  A config checks its own values when built.
 """
 from __future__ import annotations
@@ -12,20 +13,16 @@ import dataclasses
 import typing
 from collections.abc import Mapping
 
-import numpy as np
-
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
 
 
 def items(obj):
     """(key, text) pairs of a dataclass instance's fields, in field order, or
-    of a mapping; tuples and arrays become comma-separated ``str()`` values."""
+    of a mapping; tuples and lists become comma-separated ``str()`` values."""
     pairs = obj.items() if isinstance(obj, Mapping) else (
         (f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
     for k, v in pairs:
-        if isinstance(v, np.ndarray):
-            v = v.reshape(-1).tolist()
         yield k, ",".join(map(str, v)) if isinstance(v, (tuple, list)) else str(v)
 
 
@@ -33,13 +30,11 @@ def dumps(obj) -> str:
     return "".join(f"{k}={v}\n" for k, v in items(obj))
 
 
-def _convert(text: str, typ, default):
+def _convert(text: str, typ):
     if typ is bool:
         if text.lower() not in _BOOLS:
             raise ValueError(f"must be one of true/false/1/0/yes/no, got {text!r}")
         return _BOOLS[text.lower()]
-    if typ is np.ndarray:
-        return np.array([float(s) for s in text.split(",")]).reshape(np.shape(default))
     if typing.get_origin(typ) is tuple:
         parts, types = text.split(","), typing.get_args(typ)
         if len(parts) != len(types):
@@ -53,7 +48,6 @@ def loads(cls, text: str):
     converting each value by the field's declared type.  Returns (instance,
     {key: raw text}) where the dict holds the keys ``cls`` has no field for."""
     hints = typing.get_type_hints(cls)
-    defaults = cls()
     kwargs, extra = {}, {}
     for line in text.splitlines():
         line = line.strip()
@@ -68,7 +62,7 @@ def loads(cls, text: str):
             extra[k] = v
             continue
         try:
-            kwargs[k] = _convert(v, hints[k], getattr(defaults, k))
+            kwargs[k] = _convert(v, hints[k])
         except ValueError as e:
             raise ValueError(f"{k}: {e}") from None
     return cls(**kwargs), extra

@@ -19,9 +19,7 @@ from .degrade import DegradationConfig, conventional_degrade
 from .imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
 from .model import ModelConfig, Network, count_macs, count_params, ablation_config
 from .tensor import Tensor
-from .training import (
-    GAMMA, TrainConfig, kaiming_init, postprocess_gamma, preprocess_gamma, train_loop,
-)
+from .training import GAMMA, TrainConfig, kaiming_init, postprocess_gamma, train_loop
 
 METRIC_DOMAIN = "gamma045"
 
@@ -178,13 +176,11 @@ def evaluate_on_degraded(net: Network, pairs, degrade_cfg: DegradationConfig,
     for hdr, sdr in pairs:
         degraded, _ = conventional_degrade(sdr, degrade_cfg, rng)
         pred = reconstruct_hdr(net, degraded)
-        ref_gamma, _ = preprocess_gamma(hdr)
-        pred_gamma = to_metric_domain(pred, float(np.asarray(pred.data).max()) or 1.0)
         # compare in the gamma domain with each image normalized by its own max
-        p = psnr(pred_gamma, Image(ref_gamma.data))
-        s = ssim(pred_gamma, Image(ref_gamma.data))
-        ps.append(p)
-        ss.append(s)
+        pred_gamma = to_metric_domain(pred, float(np.asarray(pred.data).max()) or 1.0)
+        ref_gamma = to_metric_domain(hdr)
+        ps.append(psnr(pred_gamma, ref_gamma))
+        ss.append(ssim(pred_gamma, ref_gamma))
     return float(np.mean(ps)), float(np.mean(ss))
 
 

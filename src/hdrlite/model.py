@@ -51,8 +51,13 @@ class ModelConfig:
     def __post_init__(self):
         for key in ("dense_layers", "dense_growth", "unet_base_channels", "groups",
                     "global_mlp_channels"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+            v = getattr(self, key)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
+            if v < 1:
+                raise ValueError(f"{key} must be >= 1, got {v}")
+        if not isinstance(self.use_partial_conv, (bool, np.bool_)):
+            raise ValueError(f"use_partial_conv must be a bool, got {self.use_partial_conv!r}")
         if self.unet_base_channels % self.groups:
             raise ValueError("unet_base_channels must be divisible by groups")
 

@@ -41,10 +41,14 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
-        if self.patch_size < 3:
-            raise ValueError(f"patch_size must be >= 3, got {self.patch_size}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        for key, least in (("patch_size", 3), ("max_iters", 0), ("seed", 0)):
+            v = getattr(self, key)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
+            if v < least:
+                raise ValueError(f"{key} must be >= {least}, got {v}")
+        if not isinstance(self.apply_degradation, (bool, np.bool_)):
+            raise ValueError(f"apply_degradation must be a bool, got {self.apply_degradation!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -160,8 +164,10 @@ def lr_schedule(iteration: int, cfg: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def check_pair(hdr: Image, sdr: Image, size: int):
-    """Raise ValueError unless a training pair's label and input have the
-    same dimensions, each at least `size`."""
+    """Raise ValueError unless a training pair's label has no negative pixel
+    and its label and input have the same dimensions, each at least `size`."""
+    if hdr.data.min() < 0:
+        raise ValueError("label has a negative pixel (linear HDR must be non-negative)")
     h, w = hdr.height, hdr.width
     if (h, w) != (sdr.height, sdr.width):
         raise ValueError(f"HDR/SDR pair dimensions differ: label {w}x{h}, "

@@ -366,11 +366,12 @@ def test_config_validation():
 def test_config_keeps_a_read_only_copy_of_cst_matrix():
     a = np.eye(3, dtype=np.float32)
     cfg = DegradationConfig(cst_matrix=a)
-    assert cfg.cst_matrix.dtype == np.float64 and not cfg.cst_matrix.flags.writeable
+    # a 3x3 array becomes a row-major tuple of nine Python floats
+    assert cfg.cst_matrix == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    assert all(type(v) is float for v in cfg.cst_matrix)
     a[0, 0] = 2.0  # the caller's array stays writable and detached
-    assert cfg.cst_matrix[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        cfg.cst_matrix[0, 0] = 2.0
+    assert a.flags.writeable and cfg.cst_matrix[0] == 1.0
+    assert DegradationConfig(cst_matrix=a.ravel()).cst_matrix[0] == 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.jpeg_qf2 = 10
     with pytest.raises(ValueError, match="jpeg_qf2"):

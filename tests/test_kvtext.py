@@ -189,6 +189,61 @@ def test_train_echo_roundtrips_its_configs(tmp_path, capsys):
                   if " = " in line)
     for cls, want in ((TR.TrainConfig, TR.TrainConfig(lr0=0.001, max_iters=3,
                                                       apply_degradation=False)),
-                      (DegradationConfig, DegradationConfig())):
+                      (DegradationConfig, DegradationConfig()),
+                      (ModelConfig, ModelConfig())):
         text = "".join(f"{k}={echoed[k]}\n" for k in vars(cls()))
-        assert dumps(loads(cls, text)[0]) == dumps(want)
+        assert loads(cls, text)[0] == want
+
+
+# The default and one non-default instance of each config.
+CONFIGS = [
+    ModelConfig(),
+    ModelConfig(dense_layers=3, dense_growth=8, unet_base_channels=12, groups=3,
+                global_mlp_channels=24, use_partial_conv=False),
+    DegradationConfig(),
+    DegradationConfig(noise_sigma_range=(0.002, 0.004), jpeg_qf1_range=(50, 90), jpeg_qf2=60,
+                      rescale_range=(0.8, 0.9), cst_matrix=np.diag([1.0 / 3.0, 0.9, 1.1])),
+    TR.TrainConfig(),
+    TR.TrainConfig(lr0=1e-3, patch_size=32, max_iters=7, seed=5, apply_degradation=False),
+]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: type(c).__name__)
+def test_configs_compare_hash_and_roundtrip(cfg):
+    same = type(cfg)(**vars(cfg))
+    assert cfg == same and hash(cfg) == hash(same)
+    assert "\n" not in repr(cfg)
+    back, extra = loads(type(cfg), dumps(cfg))
+    assert back == cfg and hash(back) == hash(cfg) and extra == {}
+
+
+@pytest.mark.parametrize("cls,field,value,word", [
+    (ModelConfig, "groups", 2.0, "integer"),
+    (ModelConfig, "unet_base_channels", 20.0, "integer"),
+    (ModelConfig, "dense_layers", True, "integer"),
+    (ModelConfig, "use_partial_conv", 1, "bool"),
+    (ModelConfig, "use_partial_conv", "false", "bool"),
+    (TR.TrainConfig, "patch_size", 64.5, "integer"),
+    (TR.TrainConfig, "max_iters", 2.0, "integer"),
+    (TR.TrainConfig, "seed", False, "integer"),
+    (TR.TrainConfig, "seed", -1, ">= 0"),  # np.random.default_rng rejects it
+    (TR.TrainConfig, "apply_degradation", 0, "bool"),
+    (DegradationConfig, "jpeg_qf1_range", (60.5, 80), "integer"),
+    (DegradationConfig, "jpeg_qf1_range", (60, True), "integer"),
+    (DegradationConfig, "jpeg_qf2", 75.5, "integer"),
+])
+def test_configs_check_integer_and_bool_fields(cls, field, value, word):
+    with pytest.raises(ValueError, match=f"^{field} .*{word}"):
+        cls(**{field: value})
+
+
+def test_configs_accept_numpy_scalars_and_lists():
+    assert DegradationConfig(jpeg_qf1_range=[60, 80], rescale_range=[0.7, 1.0]) == \
+        DegradationConfig()
+    assert hash(DegradationConfig(noise_sigma_range=[0.001, 0.003])) == hash(DegradationConfig())
+    cfg = ModelConfig(groups=np.int64(2), unet_base_channels=np.int32(8),
+                      use_partial_conv=np.bool_(False))
+    assert cfg == ModelConfig(groups=2, unet_base_channels=8, use_partial_conv=False)
+    assert TR.TrainConfig(patch_size=np.int64(32), seed=np.uint8(3)).patch_size == 32
+    recipe = DegradationConfig(jpeg_qf1_range=(np.int64(50), 90), jpeg_qf2=np.int16(60))
+    assert recipe == DegradationConfig(jpeg_qf1_range=(50, 90), jpeg_qf2=60)

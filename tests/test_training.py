@@ -347,9 +347,19 @@ def test_end_to_end_loss_gradient_check():
     assert T.gradient_check(f, [w]) < 1e-3
 
 
+def negative_label_pair():
+    """A 48x48 pair whose label has one negative pixel, in the bottom-right
+    corner, outside most 32x32 patches."""
+    hdr, sdr = make_pairs(1, 48)[0]
+    data = hdr.data.copy()
+    data[47, 47] = -0.5
+    return Image(data, LINEAR_HDR), sdr
+
+
 @pytest.mark.parametrize("second, message", [
     (make_pairs(1, 20)[0], "smaller than patch size 32"),
     ((make_pairs(1, 32)[0][0], make_pairs(1, 48)[0][1]), "dimensions differ"),
+    (negative_label_pair(), "label has a negative pixel"),
 ])
 def test_train_loop_checks_every_pair_before_the_first_iteration(tmp_path, second, message):
     log = tmp_path / "loss.log"
