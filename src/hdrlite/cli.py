@@ -130,7 +130,7 @@ def cmd_stats(args) -> int:
     if not files:
         print("error: no input images", file=sys.stderr)
         return EXIT_FAIL
-    images = [imgio.read_image(p) for p in files]
+    images = (imgio.read_image(p) for p in files)
     _print_kv(D.dataset_stats(images, over_code=args.over_code,
                               under_code=args.under_code))
     return EXIT_OK
@@ -196,6 +196,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if Path(args.out_path).suffix not in HDR_EXTS:
+        raise ValueError(f"--out {args.out_path}: infer writes only "
+                         f"{' and '.join(HDR_EXTS)} files")
     net, extra = mod.load_checkpoint(args.checkpoint)
     _echo("infer", {"checkpoint": args.checkpoint, "in": args.in_path,
                     "out": args.out_path}, net.cfg)

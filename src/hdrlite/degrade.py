@@ -41,10 +41,14 @@ class DegradationConfig:
     cst_matrix: tuple[(float,) * 9] = tuple(DEFAULT_CST.ravel().tolist())  # row-major
 
     def __post_init__(self):
-        m = np.asarray(self.cst_matrix, dtype=np.float64)
+        m = np.asarray(self.cst_matrix, dtype=object).ravel()
+        if not all(isinstance(v, (int, float, np.integer, np.floating))
+                   and not isinstance(v, bool) for v in m):
+            raise ValueError(f"cst_matrix must hold real numbers, got {self.cst_matrix!r}")
+        m = m.astype(np.float64)
         if m.size != 9 or not np.isfinite(m).all() or abs(np.linalg.det(m.reshape(3, 3))) < 1e-12:
             raise ValueError("cst_matrix must be a finite, invertible 3x3 matrix")
-        object.__setattr__(self, "cst_matrix", tuple(m.ravel().tolist()))
+        object.__setattr__(self, "cst_matrix", tuple(m.tolist()))
         for name, qs in (("jpeg_qf1_range", self.jpeg_qf1_range),
                          ("jpeg_qf2", (self.jpeg_qf2,))):
             v = getattr(self, name)
@@ -55,6 +59,9 @@ class DegradationConfig:
         for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
             lo, hi = getattr(self, name)
             object.__setattr__(self, name, (lo, hi))  # a list becomes a hashable tuple
+            if not all(isinstance(v, (int, float, np.integer, np.floating))
+                       and not isinstance(v, bool) for v in (lo, hi)):
+                raise ValueError(f"{name} must hold real numbers, got ({lo!r}, {hi!r})")
             if not np.isfinite([lo, hi]).all():
                 raise ValueError(f"{name} must be finite, got ({lo}, {hi})")
             if lo > hi:
@@ -332,13 +339,12 @@ def exposure_stats(codes: np.ndarray, over_code: int = 255, under_code: int = 0)
     return float((p <= under_code).sum() / n), float((p >= over_code).sum() / n)
 
 
-def dataset_stats(images: list[Image], over_code: int = 255,
-                  under_code: int = 0) -> dict:
+def dataset_stats(images, over_code: int = 255, under_code: int = 0) -> dict:
     """Exposure fractions of SDR images, counted on their 8-bit codes, as a
     key=value report: the image count, the sorted distinct resolutions, and
-    the mean and population standard deviation of the per-image fractions."""
-    if not images:
-        raise ValueError("dataset_stats needs at least one image")
+    the mean and population standard deviation of the per-image fractions.
+    images may be any iterable, such as a generator that decodes one file at
+    a time."""
     fractions, resolutions = [], set()
     for img in images:
         if img.domain == LINEAR_HDR:
@@ -346,8 +352,10 @@ def dataset_stats(images: list[Image], over_code: int = 255,
         codes = float_to_code(img.data, 255)
         fractions.append(exposure_stats(codes, over_code=over_code, under_code=under_code))
         resolutions.add(f"{img.width}x{img.height}")
+    if not fractions:
+        raise ValueError("dataset_stats needs at least one image")
     under, over = zip(*fractions)
-    return {"images": len(images), "resolutions": sorted(resolutions),
+    return {"images": len(fractions), "resolutions": sorted(resolutions),
             "under_code": under_code, "over_code": over_code,
             "under_mean": f"{np.mean(under):.6f}", "under_std": f"{np.std(under):.6f}",
             "over_mean": f"{np.mean(over):.6f}", "over_std": f"{np.std(over):.6f}"}

@@ -207,6 +207,10 @@ def read_rgbe(data: bytes) -> Image:
         header_end = data.index(b"\n\n")
     except ValueError:
         raise ImageFormatError("unterminated Radiance header") from None
+    for line in data[:header_end].split(b"\n"):
+        if line.startswith(b"FORMAT="):
+            fmt = line[7:].strip()
+            _require(fmt == b"32-bit_rle_rgbe", f"unsupported Radiance format {fmt!r}")
     off = header_end + 2
     res_end = data.find(b"\n", off)
     _require(res_end > 0, "missing resolution line")

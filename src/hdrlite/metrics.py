@@ -17,7 +17,7 @@ import scipy.ndimage
 
 from .degrade import DegradationConfig, conventional_degrade
 from .imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
-from .model import ModelConfig, Network, count_macs, count_params, ablation_config
+from .model import ModelConfig, Network, count_macs, count_params
 from .tensor import Tensor
 from .training import GAMMA, TrainConfig, kaiming_init, postprocess_gamma, train_loop
 
@@ -184,23 +184,31 @@ def evaluate_on_degraded(net: Network, pairs, degrade_cfg: DegradationConfig,
     return float(np.mean(ps)), float(np.mean(ss))
 
 
+# Each ablation variant as (ModelConfig changes, TrainConfig changes).
+ABLATIONS = {
+    "baseline": ({}, {}),
+    "no_conventional_degradation": ({}, {"apply_degradation": False}),
+    "no_partial_conv": ({"use_partial_conv": False}, {}),  # SFT blocks in the encoder
+    "no_group_conv": ({"groups": 1}, {}),
+}
+
+
 def ablation_suite(model_cfg: ModelConfig, train_cfg: TrainConfig,
                    dataset, test_pairs, degrade_cfg: DegradationConfig,
-                   variants=("baseline", "no_conventional_degradation",
-                             "no_partial_conv", "no_group_conv")) -> list[dict]:
-    """Train each configuration toggle under an identical budget and compare.
+                   variants=tuple(ABLATIONS)) -> list[dict]:
+    """Train each ABLATIONS variant under an identical budget and compare.
 
     Returns one row per variant with params, MACs (at the training patch
     size) and PSNR/SSIM on degraded test inputs.
     """
-    runs = []  # every variant's configs, so an unknown name fails before any training
-    for name in variants:
-        if name == "no_conventional_degradation":
-            runs.append((name, model_cfg, replace(train_cfg, apply_degradation=False)))
-        else:
-            runs.append((name, ablation_config(model_cfg, name), train_cfg))
+    for name in variants:  # an unknown name fails before any training
+        if name not in ABLATIONS:
+            raise ValueError(f"unknown ablation {name!r}")
     rows = []
-    for name, cfg, tcfg in runs:
+    for name in variants:
+        model_changes, train_changes = ABLATIONS[name]
+        cfg = replace(model_cfg, **model_changes)
+        tcfg = replace(train_cfg, **train_changes)
         net, _ = train_loop(cfg, tcfg, dataset, degrade_cfg)
         p, s = evaluate_on_degraded(net, test_pairs, degrade_cfg, train_cfg.seed)
         rows.append({

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +27,13 @@ CHECKPOINT_VERSION = 1
 # per level, a four-layer global MLP channel-modulated after its second layer,
 # masks that ramp from 0.9, and leaky ReLUs of slope 0.2.
 UNET_LEVELS = 2
-GLOBAL_MLP_LAYERS = 4
-MODULATION_AFTER_LAYER = 2
 MASK_THRESHOLD = 0.9
 LEAKY_SLOPE = 0.2
-# Checkpoint header keys of these values from when they were ModelConfig
-# fields: a checkpoint that carries one loads only at the constant's value.
+# Checkpoint header keys from when these choices were ModelConfig fields: a
+# checkpoint that carries one loads only at the value the architecture fixes.
 _RETIRED_KEYS = {"unet_levels": UNET_LEVELS, "unet_rb_per_level": 1,
-                 "global_mlp_layers": GLOBAL_MLP_LAYERS, "mask_threshold": MASK_THRESHOLD,
-                 "leaky_slope": LEAKY_SLOPE, "modulation_after_layer": MODULATION_AFTER_LAYER}
+                 "global_mlp_layers": 4, "mask_threshold": MASK_THRESHOLD,
+                 "leaky_slope": LEAKY_SLOPE, "modulation_after_layer": 2}
 
 
 @dataclass(frozen=True)
@@ -143,12 +141,9 @@ def layer_table(cfg: ModelConfig) -> list[LayerInfo]:
     layers.append(LayerInfo("local.fuse", cfg.dense_layers * cfg.dense_growth + C, 3, 1))
 
     # global net: pointwise MLP plus modulation branch
-    for i in range(GLOBAL_MLP_LAYERS):
-        ic = 3 if i == 0 else G
-        oc = 3 if i == GLOBAL_MLP_LAYERS - 1 else G
-        layers.append(LayerInfo(f"global.mlp{i}", ic, oc, 1))
-    layers.append(LayerInfo("global.mod0", 3, G, 1))
-    layers.append(LayerInfo("global.mod1", G, 2 * G, 1))
+    layers += [LayerInfo("global.mlp0", 3, G, 1), LayerInfo("global.mlp1", G, G, 1),
+               LayerInfo("global.mlp2", G, G, 1), LayerInfo("global.mlp3", G, 3, 1),
+               LayerInfo("global.mod0", 3, G, 1), LayerInfo("global.mod1", G, 2 * G, 1)]
     return layers
 
 
@@ -252,15 +247,13 @@ class Network:
         # it runs on the pooled mod0 features instead of the whole frame
         m = self.conv("global.mod0", prior, act=True)
         m = self.conv("global.mod1", T.global_avg_pool(m))
-        h = x
-        for i in range(GLOBAL_MLP_LAYERS):
-            last = i == GLOBAL_MLP_LAYERS - 1
-            h = self.conv(f"global.mlp{i}", h, act=not last)
-            if last:
-                h = T.relu(h)
-            elif i + 1 == MODULATION_AFTER_LAYER:
-                h = self._modulate(h, m)
-        return h
+        # each step rebinds h, so a frame-sized input is freed once its output exists
+        h = self.conv("global.mlp0", x, act=True)
+        h = self.conv("global.mlp1", h, act=True)
+        h = self._modulate(h, m)
+        h = self.conv("global.mlp2", h, act=True)
+        h = self.conv("global.mlp3", h)
+        return T.relu(h)
 
     def local_forward(self, x: Tensor) -> Tensor:
         """The local network; its masks and SFT priors come from x itself."""
@@ -389,21 +382,9 @@ def load_checkpoint(path):
         dims = struct.unpack("<4I", take(16))
         raw = take(4 * math.prod(dims), f"checkpoint record {name!r}")
         arr = np.frombuffer(raw, dtype="<f4").reshape(dims)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint record {name!r} holds a NaN or inf value")
         weights[name] = Tensor(arr.astype(np.float32))
     if off != len(data):
         raise ValueError("trailing bytes after last checkpoint record")
     return Network(cfg, weights), extra
-
-
-_ABLATIONS = {
-    "baseline": {},
-    "no_partial_conv": {"use_partial_conv": False},  # SFT blocks in the encoder
-    "no_group_conv": {"groups": 1},
-}
-
-
-def ablation_config(cfg: ModelConfig, which: str) -> ModelConfig:
-    """cfg with the named architecture toggle applied ('baseline': unchanged)."""
-    if which not in _ABLATIONS:
-        raise ValueError(f"unknown ablation {which!r}")
-    return replace(cfg, **_ABLATIONS[which])

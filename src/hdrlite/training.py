@@ -39,6 +39,9 @@ class TrainConfig:
     apply_degradation: bool = True
 
     def __post_init__(self):
+        if isinstance(self.lr0, bool) or not isinstance(self.lr0, (int, float, np.integer,
+                                                                  np.floating)):
+            raise ValueError(f"lr0 must be a real number, got {self.lr0!r}")
         if not 0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         for key, least in (("patch_size", 3), ("max_iters", 0), ("seed", 0)):

@@ -2,6 +2,7 @@
 PASS/FAIL line with its measured numbers (bypassing output capture so the
 lines are echoed in the terminal summary of the run)."""
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ from hdrlite.imgio import (
 )
 from hdrlite.metrics import ablation_suite, psnr
 from hdrlite.model import (
-    ModelConfig, ablation_config, bright_invalid_mask, bright_valid_mask,
-    count_macs, count_params,
+    ModelConfig, bright_invalid_mask, bright_valid_mask, count_macs, count_params,
 )
 from hdrlite.training import (
     TrainConfig, postprocess_gamma, preprocess_gamma, train_loop,
@@ -116,7 +116,7 @@ def test_criterion_6_overfit_small_dataset():
 
 def test_criterion_7_ablation_directions():
     params_base = count_params(ModelConfig())
-    params_nogroup = count_params(ablation_config(ModelConfig(), "no_group_conv"))
+    params_nogroup = count_params(replace(ModelConfig(), groups=1))
     tiny = ModelConfig(dense_layers=3, dense_growth=8, unet_base_channels=8,
                        global_mlp_channels=16, groups=2)
     harsh = DegradationConfig(noise_sigma_range=(0.03, 0.05),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,30 @@ def test_stats_counts_only_the_sdr_images_of_a_pairs_dir(tmp_path, capsys):
                       "over_mean=0.231717", "over_std=0.039442"]
 
 
+def test_stats_holds_one_decoded_image_at_a_time(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    reports = {}
+    for count in (4, 16):
+        d = tmp_path / f"n{count}"
+        d.mkdir()
+        for i in range(count):
+            write_image(d / f"a{i}.ppm",
+                        Image(rng.random((120, 160, 3)).astype(np.float32), NONLINEAR_SDR))
+    main(["stats", "--in", str(tmp_path / "n4")])  # warm-up: first-call allocations
+    capsys.readouterr()
+    peaks = {}
+    for count in (4, 16):
+        tracemalloc.start()
+        try:
+            assert main(["stats", "--in", str(tmp_path / f"n{count}")]) == EXIT_OK
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reports[count] = capsys.readouterr().out
+    assert peaks[16] <= 1.1 * peaks[4], peaks
+    assert "images=16" in reports[16] and "resolutions=160x120" in reports[16]
+
+
 # ---------------------------------------------------------------------------
 # train / infer / eval
 # ---------------------------------------------------------------------------
@@ -346,6 +372,19 @@ def test_infer_rejects_hdr_input(pair_dir, tiny_model_cfg, tmp_path, capsys):
     assert rc == EXIT_FAIL
     assert "linear_hdr" in capsys.readouterr().err
     assert not pred.exists()
+
+
+@pytest.mark.parametrize("name", ["pred.ppm", "pred.exr", "pred"])
+def test_infer_rejects_a_non_hdr_out_before_reading_the_checkpoint(pair_dir, tmp_path, capsys,
+                                                                  name):
+    pred, preview = tmp_path / name, tmp_path / "prev.ppm"
+    rc = main(["infer", "--checkpoint", str(tmp_path / "missing.ckpt"),
+               "--in", str(pair_dir / "s0.ppm"), "--out", str(pred), "--preview", str(preview)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert f"--out {pred}: infer writes only .pfm and .hdr files" in err
+    assert "missing.ckpt" not in err
+    assert not pred.exists() and not preview.exists()
 
 
 def test_eval_file_mode_reads_only_hdr_files(pair_dir, capsys):

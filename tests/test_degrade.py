@@ -402,6 +402,27 @@ def test_config_validation_names_the_field(field, value):
         DegradationConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("noise_sigma_range", ("a", "b")),
+    ("noise_sigma_range", (False, True)),
+    ("rescale_range", (True, True)),
+    ("rescale_range", ("0.7", 1.0)),
+    ("cst_matrix", ("1",) * 9),
+    ("cst_matrix", (True,) + (1.0,) * 8),
+    ("cst_matrix", np.eye(3, dtype=bool)),
+])
+def test_config_float_fields_reject_bools_and_strings_by_name(field, value):
+    with pytest.raises(ValueError, match=f"{field} must hold real numbers"):
+        DegradationConfig(**{field: value})
+
+
+def test_config_float_fields_accept_numpy_scalars():
+    cfg = DegradationConfig(noise_sigma_range=(np.float32(0.001), np.float64(0.002)),
+                            rescale_range=(np.int64(1), 1),
+                            cst_matrix=tuple(np.float32(v) for v in np.eye(3).ravel()))
+    assert cfg.cst_matrix == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
 def test_config_validation_accepts_edge_recipes():
     DegradationConfig()
     DegradationConfig(noise_sigma_range=(0.0, 0.0),

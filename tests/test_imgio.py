@@ -319,6 +319,18 @@ def test_rgbe_rejects_bad_headers():
         read_rgbe(b"#?RADIANCE\n\n-Y 1 +X 2\n" + bytes((1, 1, 1, 9)) + b"\0" * 4)
 
 
+def test_rgbe_reads_only_the_rgbe_format():
+    img = random_hdr(6, h=3, w=9)
+    data = write_rgbe(img)
+    assert b"FORMAT=32-bit_rle_rgbe\n" in data
+    for fmt in (b"32-bit_rle_xyze", b"", b"32-bit_rle_rgbe_x"):
+        with pytest.raises(ImageFormatError, match="unsupported Radiance format"):
+            read_rgbe(data.replace(b"32-bit_rle_rgbe", fmt))
+    # a header with no FORMAT line reads as RGBE
+    bare = read_rgbe(data.replace(b"FORMAT=32-bit_rle_rgbe\n", b"EXPOSURE=1\n"))
+    np.testing.assert_array_equal(bare.data, read_rgbe(data).data)
+
+
 def test_write_rgbe_rejects_exponent_overflow(tmp_path):
     # mantissa 255 at exponent byte 255 is the largest code; a maximum of
     # RGBE_LIMIT rounds to mantissa 256 there, and 2^127 or more would wrap
@@ -655,3 +667,12 @@ def test_dataset_stats_exposure_fractions():
         dataset_stats([])
     with pytest.raises(ValueError, match=LINEAR_HDR):
         dataset_stats([Image(codes, LINEAR_HDR)])
+
+
+def test_dataset_stats_reads_any_iterable():
+    rng = np.random.default_rng(3)
+    images = [Image(rng.random((8, 9, 3)).astype(np.float32), NONLINEAR_SDR) for _ in range(3)]
+    assert dataset_stats(img for img in images) == dataset_stats(images)
+    assert dataset_stats(iter(images))["images"] == 3
+    with pytest.raises(ValueError, match="at least one image"):
+        dataset_stats(img for img in [])

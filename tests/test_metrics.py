@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.ndimage
@@ -11,7 +13,7 @@ from hdrlite.metrics import (
     to_metric_domain, tonemap_preview,
 )
 from hdrlite.model import ModelConfig, count_macs
-from hdrlite.training import kaiming_init
+from hdrlite.training import TrainConfig, kaiming_init
 from tests.conftest import make_hdr_scene, make_pairs
 
 TINY = ModelConfig(dense_layers=2, dense_growth=4, unet_base_channels=4,
@@ -194,6 +196,31 @@ def test_evaluate_on_degraded_smoke():
     p, s = evaluate_on_degraded(net, pairs, DegradationConfig(), seed=0)
     assert np.isfinite(p)
     assert -1.0 <= s <= 1.0
+
+
+def test_ablation_config_names(monkeypatch):
+    model_cfg, train_cfg = ModelConfig(groups=2), TrainConfig(max_iters=3)
+    seen = []
+
+    def record_training(cfg, tcfg, *args):
+        seen.append((cfg, tcfg))
+        return None, []
+
+    monkeypatch.setattr(metrics, "train_loop", record_training)
+    monkeypatch.setattr(metrics, "evaluate_on_degraded", lambda *a: (0.0, 0.0))
+    rows = ablation_suite(model_cfg, train_cfg, None, None, None)
+    assert [r["variant"] for r in rows] == list(metrics.ABLATIONS) == [
+        "baseline", "no_conventional_degradation", "no_partial_conv", "no_group_conv"]
+    assert seen == [
+        (model_cfg, train_cfg),
+        (model_cfg, replace(train_cfg, apply_degradation=False)),
+        (replace(model_cfg, use_partial_conv=False), train_cfg),
+        (replace(model_cfg, groups=1), train_cfg),
+    ]
+    seen.clear()
+    with pytest.raises(ValueError, match="unknown ablation 'no_dense'"):
+        ablation_suite(model_cfg, train_cfg, None, None, None, variants=("baseline", "no_dense"))
+    assert seen == []
 
 
 def test_ablation_suite_rejects_unknown_variant_before_training(monkeypatch):

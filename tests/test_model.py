@@ -11,9 +11,9 @@ from hdrlite import model
 from hdrlite import tensor as T
 from hdrlite.kvtext import loads
 from hdrlite.model import (
-    GLOBAL_MLP_LAYERS, LEAKY_SLOPE, MODULATION_AFTER_LAYER, UNET_LEVELS, LayerInfo, ModelConfig,
-    Network, ablation_config, bright_invalid_mask, bright_valid_mask, count_macs,
-    count_params, layer_breakdown, layer_table, load_checkpoint, prior_scalar, save_checkpoint,
+    LEAKY_SLOPE, UNET_LEVELS, LayerInfo, ModelConfig, Network, bright_invalid_mask,
+    bright_valid_mask, count_macs, count_params, layer_breakdown, layer_table, load_checkpoint,
+    prior_scalar, save_checkpoint,
 )
 from hdrlite.tensor import Tensor
 from hdrlite.training import kaiming_init
@@ -174,17 +174,8 @@ def test_count_macs_matches_executed_convs(monkeypatch):
 
 def test_ablation_param_directions():
     base = count_params(ModelConfig())
-    assert count_params(ablation_config(ModelConfig(), "no_group_conv")) > base
-    assert count_params(ablation_config(ModelConfig(), "no_partial_conv")) != base
-
-
-def test_ablation_config_names():
-    cfg = ModelConfig(groups=2)
-    assert ablation_config(cfg, "baseline") == cfg
-    assert ablation_config(cfg, "no_group_conv") == replace(cfg, groups=1)
-    assert ablation_config(cfg, "no_partial_conv") == replace(cfg, use_partial_conv=False)
-    with pytest.raises(ValueError, match="unknown ablation 'no_dense'"):
-        ablation_config(cfg, "no_dense")
+    assert count_params(replace(ModelConfig(), groups=1)) > base
+    assert count_params(replace(ModelConfig(), use_partial_conv=False)) != base
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +403,31 @@ def test_forward_working_set_bound():
     assert peak < bound, (peak, bound)
 
 
+def test_global_forward_holds_two_wide_planes():
+    # a no-grad global net at 66x98 peaks at about 2.2 of its 48-channel
+    # float32 planes: one layer's input and output.  It fails if an mlp
+    # activation outlives the layer that reads it (3.2 planes).
+    cfg = ModelConfig()
+    net = make_net(cfg, seed=14)
+    for t in net.weights.values():
+        t.requires_grad = False
+    rng = np.random.default_rng(15)
+    x, y = (Tensor(rng.random((1, 3, 66, 98)).astype(np.float32)) for _ in range(2))
+    net.global_forward(y, x)
+    tracemalloc.start()
+    try:
+        net.global_forward(y, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * cfg.global_mlp_channels * 66 * 98 * 4, peak
+
+
 def test_ablation_configs_forward_and_gradcheck():
     rng = np.random.default_rng(12)
-    for which in ("no_partial_conv", "no_group_conv"):
-        cfg = ablation_config(ModelConfig(dense_layers=2, dense_growth=4,
-                                          unet_base_channels=4,
-                                          global_mlp_channels=4, groups=2), which)
+    for changes in ({"use_partial_conv": False}, {"groups": 1}):
+        cfg = replace(ModelConfig(dense_layers=2, dense_growth=4, unet_base_channels=4,
+                                  global_mlp_channels=4, groups=2), **changes)
         net = kaiming_init(cfg, np.random.default_rng(13))
         for t in net.weights.values():
             t.data = t.data.astype(np.float64)
@@ -484,6 +494,16 @@ def test_checkpoint_rejects_a_repeated_record(tmp_path):
               + np.zeros(bias.shape, "<f4").tobytes())
     path.write_bytes(raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:] + record)
     with pytest.raises(ValueError, match="duplicate checkpoint record 'global.mlp0.bias'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_a_non_finite_record_by_name(tmp_path, value):
+    net = make_net(small_cfg())
+    net.weights["global.mlp3.weight"].data[0, 1, 0, 0] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, net)
+    with pytest.raises(ValueError, match="checkpoint record 'global.mlp3.weight' holds a NaN"):
         load_checkpoint(path)
 
 
@@ -621,16 +641,9 @@ def reference_forward(net, x):
     m = T.global_avg_pool(conv("global.mod1", lrelu(conv("global.mod0", x))))
     G = cfg.global_mlp_channels
     alpha, beta = T.narrow_channels(m, 0, G), T.narrow_channels(m, G, G)
-    h = local
-    for i in range(GLOBAL_MLP_LAYERS):
-        h = conv(f"global.mlp{i}", h)
-        if i == GLOBAL_MLP_LAYERS - 1:
-            h = T.relu(h)
-        else:
-            h = lrelu(h)
-            if i + 1 == MODULATION_AFTER_LAYER:
-                h = T.add(T.mul(h, alpha), beta)
-    return h
+    h = lrelu(conv("global.mlp1", lrelu(conv("global.mlp0", local))))
+    h = lrelu(conv("global.mlp2", T.add(T.mul(h, alpha), beta)))
+    return T.relu(conv("global.mlp3", h))
 
 
 def oracle_net(use_partial_conv, dtype, seed):

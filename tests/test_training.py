@@ -215,6 +215,17 @@ def test_train_config_validation():
     TrainConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("lr0", [True, "0.1", None])
+def test_train_config_lr0_must_be_a_real_number(lr0):
+    with pytest.raises(ValueError, match="lr0 must be a real number"):
+        TrainConfig(lr0=lr0)
+
+
+def test_train_config_lr0_accepts_numpy_scalars():
+    assert TrainConfig(lr0=np.float32(0.5)).lr0 == 0.5
+    assert TrainConfig(lr0=np.int64(1)).lr0 == 1
+
+
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
