@@ -148,26 +148,19 @@ def _hdr_by_stem(directory) -> dict[str, Path]:
     return found
 
 
-def _load_pairs(data_dir, patch_size):
-    """HDR label + SDR input pairs matched by stem: stem.pfm/.hdr with stem.ppm.
-    A label with a negative pixel, or a pair whose dimensions differ or are
-    below patch_size, is an error naming the files, found before training
-    starts."""
-    pairs, unpaired = [], []
+def _load_pairs(data_dir):
+    """HDR label + SDR input pairs matched by stem: stem.pfm/.hdr with
+    stem.ppm, as (pairs, their (label, input) paths)."""
+    pairs, paths, unpaired = [], [], []
     for hdr_path in _hdr_by_stem(data_dir).values():
         sdr_path = hdr_path.with_suffix(".ppm")
         if sdr_path.exists():
-            hdr = imgio.read_image(hdr_path)
-            sdr = imgio.read_image(sdr_path)
-            try:
-                TR.check_pair(hdr, sdr, patch_size)
-            except ValueError as e:
-                raise ValueError(f"{hdr_path}, {sdr_path.name}: {e}") from None
-            pairs.append((hdr, sdr))
+            pairs.append((imgio.read_image(hdr_path), imgio.read_image(sdr_path)))
+            paths.append((hdr_path, sdr_path))
         else:
             unpaired.append(hdr_path.name)
     _warn_skipped("labels with no .ppm input", unpaired)
-    return pairs
+    return pairs, paths
 
 
 def cmd_train(args) -> int:
@@ -177,14 +170,19 @@ def cmd_train(args) -> int:
                                apply_degradation=not args.no_degrade)
     degrade_cfg = _load_degrade_config(args.degrade_config)
     _echo("train", {"data": args.data, "out": args.out}, train_cfg, degrade_cfg, model_cfg)
-    # a run with no iterations samples no patch
-    pairs = _load_pairs(args.data, train_cfg.patch_size if train_cfg.max_iters else 0)
+    pairs, paths = _load_pairs(args.data)
     if not pairs:
         print("error: no HDR/SDR pairs found (expected stem.pfm|.hdr + stem.ppm)",
               file=sys.stderr)
         return EXIT_FAIL
-    net, trace = TR.train_loop(model_cfg, train_cfg, pairs, degrade_cfg,
-                               log_path=args.log)
+    # train_loop checks every pair before its first iteration; a pair it
+    # rejects is named by its files
+    try:
+        net, trace = TR.train_loop(model_cfg, train_cfg, pairs, degrade_cfg,
+                                   log_path=args.log)
+    except TR.UnusablePair as e:
+        hdr_path, sdr_path = paths[e.index]
+        raise ValueError(f"{hdr_path}, {sdr_path.name}: {e.reason}") from None
     mod.save_checkpoint(args.out, net, extra={
         "opt.beta1": TR.ADAM_BETA1, "opt.beta2": TR.ADAM_BETA2,
         "opt.eps": TR.ADAM_EPS, "train.seed": train_cfg.seed,
@@ -199,6 +197,9 @@ def cmd_infer(args) -> int:
     if Path(args.out_path).suffix not in HDR_EXTS:
         raise ValueError(f"--out {args.out_path}: infer writes only "
                          f"{' and '.join(HDR_EXTS)} files")
+    if args.preview is not None and Path(args.preview).suffix not in SDR_EXTS:
+        raise ValueError(f"--preview {args.preview}: the preview is written only "
+                         f"as a {' or '.join(SDR_EXTS)} file")
     net, extra = mod.load_checkpoint(args.checkpoint)
     _echo("infer", {"checkpoint": args.checkpoint, "in": args.in_path,
                     "out": args.out_path}, net.cfg)

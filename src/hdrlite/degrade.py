@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
 
@@ -180,6 +179,8 @@ def _qf_table(base: np.ndarray, qf: int) -> np.ndarray:
 
 
 def _dct_roundtrip(plane: np.ndarray, table: np.ndarray) -> np.ndarray:
+    import scipy.fft  # here, so that importing hdrlite loads no scipy
+
     h, w = plane.shape
     blocks = plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
     coeff = scipy.fft.dctn(blocks, axes=(2, 3), norm="ortho")

@@ -13,7 +13,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy.ndimage
 
 from .degrade import DegradationConfig, conventional_degrade
 from .imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
@@ -47,6 +46,8 @@ def ssim(a: Image, b: Image, peak: float = 1.0) -> float:
     The Gaussian is separable (Wang et al. 2004) and mirror extension acts
     per axis, so two 1-D passes give the 2-D windowed means.
     """
+    import scipy.ndimage  # here, so that importing hdrlite loads no scipy
+
     if a.data.shape != b.data.shape:
         raise ValueError("ssim dims differ")
     h, w = a.data.shape[:2]

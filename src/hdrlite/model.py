@@ -216,22 +216,23 @@ class Network:
                               self.weights[f"{name}.bias"], groups=self.layers[name].groups,
                               slope=LEAKY_SLOPE if act else None)
 
-    @staticmethod
-    def _modulate(h: Tensor, ab: Tensor) -> Tensor:
-        """h * alpha + beta, where alpha is the first h.shape[1] channels of
-        ab and beta the next: per pixel (SFT maps) or per channel."""
-        c = h.shape[1]
-        return T.affine(h, T.narrow_channels(ab, 0, c), T.narrow_channels(ab, c, c))
+    def _step(self, name: str, *, act: bool = False):
+        """The named 1x1 layer as a step of T._pointwise_mlp, followed by the
+        leaky ReLU when act is set."""
+        return (self.weights[f"{name}.weight"], self.weights[f"{name}.bias"],
+                LEAKY_SLOPE if act else None)
 
     def _rb(self, prefix: str, h: Tensor, *, mask=None, mprior: Tensor | None = None):
         """The residual block _rb_layers declares, as (output, mask).  h is
-        SFT-modulated by mprior when one is given, conv1 and conv2 run as
-        partial convs when mask is given (the mask they update is returned),
-        and the block ends in leaky_relu(h + y) as one affine op."""
+        SFT-modulated by mprior when one is given (sft0, sft1 and h * alpha +
+        beta as one banded op, so sft1's 2c-channel map is never built),
+        conv1 and conv2 run as partial convs when mask is given (the mask
+        they update is returned), and the block ends in leaky_relu(h + y) as
+        one affine op."""
         y = h
         if mprior is not None:
-            s = self.conv(f"{prefix}.sft0", mprior, act=True)
-            y = self._modulate(h, self.conv(f"{prefix}.sft1", s))
+            y = T._pointwise_mlp(mprior, [self._step(f"{prefix}.sft0", act=True),
+                                          self._step(f"{prefix}.sft1")], into=h)
         if mask is None:
             y = self.conv(f"{prefix}.conv1", y, act=True)
             y = self.conv(f"{prefix}.conv2", y)
@@ -243,16 +244,16 @@ class Network:
     # -- sub-networks --------------------------------------------------------
 
     def global_forward(self, x: Tensor, prior: Tensor) -> Tensor:
-        # mod1 is a 1x1 conv with bias, which commutes with the spatial mean:
-        # it runs on the pooled mod0 features instead of the whole frame
-        m = self.conv("global.mod0", prior, act=True)
-        m = self.conv("global.mod1", T.global_avg_pool(m))
-        # each step rebinds h, so a frame-sized input is freed once its output exists
-        h = self.conv("global.mlp0", x, act=True)
-        h = self.conv("global.mlp1", h, act=True)
-        h = self._modulate(h, m)
-        h = self.conv("global.mlp2", h, act=True)
-        h = self.conv("global.mlp3", h)
+        """The global network: two banded pointwise ops, so no 48-channel
+        plane is built over the frame.  mod0's spatial mean is summed band
+        by band; mod1 is a 1x1 conv with bias, which commutes with the
+        spatial mean, so it runs on the pooled mod0 features."""
+        m = T._pointwise_mlp(prior, [self._step("global.mod0", act=True)], pool=True)
+        m = self.conv("global.mod1", m)
+        h = T._pointwise_mlp(x, [self._step("global.mlp0", act=True),
+                                 self._step("global.mlp1", act=True), m,
+                                 self._step("global.mlp2", act=True),
+                                 self._step("global.mlp3")])
         return T.relu(h)
 
     def local_forward(self, x: Tensor) -> Tensor:

@@ -58,6 +58,15 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+class UnusablePair(ValueError):
+    """A training pair that check_pair rejects: index is its place in the
+    dataset, reason check_pair's message."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"training pair {index}: {reason}")
+        self.index, self.reason = index, reason
+
+
 # ---------------------------------------------------------------------------
 # Pre/post-processing
 # ---------------------------------------------------------------------------
@@ -200,9 +209,12 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
     """
     if not dataset:
         raise ValueError("training dataset is empty")
-    if train_cfg.max_iters:
-        for hdr, sdr in dataset:
-            check_pair(hdr, sdr, train_cfg.patch_size)
+    if train_cfg.max_iters:  # a run of no iterations samples no patch
+        for i, (hdr, sdr) in enumerate(dataset):
+            try:
+                check_pair(hdr, sdr, train_cfg.patch_size)
+            except ValueError as e:
+                raise UnusablePair(i, str(e)) from None
     rng = np.random.default_rng(train_cfg.seed)
     net = kaiming_init(model_cfg, rng)
     state = AdamState()

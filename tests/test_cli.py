@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdrlite
+from hdrlite import training
 from hdrlite.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, main
 from hdrlite.imgio import (
     Image, LINEAR_HDR, NONLINEAR_SDR, read_image, write_image,
 )
+from hdrlite.model import ModelConfig, save_checkpoint
 from tests.conftest import PINNED_WITH, make_hdr_scene, make_pairs, sha256_hex
 
 TINY_MODEL = """\
@@ -324,6 +332,22 @@ def test_train_rejects_an_unusable_pair_before_training(tmp_path, tiny_model_cfg
     assert not ckpt.exists() and not log.exists()
 
 
+def test_train_checks_each_pair_once(pair_dir, tiny_model_cfg, tmp_path, monkeypatch):
+    # train_loop checks every pair (a full-frame scan of its label) before its
+    # first iteration, and the CLI does not check them again
+    check, calls = training.check_pair, []
+
+    def counting_check(hdr, sdr, size):
+        calls.append(id(hdr))
+        return check(hdr, sdr, size)
+
+    monkeypatch.setattr(training, "check_pair", counting_check)
+    rc = main(["train", "--data", str(pair_dir), "--out", str(tmp_path / "m.ckpt"),
+               "--iters", "1", "--patch-size", "16", "--model-config", str(tiny_model_cfg)])
+    assert rc == EXIT_OK
+    assert len(calls) == 2 and len(set(calls)) == 2
+
+
 def test_train_rejects_a_negative_label_before_training(pair_dir, tiny_model_cfg, tmp_path,
                                                         capsys):
     label = read_image(pair_dir / "s1.pfm")
@@ -385,6 +409,52 @@ def test_infer_rejects_a_non_hdr_out_before_reading_the_checkpoint(pair_dir, tmp
     assert f"--out {pred}: infer writes only .pfm and .hdr files" in err
     assert "missing.ckpt" not in err
     assert not pred.exists() and not preview.exists()
+
+
+@pytest.mark.parametrize("name", ["prev.txt", "prev.pfm", "prev"])
+def test_infer_rejects_a_non_ppm_preview_before_reading_the_checkpoint(pair_dir, tmp_path,
+                                                                      capsys, name):
+    # a .pfm preview would hold 8-bit codes as floats; no output file is left
+    pred, preview = tmp_path / "pred.pfm", tmp_path / name
+    rc = main(["infer", "--checkpoint", str(tmp_path / "missing.ckpt"),
+               "--in", str(pair_dir / "s0.ppm"), "--out", str(pred), "--preview", str(preview)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert f"--preview {preview}: the preview is written only as a .ppm file" in err
+    assert "missing.ckpt" not in err
+    assert sorted(tmp_path.iterdir()) == [pair_dir]
+
+
+def test_cli_loads_scipy_only_for_the_commands_that_use_it(pair_dir, tmp_path):
+    # infer, info and bench run no scipy code, so they never import it; eval
+    # imports scipy.ndimage on its first SSIM
+    net = training.kaiming_init(ModelConfig(dense_layers=2, dense_growth=4, unet_base_channels=4,
+                                            global_mlp_channels=4, groups=2),
+                                np.random.default_rng(0))
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(ckpt, net)
+    pred = tmp_path / "pred.pfm"
+    script = textwrap.dedent(f"""
+        import sys
+        from hdrlite.cli import main
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        assert scipy_modules() == [], scipy_modules()
+        assert main(["info", "--resolution", "64x48"]) == 0
+        assert main(["bench", "--resolution", "16x12"]) == 0
+        assert main(["infer", "--checkpoint", {str(ckpt)!r}, "--in", {str(pair_dir / "s0.ppm")!r},
+                     "--out", {str(pred)!r}, "--preview", {str(tmp_path / "prev.ppm")!r}]) == 0
+        assert scipy_modules() == [], scipy_modules()
+        assert main(["eval", "--pred", {str(pred)!r}, "--ref", {str(pair_dir / "s0.pfm")!r}]) == 0
+        assert "scipy.ndimage" in sys.modules
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(hdrlite.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "mean: psnr=" in proc.stdout
 
 
 def test_eval_file_mode_reads_only_hdr_files(pair_dir, capsys):

@@ -142,12 +142,14 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     # count_macs is the nominal count: global.mod1 runs on the pooled mod0
     # features (one pixel).  The dense layers run as one _dense_block call,
     # and so do local.skip0 and local.skip1 (one layer over two parts);
-    # local.fuse runs as two convs, over hT and then over the dense stack
+    # local.fuse runs as two convs, over hT and then over the dense stack.
+    # Each SFT branch (sft0, sft1) runs as one _pointwise_mlp call, and so do
+    # global.mlp0..3 and, pooled, global.mod0
     cfg = ModelConfig()
     net = make_net(cfg)
     for t in net.weights.values():
         t.requires_grad = False  # an inference forward: no graph kept
-    conv, dense_block = T.conv2d, T._dense_block
+    conv, dense_block, pointwise_mlp = T.conv2d, T._dense_block, T._pointwise_mlp
     executed = []
 
     def counting_conv(x, weight, *args, **kw):
@@ -163,10 +165,20 @@ def test_count_macs_matches_executed_convs(monkeypatch):
         executed.append(sum(n * oh * ow * w.data.size for w in weights))
         return out
 
+    def counting_pointwise_mlp(x, steps, **kw):
+        out = pointwise_mlp(x, steps, **kw)
+        n, _, h, w = x.shape
+        executed.append(sum(n * h * w * s[0].data.size for s in steps
+                            if not isinstance(s, Tensor)))
+        return out
+
     monkeypatch.setattr(T, "conv2d", counting_conv)
     monkeypatch.setattr(T, "_dense_block", counting_dense_block)
+    monkeypatch.setattr(T, "_pointwise_mlp", counting_pointwise_mlp)
     net.forward(Tensor(np.zeros((1, 3, 270, 480), dtype=np.float32)))
-    assert len(executed) == len(layer_table(cfg)) - cfg.dense_layers + 1 + 1 == 30
+    sft_blocks, mlp_layers = 2, 4
+    assert len(executed) == (len(layer_table(cfg)) - cfg.dense_layers + 1 + 1
+                             - sft_blocks - (mlp_layers - 1)) == 25
     mod1 = cfg.global_mlp_channels * 2 * cfg.global_mlp_channels
     assert sum(executed) == count_macs(cfg, 270, 480) - 270 * 480 * mod1 + mod1
     assert count_macs(cfg, 270, 480) == 10_367_385_600
@@ -404,9 +416,10 @@ def test_forward_working_set_bound():
 
 
 def test_global_forward_holds_two_wide_planes():
-    # a no-grad global net at 66x98 peaks at about 2.2 of its 48-channel
-    # float32 planes: one layer's input and output.  It fails if an mlp
-    # activation outlives the layer that reads it (3.2 planes).
+    # a no-grad global net at 66x98 peaks below 2.5 of its 48-channel
+    # float32 planes, what one layer's input and output took when it ran
+    # layer by layer.  It runs as banded ops now and builds no such plane
+    # (test_pointwise_mlp_holds_only_its_output_and_bands in test_tensor).
     cfg = ModelConfig()
     net = make_net(cfg, seed=14)
     for t in net.weights.values():
@@ -699,3 +712,41 @@ def test_weight_gradients_match_reference_composition(size, use_partial_conv):
         scale = max(np.abs(ref).max(), 1e-30)
         np.testing.assert_allclose(grads[0][name], ref, rtol=0, atol=1e-10 * scale,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("band", ["default", "1px", "partial"])
+@pytest.mark.parametrize("use_partial_conv", [True, False], ids=["pconv", "sft"])
+@pytest.mark.parametrize("size", [(3, 3), (13, 19)], ids=["3x3", "13x19"])
+def test_banded_pointwise_ops_match_reference_composition(monkeypatch, size,
+                                                          use_partial_conv, band):
+    # the global net and every SFT branch run as banded _pointwise_mlp ops:
+    # the output, the input gradient and every weight and bias gradient
+    # within 1e-12 (float64) and 1e-5 (float32) of the reference's, relative
+    # to each one's largest value.  The SFT blocks of the encoder run only
+    # without partial convs.  "partial" gives the widest op (32 channels,
+    # enc1/dec1's sft1) 3-pixel bands, dec0's 6 and the global net's 12:
+    # at 13x19 every op's last band is partial
+    for dtype in (np.float64, np.float32):
+        if band != "default":
+            monkeypatch.setattr(T, "_MLP_BYTES",
+                                1 if band == "1px" else 3 * 32 * np.dtype(dtype).itemsize)
+        net = oracle_net(use_partial_conv, dtype, seed=40)
+        for t in net.weights.values():
+            t.requires_grad = True
+        x0 = oracle_input(*size, dtype, seed=41)
+        gy = Tensor(np.random.default_rng(42).normal(0, 1, x0.shape).astype(dtype))
+        results = []
+        for fwd in (net.forward, lambda x: reference_forward(net, x)):
+            for t in net.weights.values():
+                t.zero_grad()
+            x = Tensor(x0.data.copy(), requires_grad=True)
+            y = fwd(x)
+            T.backward(T.sum_all(T.mul(y, gy)))
+            results.append({"output": y.data, "input": x.grad,
+                            **{k: t.grad for k, t in net.weights.items()}})
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for name, ref in results[1].items():
+            got = results[0][name]
+            assert got is not None and got.dtype == dtype, name
+            scale = max(np.abs(ref).max(), 1e-30)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=tol * scale, err_msg=name)

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -808,3 +809,134 @@ def test_dense_block_rejects_bad_shapes_and_slope():
         with pytest.raises(ValueError, match="batch or size"):
             T._dense_block([Tensor(np.zeros((1, 3, 5, 5))), Tensor(np.zeros(other))],
                            [w1], [b1], slope=0.2)
+
+
+# ---------------------------------------------------------------------------
+# Banded pointwise MLP
+# ---------------------------------------------------------------------------
+
+def mlp_form(form, rng, n, h, w):
+    """(banded fn, composed fn, arrays, widest activation) of one use of
+    _pointwise_mlp: a leaky chain channel-modulated after its second layer
+    (the global net), a chain whose 2c-channel output modulates `into` per
+    pixel (an SFT branch), and the pooled mean of a leaky layer (mod0)."""
+    x = rng.normal(0, 1, (n, 3, h, w))
+    if form == "chain":
+        arrays = [x, rng.normal(0, 0.5, (6, 3, 1, 1)), rng.normal(0, 0.5, (1, 6, 1, 1)),
+                  rng.normal(0, 0.5, (4, 6, 1, 1)), rng.normal(0, 0.5, (1, 4, 1, 1)),
+                  rng.normal(0, 1, (n, 8, 1, 1)),
+                  rng.normal(0, 0.5, (3, 4, 1, 1)), rng.normal(0, 0.5, (1, 3, 1, 1))]
+
+        def banded(x, w0, b0, w1, b1, ab, w2, b2):
+            return T._pointwise_mlp(x, [(w0, b0, 0.2), (w1, b1, 0.2), ab, (w2, b2, None)])
+
+        def composed(x, w0, b0, w1, b1, ab, w2, b2):
+            z = T.leaky_relu(T.conv2d(T.leaky_relu(T.conv2d(x, w0, b0), 0.2), w1, b1), 0.2)
+            z = T.add(T.mul(z, T.narrow_channels(ab, 0, 4)), T.narrow_channels(ab, 4, 4))
+            return T.conv2d(z, w2, b2)
+        return banded, composed, arrays, 6
+    if form == "into":
+        arrays = [x, rng.normal(0, 0.5, (5, 3, 1, 1)), rng.normal(0, 0.5, (1, 5, 1, 1)),
+                  rng.normal(0, 0.5, (8, 5, 1, 1)), rng.normal(0, 0.5, (1, 8, 1, 1)),
+                  rng.normal(0, 1, (n, 4, h, w))]
+
+        def banded(x, w0, b0, w1, b1, into):
+            return T._pointwise_mlp(x, [(w0, b0, 0.2), (w1, b1, None)], into=into)
+
+        def composed(x, w0, b0, w1, b1, into):
+            s = T.conv2d(T.leaky_relu(T.conv2d(x, w0, b0), 0.2), w1, b1)
+            return T.add(T.mul(into, T.narrow_channels(s, 0, 4)), T.narrow_channels(s, 4, 4))
+        return banded, composed, arrays, 8
+    arrays = [x, rng.normal(0, 0.5, (6, 3, 1, 1)), rng.normal(0, 0.5, (1, 6, 1, 1))]
+
+    def banded(x, w0, b0):
+        return T._pointwise_mlp(x, [(w0, b0, 0.2)], pool=True)
+
+    def composed(x, w0, b0):
+        return T.global_avg_pool(T.leaky_relu(T.conv2d(x, w0, b0), 0.2))
+    return banded, composed, arrays, 6
+
+
+MLP_FORMS = ["chain", "into", "pool"]
+
+
+@pytest.mark.parametrize("form", MLP_FORMS)
+def test_pointwise_mlp_gradient_check(monkeypatch, form):
+    # float64 central differences for x, every weight, bias and modulation,
+    # max relative error <= 1e-6, with two-pixel bands and a partial last one
+    rng = np.random.default_rng(100 + MLP_FORMS.index(form))
+    banded, _, arrays, widest = mlp_form(form, rng, 2, 3, 3)
+    monkeypatch.setattr(T, "_MLP_BYTES", 2 * widest * 8)
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    gy = rng.normal(0, 1, banded(*tensors).shape)
+
+    def f(*ts):
+        return T.sum_all(T.mul(banded(*ts), Tensor(gy)))
+    assert T.gradient_check(f, tensors, eps=1e-6) <= 1e-6
+
+
+@pytest.mark.parametrize("band_px", [None, 1, 2], ids=["default", "1px", "partial"])
+@pytest.mark.parametrize("shape", [(1, 3, 3), (2, 5, 7)], ids=["3x3", "b2_5x7"])
+@pytest.mark.parametrize("form", MLP_FORMS)
+def test_pointwise_mlp_matches_composition(monkeypatch, form, shape, band_px):
+    # values and the gradients of every input within 1e-12 (float64) and
+    # 1e-5 (float32) of the unbanded composition; 2-pixel bands leave a
+    # partial last band of 1 pixel in both frames (9 and 35 pixels)
+    n, h, w = shape
+    rng = np.random.default_rng(110 + MLP_FORMS.index(form))
+    banded, composed, arrays, widest = mlp_form(form, rng, n, h, w)
+    for dtype in (np.float64, np.float32):
+        if band_px:
+            monkeypatch.setattr(T, "_MLP_BYTES", band_px * widest * np.dtype(dtype).itemsize)
+        typed = [a.astype(dtype) for a in arrays]
+        gy = rng.normal(0, 1, composed(*[Tensor(a) for a in typed]).shape).astype(dtype)
+        for got, ref in zip(value_and_grads(banded, typed, gy),
+                            value_and_grads(composed, typed, gy)):
+            assert got.dtype == dtype and got.shape == ref.shape
+            close(got, ref, dtype)
+
+
+def test_pointwise_mlp_holds_only_its_output_and_bands():
+    # at 200x300 the SFT form (20 -> 40 channels) and the global chain
+    # (48-channel layers) each peak below their output plus one _MLP_BYTES
+    # per step and one for the activation temporary: no 40- or 48-channel
+    # plane of the frame is built
+    rng = np.random.default_rng(120)
+    x = Tensor(rng.random((1, 3, 200, 300)).astype(np.float32))
+    into = Tensor(rng.random((1, 20, 200, 300)).astype(np.float32))
+
+    def layer(oc, ic, slope=None):
+        return (Tensor(rng.normal(0, 0.3, (oc, ic, 1, 1)).astype(np.float32)),
+                Tensor(np.zeros((1, oc, 1, 1), np.float32)), slope)
+    ab = Tensor(rng.normal(0, 1, (1, 96, 1, 1)).astype(np.float32))
+    for steps, kw in (([layer(20, 3, 0.2), layer(40, 20)], {"into": into}),
+                      ([layer(48, 3, 0.2), layer(48, 48, 0.2), ab, layer(48, 48, 0.2),
+                        layer(3, 48)], {})):
+        tracemalloc.start()
+        try:
+            y = T._pointwise_mlp(x, steps, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.data.nbytes + (len(steps) + 1) * T._MLP_BYTES, (peak, len(steps))
+
+
+def test_pointwise_mlp_rejects_bad_shapes_and_slope():
+    x = Tensor(np.zeros((2, 3, 4, 4)))
+    w, b = Tensor(np.zeros((4, 3, 1, 1))), Tensor(np.zeros((1, 4, 1, 1)))
+    with pytest.raises(ValueError, match="step 0: weight .* 1x1 conv of 3 channels"):
+        T._pointwise_mlp(x, [(Tensor(np.zeros((4, 2, 1, 1))), b, None)])
+    with pytest.raises(ValueError, match="step 0: weight"):
+        T._pointwise_mlp(x, [(Tensor(np.zeros((4, 3, 3, 3))), b, None)])
+    with pytest.raises(ValueError, match=r"step 0: bias must be \(1,4,1,1\)"):
+        T._pointwise_mlp(x, [(w, Tensor(np.zeros((1, 3, 1, 1))), None)])
+    with pytest.raises(ValueError, match="slope"):
+        T._pointwise_mlp(x, [(w, b, 1.0)])
+    with pytest.raises(ValueError, match="step 1: modulation"):
+        T._pointwise_mlp(x, [(w, b, None), Tensor(np.zeros((1, 4, 1, 1)))])
+    with pytest.raises(ValueError, match="step 1: modulation"):
+        T._pointwise_mlp(x, [(w, b, None), Tensor(np.zeros((3, 8, 1, 1)))])
+    with pytest.raises(ValueError, match="into"):
+        T._pointwise_mlp(x, [(w, b, None)], into=Tensor(np.zeros((2, 4, 4, 4))))
+    with pytest.raises(ValueError, match="pool and into"):
+        T._pointwise_mlp(x, [(w, b, None)], into=Tensor(np.zeros((2, 2, 4, 4))), pool=True)
