@@ -236,13 +236,22 @@ def cmd_eval(args) -> int:
             if p.suffix not in HDR_EXTS:
                 raise ValueError(f"{p}: eval reads only {' and '.join(HDR_EXTS)} files")
         items = [(pred_p, ref_p)]
-    ps, ss = [], []
+    ps, ss, failures = [], [], []
     for pp, rp in items:
-        p, s = M.hdr_pair_metrics(imgio.read_image(pp), imgio.read_image(rp))
+        try:
+            p, s = M.hdr_pair_metrics(imgio.read_image(pp), imgio.read_image(rp))
+        except Exception as e:  # per-pair skip-and-report policy, as in degrade
+            failures.append(pp.stem)
+            print(f"error: {pp.stem}: {e}", file=sys.stderr)
+            continue
         ps.append(p)
         ss.append(s)
         print(f"{pp.name}: psnr={p:.4f} ssim={s:.4f}")
-    print(f"mean: psnr={np.mean(ps):.4f} ssim={np.mean(ss):.4f}")
+    if ps:
+        print(f"mean: psnr={np.mean(ps):.4f} ssim={np.mean(ss):.4f}")
+    if failures:
+        print(f"{len(failures)}/{len(items)} pairs failed", file=sys.stderr)
+        return EXIT_PARTIAL if ps else EXIT_FAIL
     return EXIT_OK
 
 

@@ -40,38 +40,100 @@ def _ssim_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
     return g / g.sum()
 
 
+_SSIM_TAPS = _ssim_window()
+_SSIM_RADIUS = len(_SSIM_TAPS) // 2
+_SSIM_BLOCK = 32  # output samples per banded GEMM
+
+
+def _ssim_band(n: int, lo: int, hi: int):
+    """(i0, m): x[i0:i0 + len(m)] @ m correlates x, an axis of n samples,
+    with the SSIM taps at outputs lo..hi, under mirror extension
+    (x[-k] = x[k], x[n - 1 + k] = x[n - 1 - k]); taps that reach past an end
+    are folded onto the samples they mirror."""
+    r = _SSIM_RADIUS
+    i0, i1 = max(lo - r, 0), min(hi + r, n)
+    m = np.zeros((i1 - i0, hi - lo))
+    j = np.arange(hi - lo)
+    for t, tap in enumerate(_SSIM_TAPS):
+        src = np.abs(lo + j + t - r)
+        src = np.where(src > n - 1, 2 * (n - 1) - src, src)
+        np.add.at(m, (src - i0, j), tap)
+    return i0, m
+
+
+# the Toeplitz band of a whole block that reaches past neither end:
+# band[i, j] = taps[i - j]; a shorter interior block uses its top-left corner
+_SSIM_BAND = _ssim_band(_SSIM_BLOCK + 2 * _SSIM_RADIUS, _SSIM_RADIUS,
+                        _SSIM_RADIUS + _SSIM_BLOCK)[1]
+
+
+def _ssim_blocks(n: int):
+    """[(lo, hi, i0, m)]: the _ssim_band of each block of _SSIM_BLOCK outputs
+    along an axis of n samples; only blocks at the ends build their own."""
+    r = _SSIM_RADIUS
+    out = []
+    for lo in range(0, n, _SSIM_BLOCK):
+        hi = min(lo + _SSIM_BLOCK, n)
+        if lo >= r and hi + r <= n:
+            out.append((lo, hi, lo - r, _SSIM_BAND[:hi - lo + 2 * r, :hi - lo]))
+        else:
+            out.append((lo, hi, *_ssim_band(n, lo, hi)))
+    return out
+
+
 def ssim(a: Image, b: Image, peak: float = 1.0) -> float:
-    """Single-scale SSIM, 11x11 Gaussian window sigma 1.5, channel-averaged.
+    """Single-scale SSIM, 11x11 Gaussian window sigma 1.5, mirror edges,
+    channel-averaged.
 
     The Gaussian is separable (Wang et al. 2004) and mirror extension acts
-    per axis, so two 1-D passes give the 2-D windowed means.
+    per axis, so two 1-D passes give the 2-D windowed means. Each pass runs
+    over one (5, h, w) stack of x, y, x^2, y^2 and xy as banded GEMMs, one
+    per block of _SSIM_BLOCK outputs.
     """
-    import scipy.ndimage  # here, so that importing hdrlite loads no scipy
-
     if a.data.shape != b.data.shape:
         raise ValueError("ssim dims differ")
     h, w = a.data.shape[:2]
     if h < 11 or w < 11:
         raise ValueError(f"image {w}x{h} smaller than the 11x11 SSIM window")
-    g = _ssim_window()
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-
-    def filt(x):
-        x = scipy.ndimage.correlate1d(x, g, axis=0, mode="mirror")
-        return scipy.ndimage.correlate1d(x, g, axis=1, mode="mirror")
-
+    along_w, along_h = _ssim_blocks(w), _ssim_blocks(h)
+    stack, rows = np.empty((5, h, w)), np.empty((5, h, w))
+    flat, rows_flat = stack.reshape(5 * h, w), rows.reshape(5 * h, w)
     vals = []
     for c in range(3):
-        x = np.asarray(a.data[..., c], np.float64)
-        y = np.asarray(b.data[..., c], np.float64)
-        mx, my = filt(x), filt(y)
-        vxx = filt(x * x) - mx * mx
-        vyy = filt(y * y) - my * my
-        vxy = filt(x * y) - mx * my
-        num = (2 * mx * my + c1) * (2 * vxy + c2)
-        den = (mx * mx + my * my + c1) * (vxx + vyy + c2)
-        vals.append(np.mean(num / den))
+        x, y, xx, yy, xy = stack
+        x[...] = a.data[..., c]
+        y[...] = b.data[..., c]
+        np.multiply(x, x, out=xx)
+        np.multiply(y, y, out=yy)
+        np.multiply(x, y, out=xy)
+        for lo, hi, i0, m in along_w:
+            np.matmul(flat[:, i0:i0 + len(m)], m, out=rows_flat[:, lo:hi])
+        for lo, hi, i0, m in along_h:
+            np.matmul(m.T, rows[:, i0:i0 + len(m)], out=stack[:, lo:hi])
+        # the windowed means are in stack; rows is free for the products
+        mx, my, vxx, vyy, vxy = stack
+        mxx, myy, mxy = rows[:3]
+        np.multiply(mx, mx, out=mxx)
+        np.multiply(my, my, out=myy)
+        np.multiply(mx, my, out=mxy)
+        vxx -= mxx
+        vyy -= myy
+        vxy -= mxy
+        # num = (2 mx my + c1)(2 vxy + c2), den = (mx^2 + my^2 + c1)(vxx + vyy + c2)
+        mxy *= 2.0
+        mxy += c1
+        vxy *= 2.0
+        vxy += c2
+        vxy *= mxy
+        mxx += myy
+        mxx += c1
+        vxx += vyy
+        vxx += c2
+        vxx *= mxx
+        vxy /= vxx
+        vals.append(np.mean(vxy))
     return float(np.mean(vals))
 
 

@@ -14,7 +14,6 @@ from hdrlite.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, main
 from hdrlite.imgio import (
     Image, LINEAR_HDR, NONLINEAR_SDR, read_image, write_image,
 )
-from hdrlite.model import ModelConfig, save_checkpoint
 from tests.conftest import PINNED_WITH, make_hdr_scene, make_pairs, sha256_hex
 
 TINY_MODEL = """\
@@ -425,30 +424,26 @@ def test_infer_rejects_a_non_ppm_preview_before_reading_the_checkpoint(pair_dir,
     assert sorted(tmp_path.iterdir()) == [pair_dir]
 
 
-def test_cli_loads_scipy_only_for_the_commands_that_use_it(pair_dir, tmp_path):
-    # infer, info and bench run no scipy code, so they never import it; eval
-    # imports scipy.ndimage on its first SSIM
-    net = training.kaiming_init(ModelConfig(dense_layers=2, dense_growth=4, unet_base_channels=4,
-                                            global_mlp_channels=4, groups=2),
-                                np.random.default_rng(0))
-    ckpt = tmp_path / "tiny.ckpt"
-    save_checkpoint(ckpt, net)
-    pred = tmp_path / "pred.pfm"
+def test_no_command_loads_scipy(pair_dir, tiny_model_cfg, tmp_path):
+    # hdrlite runs on numpy alone; scipy is only the tests' oracle
+    ckpt, pred = tmp_path / "tiny.ckpt", tmp_path / "pred.pfm"
+    commands = [
+        ["degrade", "--in", pair_dir, "--out", tmp_path / "deg"],
+        ["train", "--data", pair_dir, "--out", ckpt, "--iters", "1", "--patch-size", "16",
+         "--model-config", tiny_model_cfg],
+        ["infer", "--checkpoint", ckpt, "--in", pair_dir / "s0.ppm", "--out", pred,
+         "--preview", tmp_path / "prev.ppm"],
+        ["eval", "--pred", pred, "--ref", pair_dir / "s0.pfm"],
+        ["info", "--resolution", "64x48"],
+    ]
     script = textwrap.dedent(f"""
         import sys
         from hdrlite.cli import main
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-        assert scipy_modules() == [], scipy_modules()
-        assert main(["info", "--resolution", "64x48"]) == 0
-        assert main(["bench", "--resolution", "16x12"]) == 0
-        assert main(["infer", "--checkpoint", {str(ckpt)!r}, "--in", {str(pair_dir / "s0.ppm")!r},
-                     "--out", {str(pred)!r}, "--preview", {str(tmp_path / "prev.ppm")!r}]) == 0
-        assert scipy_modules() == [], scipy_modules()
-        assert main(["eval", "--pred", {str(pred)!r}, "--ref", {str(pair_dir / "s0.pfm")!r}]) == 0
-        assert "scipy.ndimage" in sys.modules
+        for argv in {[[str(a) for a in argv] for argv in commands]!r}:
+            assert main(argv) == 0, argv
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert loaded == [], (argv[0], loaded)
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(hdrlite.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -486,6 +481,35 @@ def test_eval_directory_mode(pair_dir, tmp_path, capsys):
     # self-evaluation of references: identical pairs give inf psnr
     rc = main(["eval", "--pred", str(pair_dir), "--ref", str(pair_dir)])
     assert rc == EXIT_OK
+
+
+def test_eval_directory_mode_skips_and_names_a_bad_pair(tmp_path, capsys):
+    # b has an all-zero reference and d a 16x32 prediction against a 32x32
+    # reference: each is named with its error, a and c are scored and averaged
+    pred, ref = tmp_path / "pred", tmp_path / "ref"
+    pred.mkdir()
+    ref.mkdir()
+    scene = make_hdr_scene(3, 32)
+    for stem in ("a", "b", "c", "d"):
+        write_image(pred / f"{stem}.pfm", scene)
+        write_image(ref / f"{stem}.pfm", scene)
+    write_image(ref / "b.pfm", Image(np.zeros((32, 32, 3), np.float32), LINEAR_HDR))
+    write_image(pred / "d.pfm", Image(scene.data[:16], LINEAR_HDR))
+    rc = main(["eval", "--pred", str(pred), "--ref", str(ref)])
+    assert rc == EXIT_PARTIAL
+    out, err = capsys.readouterr()
+    assert [ln.split(":")[0] for ln in out.splitlines() if "psnr=" in ln] == ["a.pfm", "c.pfm",
+                                                                              "mean"]
+    assert "error: b: cannot normalize an all-zero image" in err
+    assert "error: d: psnr dims differ" in err
+    assert "2/4 pairs failed" in err
+
+    for stem in ("a", "c"):
+        (pred / f"{stem}.pfm").unlink()
+    rc = main(["eval", "--pred", str(pred), "--ref", str(ref)])
+    assert rc == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "psnr=" not in out and "2/2 pairs failed" in err
 
 
 def test_eval_directory_mode_names_unmatched_stems(pair_dir, tmp_path, capsys):

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.ndimage
 
 from hdrlite.cli import _load_degrade_config
 from hdrlite.degrade import (
-    DEFAULT_CST, DegradationConfig, _RGB_TO_YCC, _YCC_TO_RGB, _down2,
-    _resize_bilinear, add_camera_noise, conventional_degrade, cst_apply,
-    exposure_stats, jpeg_sim, srgb_decode, srgb_encode, virtual_shot,
+    DEFAULT_CST, DegradationConfig, _Q_CHROMA, _Q_LUMA, _RGB_TO_YCC, _YCC_TO_RGB,
+    _dct_roundtrip, _down2, _qf_table, _resize_bilinear, add_camera_noise,
+    conventional_degrade, cst_apply, exposure_stats, jpeg_sim, srgb_decode, srgb_encode,
+    virtual_shot,
 )
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
 from hdrlite.kvtext import dumps, loads
@@ -181,6 +183,23 @@ def test_jpeg_quality_ordering():
     # chroma subsampling alone caps top quality near 44 dB on this scene
     assert p100 > 40.0
     assert p100 > p75 > p10
+
+
+@pytest.mark.parametrize("qf", [5, 30, 50, 75, 95, 100])
+@pytest.mark.parametrize("base", [_Q_LUMA, _Q_CHROMA], ids=["luma", "chroma"])
+def test_dct_roundtrip_matches_scipy_dctn(qf, base):
+    # the 64x64 GEMM against scipy's orthonormal DCT-II with the same
+    # quantization, on level-shifted 0..255 planes
+    table = _qf_table(base, qf)
+    r = np.random.default_rng(qf)
+    for h, w in ((8, 8), (16, 40), (272, 480)):
+        plane = r.random((h, w)) * 255.0 - 128.0
+        blocks = plane.reshape(h // 8, 8, w // 8, 8).transpose(0, 2, 1, 3)
+        coeff = scipy.fft.dctn(blocks, axes=(2, 3), norm="ortho")
+        coeff = np.rint(coeff / table) * table
+        want = scipy.fft.idctn(coeff, axes=(2, 3), norm="ortho")
+        want = want.transpose(0, 2, 1, 3).reshape(h, w)
+        np.testing.assert_allclose(_dct_roundtrip(plane, table), want, rtol=0, atol=1e-9)
 
 
 def test_jpeg_preserves_shape_on_nonmultiple_sizes():

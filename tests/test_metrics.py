@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,56 @@ def test_separable_ssim_matches_2d_window(h, w, sigma):
               .astype(np.float32), NONLINEAR_SDR)
     assert abs(ssim(a, b) - ssim_2d_reference(a, b)) <= 1e-12
     assert abs(ssim(a, b, peak=2.0) - ssim_2d_reference(a, b, peak=2.0)) <= 1e-12
+
+
+def ssim_separable_reference(a, b, peak=1.0):
+    """SSIM with scipy's 1-D mirror-mode correlation along each axis."""
+    g = metrics._ssim_window()
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+
+    def filt(x):
+        x = scipy.ndimage.correlate1d(x, g, axis=0, mode="mirror")
+        return scipy.ndimage.correlate1d(x, g, axis=1, mode="mirror")
+
+    vals = []
+    for c in range(3):
+        x = np.asarray(a.data[..., c], np.float64)
+        y = np.asarray(b.data[..., c], np.float64)
+        mx, my = filt(x), filt(y)
+        vxx = filt(x * x) - mx * mx
+        vyy = filt(y * y) - my * my
+        vxy = filt(x * y) - mx * my
+        num = (2 * mx * my + c1) * (2 * vxy + c2)
+        den = (mx * mx + my * my + c1) * (vxx + vyy + c2)
+        vals.append(np.mean(num / den))
+    return float(np.mean(vals))
+
+
+# sizes below, at and across the 32-sample GEMM block, with end blocks that
+# are whole, partial and shorter than the taps' reach
+@pytest.mark.parametrize("h,w", [(11, 11), (11, 40), (57, 13), (33, 97), (270, 480),
+                                 (37, 69), (64, 66)])
+def test_banded_ssim_matches_separable_scipy_reference(h, w):
+    r = np.random.default_rng(h + 7 * w)
+    a = sdr_image(h * w, h, w)
+    b = Image(np.clip(a.data + 0.05 * r.standard_normal(a.data.shape), 0, 1)
+              .astype(np.float32), NONLINEAR_SDR)
+    for peak in (1.0, 2.0):
+        assert abs(ssim(a, b, peak) - ssim_separable_reference(a, b, peak)) <= 1e-12
+
+
+def test_ssim_memory_does_not_grow_with_the_square_of_a_side():
+    # one dense 8192x8192 float64 filter matrix would take 512 MiB; the
+    # banded passes hold two (5, h, w) float64 stacks, 10 MiB here
+    a = sdr_image(5, 16, 8192)
+    b = sdr_image(6, 16, 8192)
+    tracemalloc.start()
+    try:
+        ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
