@@ -42,6 +42,15 @@ class DegradationConfig:
     cst_matrix: tuple[(float,) * 9] = tuple(DEFAULT_CST.ravel().tolist())  # row-major
 
     def __post_init__(self):
+        for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
+            v = getattr(self, name)
+            try:
+                pair = tuple(v)
+            except TypeError:
+                pair = None
+            if pair is None or len(pair) != 2:
+                raise ValueError(f"{name} must be a (lo, hi) pair, got {v!r}")
+            object.__setattr__(self, name, pair)  # a list becomes a hashable tuple
         m = np.asarray(self.cst_matrix, dtype=object).ravel()
         if not all(isinstance(v, (int, float, np.integer, np.floating))
                    and not isinstance(v, bool) for v in m):
@@ -59,7 +68,6 @@ class DegradationConfig:
                 raise ValueError(f"{name} must lie in [1, 100], got {v}")
         for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
             lo, hi = getattr(self, name)
-            object.__setattr__(self, name, (lo, hi))  # a list becomes a hashable tuple
             if not all(isinstance(v, (int, float, np.integer, np.floating))
                        and not isinstance(v, bool) for v in (lo, hi)):
                 raise ValueError(f"{name} must hold real numbers, got ({lo!r}, {hi!r})")
@@ -363,7 +371,10 @@ def dataset_stats(images, over_code: int = 255, under_code: int = 0) -> dict:
     key=value report: the image count, the sorted distinct resolutions, and
     the mean and population standard deviation of the per-image fractions.
     images may be any iterable, such as a generator that decodes one file at
-    a time."""
+    a time.  Both codes must be 8-bit values, 0..255."""
+    for name, code in (("over_code", over_code), ("under_code", under_code)):
+        if not 0 <= code <= 255:
+            raise ValueError(f"{name} must be an 8-bit code in 0..255, got {code}")
     fractions, resolutions = [], set()
     for img in images:
         if img.domain == LINEAR_HDR:

@@ -244,15 +244,24 @@ class Network:
     # -- sub-networks --------------------------------------------------------
 
     def global_forward(self, x: Tensor, prior: Tensor) -> Tensor:
-        """The global network: two banded pointwise ops, so no 48-channel
-        plane is built over the frame.  mod0's spatial mean is summed band
-        by band; mod1 is a 1x1 conv with bias, which commutes with the
-        spatial mean, so it runs on the pooled mod0 features."""
+        """The global network on one image (a batch of one, as forward
+        takes): two banded pointwise ops, so no 48-channel plane is built
+        over the frame.  mod0's spatial mean is summed band by band; mod1 is
+        a 1x1 conv with bias, which commutes with the spatial mean, so it
+        runs on the pooled mod0 features.  Its halves alpha and beta
+        modulate mlp1's output per channel, constant over the image, so they
+        fold into mlp2: mlp2(h * alpha + beta) is the 1x1 conv with weight
+        W2 diag(alpha) and bias W2 beta + b2 (a conv over one pixel)."""
+        if x.shape[0] != 1 or prior.shape[0] != 1:
+            raise ValueError(f"the global net runs on one image, got {x.shape} and {prior.shape}")
+        G = self.cfg.global_mlp_channels
         m = T._pointwise_mlp(prior, [self._step("global.mod0", act=True)], pool=True)
         m = self.conv("global.mod1", m)
+        w2, b2 = self.weights["global.mlp2.weight"], self.weights["global.mlp2.bias"]
+        mlp2 = (T.mul(w2, T.narrow_channels(m, 0, G)),
+                T.conv2d(T.narrow_channels(m, G, G), w2, b2), LEAKY_SLOPE)
         h = T._pointwise_mlp(x, [self._step("global.mlp0", act=True),
-                                 self._step("global.mlp1", act=True), m,
-                                 self._step("global.mlp2", act=True),
+                                 self._step("global.mlp1", act=True), mlp2,
                                  self._step("global.mlp3")])
         return T.relu(h)
 
@@ -309,8 +318,9 @@ class Network:
         return T.crop(out, 0, 0, h0, w0)
 
     def forward(self, x: Tensor) -> Tensor:
-        """Full two-step pass on one image: local first, then global; prior is
-        the input itself."""
+        """Full two-step pass on one image (a batch of one: the global net's
+        modulation folds into mlp2's weights per image): local first, then
+        global; prior is the input itself."""
         if x.shape[:2] != (1, 3):
             raise ValueError(f"network input must be shaped (1, 3, h, w), got {x.shape}")
         h, w = x.shape[2:]

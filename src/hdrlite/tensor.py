@@ -189,42 +189,37 @@ def affine(x: Tensor, scale=None, shift: Tensor | None = None, *,
            slope: float | None = None) -> Tensor:
     """leaky_relu(x * scale + shift, slope) in one output array.
 
-    scale is a Tensor, a fixed array or number that carries no gradient
-    (e.g. the partial-conv mask and ratio, the loss weight) or None; a 4-D
-    scale broadcasts against x, a 0-d one scales all of it.  shift is a
-    Tensor of shape (1 or n, c, 1, 1) or x's shape, or None; slope None
-    applies no activation.  The shift and the activation run in conv2d's
-    blocked epilogue, and the backward builds the derivative from the
-    output's sign.
+    scale is a fixed array or number that carries no gradient (e.g. the
+    partial-conv mask and ratio, the loss weight) or None; a 4-D scale
+    broadcasts against x, a 0-d one scales all of it.  shift is a Tensor of
+    shape (1 or n, c, 1, 1) or x's shape, or None; slope None applies no
+    activation.  The shift and the activation run in conv2d's blocked
+    epilogue, and the backward builds the derivative from the output's sign.
     """
     n, c, h, w = x.shape
-    st = scale if isinstance(scale, Tensor) else None
-    s = scale if st is None else st.data
-    if s is not None:
-        s = np.asarray(s, dtype=x.dtype)
-        if s.ndim not in (0, 4) or any(d not in (1, e) for d, e in zip(s.shape, x.shape)):
-            raise ValueError(f"scale {s.shape} does not broadcast to {x.shape}")
+    if scale is not None:
+        scale = np.asarray(scale, dtype=x.dtype)
+        if scale.ndim not in (0, 4) or any(d not in (1, e)
+                                           for d, e in zip(scale.shape, x.shape)):
+            raise ValueError(f"scale {scale.shape} does not broadcast to {x.shape}")
     if shift is not None and shift.shape not in ((1, c, 1, 1), (n, c, 1, 1), x.shape):
         raise ValueError(f"shift must be (1 or {n},{c},1,1) or {x.shape}, got {shift.shape}")
     if slope is not None:
         _check_slope(slope)
 
-    out = x.data * s if s is not None else x.data.copy()
+    out = x.data * scale if scale is not None else x.data.copy()
     if shift is not None or slope is not None:
         _bias_leaky_inplace(out, None if shift is None else shift.data, slope)
-    parents = tuple(t for t in (x, st, shift) if t is not None)
 
     def bwd(g):
         if slope is not None:
             g = _leaky_grad(g, out, slope)
         if shift is not None:
             _accum(shift, _unbroadcast(g, shift.shape))
-        if st is not None and st.requires_grad:
-            _accum(st, _unbroadcast(g * x.data, st.shape))
         if x.requires_grad:
-            _accum(x, g if s is None else g * s)
+            _accum(x, g if scale is None else g * scale)
 
-    return _node(out, "affine", parents, bwd)
+    return _node(out, "affine", (x,) if shift is None else (x, shift), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -714,14 +709,12 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
     """A chain of 1x1 convs over the pixels of x, run as one op on bands of
     pixels, so that no layer's activation is built over the whole frame.
 
-    Each step is either (weight, bias, slope), a 1x1 conv with its bias,
-    followed by the leaky ReLU when slope is set, or a Tensor ab of shape
-    (1 or n, 2c, 1, 1) over the c-channel activation z, which becomes
-    z * alpha + beta with alpha and beta the two halves of ab.  The output
-    is the last step's activation, or with pool set its mean over the
-    pixels, (n, c, 1, 1).  With into, an (n, c, h, w) tensor, the last step
-    has 2c channels and the output is into * alpha + beta with alpha and
-    beta its two halves, per pixel (spatial feature modulation).
+    Each step is (weight, bias, slope): a 1x1 conv with its bias, followed
+    by the leaky ReLU when slope is set.  The output is the last step's
+    activation, or with pool set its mean over the pixels, (n, c, 1, 1).
+    With into, an (n, c, h, w) tensor, the last step has 2c channels and
+    the output is into * alpha + beta with alpha and beta its two halves,
+    per pixel (spatial feature modulation).
 
     A band holds about _MLP_BYTES of its widest activation, and bias,
     activation and modulation run on it while it is in cache.  When a
@@ -736,14 +729,7 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
     if into is not None and pool:
         raise ValueError("pool and into cannot both be set")
     specs, width, widest = [], c, c
-    for i, s in enumerate(steps):
-        if isinstance(s, Tensor):
-            if s.shape not in ((1, 2 * width, 1, 1), (n, 2 * width, 1, 1)):
-                raise ValueError(f"step {i}: modulation {s.shape} does not fit "
-                                 f"{width} channels")
-            specs.append((s, None, None, width))
-            continue
-        wt, bt, slope = s
+    for i, (wt, bt, slope) in enumerate(steps):
         oc = wt.shape[0]
         if wt.shape != (oc, width, 1, 1):
             raise ValueError(f"step {i}: weight {wt.shape} is not a 1x1 conv of "
@@ -777,20 +763,14 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
         step's, in bufs."""
         acts = [x.data[b].reshape(c, hw)[:, p0:p1]]
         tmp = bufs[-1]
-        for (s, bias, slope, ch), buf in zip(specs, bufs):
-            a = acts[-1]
+        for (wt, bt, slope, ch), buf in zip(specs, bufs):
             z = buf[:ch * (p1 - p0)].reshape(ch, p1 - p0)
-            if bias is None:  # modulation: alpha and beta of image b
-                ab = s.data[b if s.shape[0] > 1 else 0].reshape(-1, 1)
-                np.multiply(a, ab[:ch], out=z)
-                z += ab[ch:]
-            else:
-                np.matmul(s.data.reshape(ch, -1), a, out=z)
-                z += bias.data.reshape(-1, 1)
-                if slope is not None:
-                    t = tmp[:z.size].reshape(z.shape)
-                    np.multiply(z, slope, out=t)
-                    np.maximum(z, t, out=z)
+            np.matmul(wt.data.reshape(ch, -1), acts[-1], out=z)
+            z += bt.data.reshape(-1, 1)
+            if slope is not None:
+                t = tmp[:z.size].reshape(z.shape)
+                np.multiply(z, slope, out=t)
+                np.maximum(z, t, out=z)
             acts.append(z)
         return acts
 
@@ -800,8 +780,8 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
                 yield b, p0, min(p0 + band, hw)
 
     parents = [x] + ([into] if into is not None else [])
-    for s, bias, *_ in specs:
-        parents += [s] if bias is None else [s, bias]
+    for wt, bt, *_ in specs:
+        parents += [wt, bt]
     keep = any(t.requires_grad for t in parents)
     saved = []  # each band's activations, for the backward
 
@@ -830,10 +810,10 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
                 ob += z[cout:]
 
     def bwd(G):
-        grads = [np.zeros(s.shape, dtype=G.dtype) if s.requires_grad else None
-                 for s, *_ in specs]
-        dbs = [np.zeros(bias.shape, dtype=G.dtype) if bias is not None and bias.requires_grad
-               else None for _, bias, *_ in specs]
+        dws = [np.zeros(wt.shape, dtype=G.dtype) if wt.requires_grad else None
+               for wt, *_ in specs]
+        dbs = [np.zeros(bt.shape, dtype=G.dtype) if bt.requires_grad else None
+               for _, bt, *_ in specs]
         gx = np.empty_like(x.data) if x.requires_grad else None
         gi = np.empty_like(into.data) if into is not None and into.requires_grad else None
         for (b, p0, p1), acts in zip(bands(), saved):
@@ -846,35 +826,25 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
                     np.multiply(g, acts[-1][:cout], out=gi[b].reshape(cout, hw)[:, p0:p1])
                 g = np.concatenate([g * into.data[b].reshape(cout, hw)[:, p0:p1], g])
             for i in reversed(range(len(specs))):
-                s, bias, slope, ch = specs[i]
-                a = acts[i]
-                if bias is None:
-                    row = b if s.shape[0] > 1 else 0
-                    if grads[i] is not None:
-                        gab = grads[i][row].reshape(-1)
-                        gab[:ch] += (g * a).sum(axis=1)
-                        gab[ch:] += g.sum(axis=1)
-                    if i or gx is not None:
-                        g = g * s.data[row, :ch].reshape(ch, 1)
-                    continue
+                wt, _, slope, ch = specs[i]
                 if slope is not None:
                     g = _leaky_grad(g, acts[i + 1], slope)
                 if dbs[i] is not None:
                     dbs[i] += g.sum(axis=1).reshape(dbs[i].shape)
-                if grads[i] is not None:
-                    grads[i] += (g @ a.T).reshape(s.shape)
+                if dws[i] is not None:
+                    dws[i] += (g @ acts[i].T).reshape(wt.shape)
                 if i or gx is not None:
-                    g = s.data.reshape(ch, -1).T @ g
+                    g = wt.data.reshape(ch, -1).T @ g
             if gx is not None:
                 gx[b].reshape(c, hw)[:, p0:p1] = g
         for t, gt in zip((x, into), (gx, gi)):
             if gt is not None:
                 _accum(t, gt)
-        for (s, bias, *_), gs, gb in zip(specs, grads, dbs):
-            if gs is not None:
-                _accum(s, gs)
-            if gb is not None:
-                _accum(bias, gb)
+        for (wt, bt, *_), dw, db in zip(specs, dws, dbs):
+            if dw is not None:
+                _accum(wt, dw)
+            if db is not None:
+                _accum(bt, db)
 
     return _node(out, "pointwise_mlp", parents, bwd)
 

@@ -198,6 +198,20 @@ def test_stats_custom_codes(tmp_path, capsys):
     assert "over_mean=1.000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag,code", [("--over-code", "300"), ("--under-code", "-1"),
+                                       ("--over-code", "256")])
+def test_stats_rejects_codes_that_8bit_data_cannot_hold(tmp_path, capsys, flag, code):
+    d = tmp_path / "d"
+    d.mkdir()
+    write_image(d / "a.ppm", Image(np.full((4, 4, 3), 0.5, dtype=np.float32), NONLINEAR_SDR))
+    rc = main(["stats", "--in", str(d), flag, code])
+    assert rc == EXIT_FAIL
+    out, err = capsys.readouterr()
+    name = flag[2:].replace("-", "_")
+    assert f"error: {name} must be an 8-bit code in 0..255, got {code}" in err
+    assert "images=" not in out and "_mean=" not in out
+
+
 def test_stats_counts_only_the_sdr_images_of_a_pairs_dir(tmp_path, capsys):
     # the .pfm labels are linear HDR, which has no 8-bit codes to count
     for i, (hdr, sdr) in enumerate(make_pairs(4, 96)):

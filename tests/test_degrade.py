@@ -415,6 +415,11 @@ def test_config_keeps_a_read_only_copy_of_cst_matrix():
     ("noise_sigma_range", (0.001, np.inf)),
     ("rescale_range", (0.7, np.inf)),
     ("rescale_range", (np.nan, 1.0)),
+    # ranges that are not a pair, named before any value is read
+    ("rescale_range", (0.7,)),
+    ("noise_sigma_range", (0.1, 0.2, 0.3)),
+    ("jpeg_qf1_range", 5),
+    ("rescale_range", 0.7),
 ])
 def test_config_validation_names_the_field(field, value):
     with pytest.raises(ValueError, match=field):

@@ -144,7 +144,8 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     # and so do local.skip0 and local.skip1 (one layer over two parts);
     # local.fuse runs as two convs, over hT and then over the dense stack.
     # Each SFT branch (sft0, sft1) runs as one _pointwise_mlp call, and so do
-    # global.mlp0..3 and, pooled, global.mod0
+    # global.mlp0..3 and, pooled, global.mod0.  The modulation folds into
+    # global.mlp2's bias by one more conv over one pixel (G^2 MACs)
     cfg = ModelConfig()
     net = make_net(cfg)
     for t in net.weights.values():
@@ -168,8 +169,7 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     def counting_pointwise_mlp(x, steps, **kw):
         out = pointwise_mlp(x, steps, **kw)
         n, _, h, w = x.shape
-        executed.append(sum(n * h * w * s[0].data.size for s in steps
-                            if not isinstance(s, Tensor)))
+        executed.append(sum(n * h * w * s[0].data.size for s in steps))
         return out
 
     monkeypatch.setattr(T, "conv2d", counting_conv)
@@ -178,9 +178,10 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     net.forward(Tensor(np.zeros((1, 3, 270, 480), dtype=np.float32)))
     sft_blocks, mlp_layers = 2, 4
     assert len(executed) == (len(layer_table(cfg)) - cfg.dense_layers + 1 + 1
-                             - sft_blocks - (mlp_layers - 1)) == 25
-    mod1 = cfg.global_mlp_channels * 2 * cfg.global_mlp_channels
-    assert sum(executed) == count_macs(cfg, 270, 480) - 270 * 480 * mod1 + mod1
+                             - sft_blocks - (mlp_layers - 1) + 1) == 26
+    G = cfg.global_mlp_channels
+    mod1 = G * 2 * G
+    assert sum(executed) == count_macs(cfg, 270, 480) - 270 * 480 * mod1 + mod1 + G * G
     assert count_macs(cfg, 270, 480) == 10_367_385_600
 
 
@@ -202,6 +203,10 @@ def test_global_net_shape_and_nonnegative():
     y = net.global_forward(x, x)
     assert y.shape == x.shape
     assert (y.data >= 0).all()
+    # the modulation folds into mlp2's weights per image: a batch is refused
+    pair = Tensor(np.concatenate([x.data, x.data]))
+    with pytest.raises(ValueError, match="one image"):
+        net.global_forward(pair, pair)
 
 
 def test_global_net_constant_input_gives_constant_output():

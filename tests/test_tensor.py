@@ -624,7 +624,7 @@ AFFINE_SHAPES = {  # (scale shape, shift shape) for x of shape (n, c, h, w)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_affine_bit_equal_to_unfused(dtype, kind, batch):
     # values and every gradient equal the unfused compositions (tolerance 0):
-    # the modulations add(mul(x, a), b), partial_conv's former
+    # a fixed scale and a shift add(mul(x, a), b), partial_conv's former
     # leaky_relu(add(mul(y, ratio), bias)), the residual tail
     # leaky_relu(add(h, y)) and the loss weight's 0-d scale mul(x, w)
     rng = np.random.default_rng(80 + batch)
@@ -633,8 +633,8 @@ def test_affine_bit_equal_to_unfused(dtype, kind, batch):
     x, a, b, r = (rng.normal(0, 1, s).astype(dtype) for s in (shape, sshape, bshape, sshape))
     gy = rng.normal(0, 1, shape).astype(dtype)
     pairs = [
-        (lambda x, a, b: T.affine(x, a, b),
-         lambda x, a, b: T.add(T.mul(x, a), b), (x, a, b)),
+        (lambda x, b: T.affine(x, a, b),
+         lambda x, b: T.add(T.mul(x, Tensor(a)), b), (x, b)),
         (lambda x, b: T.affine(x, r, b, slope=0.2),
          lambda x, b: T.leaky_relu(T.add(T.mul(x, Tensor(r)), b), 0.2), (x, b)),
         (lambda h, y: T.affine(h, shift=y, slope=0.2),
@@ -652,15 +652,17 @@ def test_affine_bit_equal_to_unfused(dtype, kind, batch):
 
 @pytest.mark.parametrize("slope", [None, 0.2], ids=["no_slope", "slope"])
 def test_affine_gradient_check(slope):
-    # float64 central differences for x, scale and shift, max relative error
-    # <= 1e-6; the loss is linear in y, so only kinks could spoil it
+    # float64 central differences for x and both shifts under fixed scales
+    # (a per-channel one and a per-pixel ratio), max relative error <= 1e-6;
+    # the loss is linear in y, so only kinks could spoil it
     rng = np.random.default_rng(81)
     x, a, b = t64(rng, (2, 3, 4, 5)), t64(rng, (2, 3, 1, 1)), t64(rng, (2, 3, 4, 5))
     ratio = rng.random((2, 1, 4, 5)) + 0.5
     gy = rng.normal(0, 1, x.shape)
+    scale = rng.normal(0, 1, (2, 3, 1, 1))
 
     def f(x, a, b):
-        y = T.affine(T.affine(x, a, b, slope=slope), ratio, a, slope=slope)
+        y = T.affine(T.affine(x, scale, b, slope=slope), ratio, a, slope=slope)
         return T.sum_all(T.mul(y, Tensor(gy)))
     assert T.gradient_check(f, [x, a, b], eps=1e-6) <= 1e-6
 
@@ -817,22 +819,20 @@ def test_dense_block_rejects_bad_shapes_and_slope():
 
 def mlp_form(form, rng, n, h, w):
     """(banded fn, composed fn, arrays, widest activation) of one use of
-    _pointwise_mlp: a leaky chain channel-modulated after its second layer
-    (the global net), a chain whose 2c-channel output modulates `into` per
-    pixel (an SFT branch), and the pooled mean of a leaky layer (mod0)."""
+    _pointwise_mlp: a three-layer leaky chain (the global net), a chain
+    whose 2c-channel output modulates `into` per pixel (an SFT branch), and
+    the pooled mean of a leaky layer (mod0)."""
     x = rng.normal(0, 1, (n, 3, h, w))
     if form == "chain":
         arrays = [x, rng.normal(0, 0.5, (6, 3, 1, 1)), rng.normal(0, 0.5, (1, 6, 1, 1)),
                   rng.normal(0, 0.5, (4, 6, 1, 1)), rng.normal(0, 0.5, (1, 4, 1, 1)),
-                  rng.normal(0, 1, (n, 8, 1, 1)),
                   rng.normal(0, 0.5, (3, 4, 1, 1)), rng.normal(0, 0.5, (1, 3, 1, 1))]
 
-        def banded(x, w0, b0, w1, b1, ab, w2, b2):
-            return T._pointwise_mlp(x, [(w0, b0, 0.2), (w1, b1, 0.2), ab, (w2, b2, None)])
+        def banded(x, w0, b0, w1, b1, w2, b2):
+            return T._pointwise_mlp(x, [(w0, b0, 0.2), (w1, b1, 0.2), (w2, b2, None)])
 
-        def composed(x, w0, b0, w1, b1, ab, w2, b2):
+        def composed(x, w0, b0, w1, b1, w2, b2):
             z = T.leaky_relu(T.conv2d(T.leaky_relu(T.conv2d(x, w0, b0), 0.2), w1, b1), 0.2)
-            z = T.add(T.mul(z, T.narrow_channels(ab, 0, 4)), T.narrow_channels(ab, 4, 4))
             return T.conv2d(z, w2, b2)
         return banded, composed, arrays, 6
     if form == "into":
@@ -908,9 +908,8 @@ def test_pointwise_mlp_holds_only_its_output_and_bands():
     def layer(oc, ic, slope=None):
         return (Tensor(rng.normal(0, 0.3, (oc, ic, 1, 1)).astype(np.float32)),
                 Tensor(np.zeros((1, oc, 1, 1), np.float32)), slope)
-    ab = Tensor(rng.normal(0, 1, (1, 96, 1, 1)).astype(np.float32))
     for steps, kw in (([layer(20, 3, 0.2), layer(40, 20)], {"into": into}),
-                      ([layer(48, 3, 0.2), layer(48, 48, 0.2), ab, layer(48, 48, 0.2),
+                      ([layer(48, 3, 0.2), layer(48, 48, 0.2), layer(48, 48, 0.2),
                         layer(3, 48)], {})):
         tracemalloc.start()
         try:
@@ -932,10 +931,6 @@ def test_pointwise_mlp_rejects_bad_shapes_and_slope():
         T._pointwise_mlp(x, [(w, Tensor(np.zeros((1, 3, 1, 1))), None)])
     with pytest.raises(ValueError, match="slope"):
         T._pointwise_mlp(x, [(w, b, 1.0)])
-    with pytest.raises(ValueError, match="step 1: modulation"):
-        T._pointwise_mlp(x, [(w, b, None), Tensor(np.zeros((1, 4, 1, 1)))])
-    with pytest.raises(ValueError, match="step 1: modulation"):
-        T._pointwise_mlp(x, [(w, b, None), Tensor(np.zeros((3, 8, 1, 1)))])
     with pytest.raises(ValueError, match="into"):
         T._pointwise_mlp(x, [(w, b, None)], into=Tensor(np.zeros((2, 4, 4, 4))))
     with pytest.raises(ValueError, match="pool and into"):
