@@ -78,6 +78,14 @@ def _warn_skipped(what: str, names):
         print(f"warning: skipped {what}: {', '.join(sorted(names))}", file=sys.stderr)
 
 
+def _refuse_overwrite(outputs, inputs):
+    """Raise when an output path resolves to an input path (None is skipped)."""
+    read = {Path(p).resolve(): p for p in inputs if p is not None}
+    for out in outputs:
+        if out is not None and Path(out).resolve() in read:
+            raise ValueError(f"{out} would overwrite the input {read[Path(out).resolve()]}")
+
+
 def _parse_resolution(text: str):
     try:
         w, h = (int(t) for t in text.lower().split("x"))
@@ -95,6 +103,7 @@ def _parse_resolution(text: str):
 def cmd_degrade(args) -> int:
     cfg = _load_degrade_config(args.config)
     _echo("degrade", {"in": args.in_dir, "out": args.out_dir}, cfg, {"seed": args.seed})
+    _refuse_overwrite([args.out_dir], [args.in_dir])
     files = _list_images(args.in_dir, SDR_EXTS)
     if not files:
         print("error: no input images", file=sys.stderr)
@@ -170,6 +179,7 @@ def cmd_train(args) -> int:
                                apply_degradation=not args.no_degrade)
     degrade_cfg = _load_degrade_config(args.degrade_config)
     _echo("train", {"data": args.data, "out": args.out}, train_cfg, degrade_cfg, model_cfg)
+    _refuse_overwrite([args.out, args.log], _list_images(args.data, HDR_EXTS + SDR_EXTS))
     pairs, paths = _load_pairs(args.data)
     if not pairs:
         print("error: no HDR/SDR pairs found (expected stem.pfm|.hdr + stem.ppm)",
@@ -200,6 +210,7 @@ def cmd_infer(args) -> int:
     if args.preview is not None and Path(args.preview).suffix not in SDR_EXTS:
         raise ValueError(f"--preview {args.preview}: the preview is written only "
                          f"as a {' or '.join(SDR_EXTS)} file")
+    _refuse_overwrite([args.out_path, args.preview], [args.in_path, args.checkpoint])
     net, extra = mod.load_checkpoint(args.checkpoint)
     _echo("infer", {"checkpoint": args.checkpoint, "in": args.in_path,
                     "out": args.out_path}, net.cfg)

@@ -195,30 +195,26 @@ class Network:
 
     def conv(self, name: str, x, *, act: bool = False) -> Tensor:
         """The named conv layer on x, followed by the leaky ReLU when act is
-        set (fused into the conv).
-
-        x may be a list of tensors, read as their channel concat: the conv
-        then runs as one dense op of one layer that gathers each part once,
-        so the concat is never built.  local.up* take the low-resolution
-        input of the nearest 2x upsampling they follow and run on it.
-        """
-        weight, bias = self.weights[f"{name}.weight"], self.weights[f"{name}.bias"]
-        slope = LEAKY_SLOPE if act else None
+        set (fused into the op).  A 1x1 layer runs as one T._pointwise_mlp
+        step, on x or on a list of tensors read as their channel concat.
+        local.up* take the low-resolution input of the nearest 2x upsampling
+        they follow and run on it."""
+        li = self.layers[name]
+        weight, bias, slope = self._step(name, act=act)
+        if li.kernel == 1:
+            return T._pointwise_mlp(x, [(weight, bias, slope)])
         if name.startswith("local.up"):
             y = T.conv2d(x, T.up2_conv_weight(weight), T.repeat_channels(bias, 4), slope=slope)
             return T.depth_to_space(y)
-        if isinstance(x, Tensor):
-            return T.conv2d(x, weight, bias, groups=self.layers[name].groups, slope=slope)
-        return T._dense_block(x, [weight], [bias], slope=slope)
+        return T.conv2d(x, weight, bias, groups=li.groups, slope=slope)
 
     def pconv(self, name: str, x: Tensor, mask, *, act: bool = False):
-        return T.partial_conv(x, mask, self.weights[f"{name}.weight"],
-                              self.weights[f"{name}.bias"], groups=self.layers[name].groups,
-                              slope=LEAKY_SLOPE if act else None)
+        weight, bias, slope = self._step(name, act=act)
+        return T.partial_conv(x, mask, weight, bias, groups=self.layers[name].groups, slope=slope)
 
     def _step(self, name: str, *, act: bool = False):
-        """The named 1x1 layer as a step of T._pointwise_mlp, followed by the
-        leaky ReLU when act is set."""
+        """The named layer's (weight, bias, slope), with slope set for the
+        leaky ReLU when act is: a step of T._pointwise_mlp for a 1x1 layer."""
         return (self.weights[f"{name}.weight"], self.weights[f"{name}.bias"],
                 LEAKY_SLOPE if act else None)
 
@@ -259,7 +255,7 @@ class Network:
         m = self.conv("global.mod1", m)
         w2, b2 = self.weights["global.mlp2.weight"], self.weights["global.mlp2.bias"]
         mlp2 = (T.mul(w2, T.narrow_channels(m, 0, G)),
-                T.conv2d(T.narrow_channels(m, G, G), w2, b2), LEAKY_SLOPE)
+                T._pointwise_mlp(T.narrow_channels(m, G, G), [(w2, b2, None)]), LEAKY_SLOPE)
         h = T._pointwise_mlp(x, [self._step("global.mlp0", act=True),
                                  self._step("global.mlp1", act=True), mlp2,
                                  self._step("global.mlp3")])
@@ -301,20 +297,20 @@ class Network:
 
         # local.fuse reads the channel concat of the dense outputs and hT.
         # Its hT part runs first, so hT is freed before the dense features
-        # exist, and its dense part is one 1x1 over the dense stack, added
-        # as a full-shape shift
+        # exist, and its dense part, with no bias, is added as a full-shape
+        # shift
         dense_ch = cfg.dense_layers * cfg.dense_growth
-        w_fuse = self.weights["local.fuse.weight"]
-        out = T.conv2d(hT, T.narrow_channels(w_fuse, dense_ch, hT.shape[1]),
-                       self.weights["local.fuse.bias"])
+        w_fuse, b_fuse, _ = self._step("local.fuse")
+        out = T._pointwise_mlp(hT, [(T.narrow_channels(w_fuse, dense_ch, hT.shape[1]),
+                                     b_fuse, None)])
         del hT
         # dense branch: every layer reads the channel concat of the input and
         # all earlier outputs, each part gathered once
         names = [f"local.dense{i}" for i in range(cfg.dense_layers)]
-        dense = T._dense_block([x], [self.weights[f"{n}.weight"] for n in names],
+        dense = T._dense_block(x, [self.weights[f"{n}.weight"] for n in names],
                                [self.weights[f"{n}.bias"] for n in names], slope=LEAKY_SLOPE)
-        out = T.affine(T.conv2d(dense, T.narrow_channels(w_fuse, 0, dense_ch)), shift=out,
-                       slope=LEAKY_SLOPE)
+        out = T.affine(T._pointwise_mlp(dense, [(T.narrow_channels(w_fuse, 0, dense_ch),
+                                                 None, None)]), shift=out, slope=LEAKY_SLOPE)
         return T.crop(out, 0, 0, h0, w0)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -442,19 +442,14 @@ def _band_cols(x, k: int):
     b of a 'same' k x k correlation over the (n, c, h, w) array x:
     cols is the (c*k*k, (r1-r0)*w) column matrix, zero outside the frame.
 
-    For a 1x1 conv the input rows already are the columns (no copy, one band
-    per image).  Otherwise the k*k shifted windows of x are gathered into a
-    buffer of about _COL_BYTES, and taps that fall outside the frame are
-    zeros written into it, so no padded copy of x is made.  A tap's
-    out-of-frame columns are the same in every band: they are zeroed once
-    per buffer layout and never written.  Its out-of-frame rows occur only
-    in the first and last bands and are zeroed there.
+    The k*k shifted windows of x are gathered into a buffer of about
+    _COL_BYTES, and taps that fall outside the frame are zeros written into
+    it, so no padded copy of x is made.  A tap's out-of-frame columns are
+    the same in every band: they are zeroed once per buffer layout and never
+    written.  Its out-of-frame rows occur only in the first and last bands
+    and are zeroed there.
     """
     n, c, h, w = x.shape
-    if k == 1:
-        for b in range(n):
-            yield b, 0, h, x[b].reshape(c, -1)
-        return
     p = k // 2
     row_span = [_in_frame(h, i - p) for i in range(k)]
     col_span = [_in_frame(w, j - p) for j in range(k)]
@@ -531,8 +526,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            groups: int = 1, slope: float | None = None) -> Tensor:
     """Grouped convolution with an odd square kernel that slides one pixel at
     a time over the input zero-padded by k // 2, so the output has the input's
-    size; plain, grouped, pointwise and partial convs all run this one
-    im2col + GEMM kernel.
+    size; plain, grouped and partial convs all run this one im2col + GEMM
+    kernel (the network runs its 1x1 layers as _pointwise_mlp steps).
 
     bias is (1, oc, 1, 1).  With slope set, leaky_relu(., slope) is applied
     in place on the output array; its backward builds the derivative from
@@ -599,37 +594,30 @@ def _adjoint_wmat(weight, groups: int):
     return wflip.transpose(0, 2, 1, 3).reshape(groups, icg, ocg * k * k)
 
 
-def _dense_block(xs, weights, biases, *, slope: float) -> Tensor:
+def _dense_block(x: Tensor, weights, biases, *, slope: float) -> Tensor:
     """The (n, L*g, h, w) stack [d_0, ..., d_{L-1}] of a dense branch over
-    the input parts xs, read as their channel concat x of c channels:
+    x of c channels, for L same k x k convs of g outputs each (weights[i] is
+    (g, c + i*g, k, k), biases[i] (1, g, 1, 1)):
     d_i = leaky_relu(conv(concat(x, d_0, ..., d_{i-1}), weights[i]) + biases[i])
-    for L same k x k convs of g outputs each (weights[i] is (g, c + i*g, k, k),
-    biases[i] (1, g, 1, 1)).  With one layer this is one conv over a concat.
 
     The stack is one preactivation buffer, filled in place (Pleiss et al.,
-    "Memory-Efficient Implementation of DenseNets", 2017).  Each part (the
-    inputs, then d_0, ..., d_{L-2}) is gathered once: per band of its
-    columns, one GEMM with the rows of every layer that reads it, stacked,
-    is added into those layers' slices of the buffer.  After the last input
-    part and after each d_i, the first layer that read it is final, and the
-    leaky ReLU runs on it in place, band by band, before it is gathered as
-    the next part.
+    "Memory-Efficient Implementation of DenseNets", 2017).  Each part (x,
+    then d_0, ..., d_{L-2}) is gathered once: per band of its columns, one
+    GEMM with the rows of every layer that reads it, stacked, is added into
+    those layers' slices of the buffer.  After each part, the first layer
+    that read it is final, and the leaky ReLU runs on it in place, band by
+    band, before it is gathered as the next part.
 
     Backward runs the layers in reverse.  Each layer's preactivation
     gradient gives the gradient of all of its input parts in one adjoint
-    conv (input rows only from the first input part that requires grad), and
-    one band pass per part gives the stacked weight gradient of the layers
-    that read it.
+    conv (x's rows only when x requires grad), and one band pass per part
+    gives the stacked weight gradient of the layers that read it.
     """
-    n, _, h, w = xs[0].shape
-    P, L = len(xs), len(weights)
+    n, c, h, w = x.shape
+    L = len(weights)
     if L < 1 or len(biases) != L:
         raise ValueError(f"need one bias per dense layer and at least one layer, "
                          f"got {L} weights and {len(biases)} biases")
-    if any(t.shape[0] != n or t.shape[2:] != (h, w) for t in xs):
-        raise ValueError(f"input parts differ in batch or size: {[t.shape for t in xs]}")
-    offsets = np.cumsum([0] + [t.shape[1] for t in xs]).tolist()
-    c = offsets[-1]
     g, _, k, _ = weights[0].shape
     if k % 2 == 0:
         raise ValueError(f"dense kernels must be odd, got {weights[0].shape}")
@@ -641,21 +629,21 @@ def _dense_block(xs, weights, biases, *, slope: float) -> Tensor:
             raise ValueError(f"dense layer {i}: bias must be (1,{g},1,1), got {bt.shape}")
 
     def part(p):  # (array, channel offset in each reader's weight, channels, first reader)
-        if p < P:
-            return xs[p].data, offsets[p], xs[p].shape[1], 0
-        return a[:, (p - P) * g:(p - P + 1) * g], c + (p - P) * g, g, p - P + 1
+        if p == 0:
+            return x.data, 0, c, 0
+        return a[:, (p - 1) * g:p * g], c + (p - 1) * g, g, p
 
-    a = np.empty((n, L * g, h, w), dtype=xs[0].dtype)
+    a = np.empty((n, L * g, h, w), dtype=x.dtype)
     bias_col = np.concatenate([bt.data.reshape(g, 1) for bt in biases]).astype(a.dtype)
     tmp = None  # the band GEMM's output, added into a
-    for p in range(P + L - 1):
+    for p in range(L):
         src, c0, cp, f = part(p)
         m = (L - f) * g  # rows of layers f .. L-1, a contiguous slice of a
         wstack = np.concatenate([wt.data[:, c0:c0 + cp].reshape(g, -1)
                                  for wt in weights[f:]])
         for b, r0, r1, cols in _band_cols(src, k):
             dst = a[b, f * g:, r0:r1].reshape(m, -1)
-            if p == 0:  # the first part writes the buffer, then the biases
+            if p == 0:  # x writes the buffer, then the biases
                 np.matmul(wstack, cols, out=dst)
                 dst += bias_col
             else:
@@ -664,31 +652,27 @@ def _dense_block(xs, weights, biases, *, slope: float) -> Tensor:
                 t = tmp[:dst.size].reshape(dst.shape)
                 np.matmul(wstack, cols, out=t)
                 dst += t
-            if p >= P - 1:  # layer f's rows of this band are final
-                _bias_leaky_inplace(a[b:b + 1, f * g:(f + 1) * g, r0:r1], None, slope)
+            _bias_leaky_inplace(a[b:b + 1, f * g:(f + 1) * g, r0:r1], None, slope)
         del cols  # this part's column buffer, before the next part's
 
     def bwd(G):
         ga = np.array(G)  # becomes the preactivation gradient, layer by layer
-        # input channels below skip have no gradient
-        skip = next((o for t, o in zip(xs, offsets) if t.requires_grad), c)
-        gx = np.zeros((n, c - skip, h, w), dtype=G.dtype) if skip < c else None
+        gx = np.zeros_like(x.data) if x.requires_grad else None
         for i in reversed(range(L)):
             gi = ga[:, i * g:(i + 1) * g]
             gi[...] = _leaky_grad(gi, a[:, i * g:(i + 1) * g], slope)
             _accum(biases[i], gi.sum(axis=(0, 2, 3)).reshape(1, g, 1, 1))
-            if i * g + c > skip:
-                d_in = _same_conv(gi, _adjoint_wmat(weights[i].data[:, skip:], 1), k)
-                if gx is not None:
-                    gx += d_in[:, :c - skip]
-                ga[:, :i * g] += d_in[:, c - skip:]
-        for t, o in zip(xs, offsets):
-            if t.requires_grad:
-                _accum(t, gx[:, o - skip:o - skip + t.shape[1]])
+            if gx is not None:
+                d_in = _same_conv(gi, _adjoint_wmat(weights[i].data, 1), k)
+                gx += d_in[:, :c]
+                ga[:, :i * g] += d_in[:, c:]
+            elif i:
+                ga[:, :i * g] += _same_conv(gi, _adjoint_wmat(weights[i].data[:, c:], 1), k)
+        _accum(x, gx)
         if not any(wt.requires_grad for wt in weights):
             return
         dws = [np.zeros(wt.shape, dtype=G.dtype) for wt in weights]
-        for p in range(P + L - 1):
+        for p in range(L):
             src, c0, cp, f = part(p)
             dw = _band_dw(src, ga[:, f * g:], 1, k).reshape(L - f, g, cp, k, k)
             for i in range(f, L):
@@ -696,7 +680,7 @@ def _dense_block(xs, weights, biases, *, slope: float) -> Tensor:
         for wt, dw in zip(weights, dws):
             _accum(wt, dw)
 
-    return _node(a, "dense_block", (*xs, *weights, *biases), bwd)
+    return _node(a, "dense_block", (x, *weights, *biases), bwd)
 
 
 # Byte bound on one band's widest activation in _pointwise_mlp (at least one
@@ -704,13 +688,15 @@ def _dense_block(xs, weights, biases, *, slope: float) -> Tensor:
 _MLP_BYTES = 256 << 10
 
 
-def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
+def _pointwise_mlp(x, steps, *, into: Tensor | None = None,
                    pool: bool = False) -> Tensor:
     """A chain of 1x1 convs over the pixels of x, run as one op on bands of
     pixels, so that no layer's activation is built over the whole frame.
 
-    Each step is (weight, bias, slope): a 1x1 conv with its bias, followed
-    by the leaky ReLU when slope is set.  The output is the last step's
+    x is a tensor, or a list of tensors of one batch and size read as their
+    channel concat band by band (one part is read in place).  Each step is
+    (weight, bias, slope): a 1x1 conv with its bias (or None), followed by
+    the leaky ReLU when slope is set.  The output is the last step's
     activation, or with pool set its mean over the pixels, (n, c, 1, 1).
     With into, an (n, c, h, w) tensor, the last step has 2c channels and
     the output is into * alpha + beta with alpha and beta its two halves,
@@ -725,7 +711,12 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
     "Training Deep Nets with Sublinear Memory Cost", 2016, measured slower
     at the 64x64 training patch.)
     """
-    n, c, h, w = x.shape
+    xs = [x] if isinstance(x, Tensor) else list(x)
+    n, _, h, w = xs[0].shape
+    if any(t.shape[0] != n or t.shape[2:] != (h, w) for t in xs):
+        raise ValueError(f"input parts differ in batch or size: {[t.shape for t in xs]}")
+    offsets = np.cumsum([0] + [t.shape[1] for t in xs]).tolist()
+    c = offsets[-1]
     if into is not None and pool:
         raise ValueError("pool and into cannot both be set")
     specs, width, widest = [], c, c
@@ -734,7 +725,7 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
         if wt.shape != (oc, width, 1, 1):
             raise ValueError(f"step {i}: weight {wt.shape} is not a 1x1 conv of "
                              f"{width} channels")
-        if bt.shape != (1, oc, 1, 1):
+        if bt is not None and bt.shape != (1, oc, 1, 1):
             raise ValueError(f"step {i}: bias must be (1,{oc},1,1), got {bt.shape}")
         if slope is not None:
             _check_slope(slope)
@@ -746,14 +737,15 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
         cout = width // 2
         if width % 2 or into.shape != (n, cout, h, w):
             raise ValueError(f"into {into.shape} does not fit a {width}-channel output "
-                             f"over {x.shape}")
+                             f"over {xs[0].shape}")
 
     hw = h * w
-    dtype = x.dtype
-    band = max(1, min(hw, _MLP_BYTES // (widest * x.data.itemsize)))
+    dtype = xs[0].dtype
+    band = max(1, min(hw, _MLP_BYTES // (widest * xs[0].data.itemsize)))
     band = -(-hw // -(-hw // band))  # the same number of bands, of equal width
 
-    widths = [ch for *_, ch in specs] + [widest]  # each step's, then a temporary's
+    # each step's, a temporary's, then the parts' concat when there are parts
+    widths = [ch for *_, ch in specs] + [widest] + [c] * (len(xs) > 1)
 
     def band_buffers():
         return [np.empty(band * ch, dtype=dtype) for ch in widths]
@@ -761,12 +753,15 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
     def run(bufs, b, p0, p1):
         """The activations of pixels [p0, p1) of image b: x's, then each
         step's, in bufs."""
-        acts = [x.data[b].reshape(c, hw)[:, p0:p1]]
-        tmp = bufs[-1]
+        acts = [t.data[b].reshape(-1, hw)[:, p0:p1] for t in xs]
+        if len(acts) > 1:
+            acts = [np.concatenate(acts, out=bufs[-1][:c * (p1 - p0)].reshape(c, -1))]
+        tmp = bufs[len(specs)]
         for (wt, bt, slope, ch), buf in zip(specs, bufs):
             z = buf[:ch * (p1 - p0)].reshape(ch, p1 - p0)
             np.matmul(wt.data.reshape(ch, -1), acts[-1], out=z)
-            z += bt.data.reshape(-1, 1)
+            if bt is not None:
+                z += bt.data.reshape(-1, 1)
             if slope is not None:
                 t = tmp[:z.size].reshape(z.shape)
                 np.multiply(z, slope, out=t)
@@ -779,9 +774,9 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
             for p0 in range(0, hw, band):
                 yield b, p0, min(p0 + band, hw)
 
-    parents = [x] + ([into] if into is not None else [])
+    parents = xs + ([into] if into is not None else [])
     for wt, bt, *_ in specs:
-        parents += [wt, bt]
+        parents += [wt] if bt is None else [wt, bt]
     keep = any(t.requires_grad for t in parents)
     saved = []  # each band's activations, for the backward
 
@@ -812,10 +807,11 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
     def bwd(G):
         dws = [np.zeros(wt.shape, dtype=G.dtype) if wt.requires_grad else None
                for wt, *_ in specs]
-        dbs = [np.zeros(bt.shape, dtype=G.dtype) if bt.requires_grad else None
-               for _, bt, *_ in specs]
-        gx = np.empty_like(x.data) if x.requires_grad else None
+        dbs = [np.zeros(bt.shape, dtype=G.dtype) if bt is not None and bt.requires_grad
+               else None for _, bt, *_ in specs]
+        gxs = [np.empty_like(t.data) if t.requires_grad else None for t in xs]
         gi = np.empty_like(into.data) if into is not None and into.requires_grad else None
+        w0 = specs[0][0].data.reshape(specs[0][3], c)
         for (b, p0, p1), acts in zip(bands(), saved):
             if pool:
                 g = np.repeat(G[b].reshape(cout, 1) / hw, p1 - p0, axis=1)
@@ -833,11 +829,12 @@ def _pointwise_mlp(x: Tensor, steps, *, into: Tensor | None = None,
                     dbs[i] += g.sum(axis=1).reshape(dbs[i].shape)
                 if dws[i] is not None:
                     dws[i] += (g @ acts[i].T).reshape(wt.shape)
-                if i or gx is not None:
+                if i:
                     g = wt.data.reshape(ch, -1).T @ g
-            if gx is not None:
-                gx[b].reshape(c, hw)[:, p0:p1] = g
-        for t, gt in zip((x, into), (gx, gi)):
+            for gx, o0, o1 in zip(gxs, offsets, offsets[1:]):
+                if gx is not None:
+                    gx[b].reshape(-1, hw)[:, p0:p1] = w0[:, o0:o1].T @ g
+        for t, gt in zip((*xs, into), (*gxs, gi)):
             if gt is not None:
                 _accum(t, gt)
         for (wt, bt, *_), dw, db in zip(specs, dws, dbs):

@@ -147,6 +147,58 @@ def test_degrade_reads_only_the_sdr_images_of_a_pairs_dir(pair_dir, tmp_path, ca
         assert (out / p.name).read_bytes() == p.read_bytes()
 
 
+def dir_digests(d: Path) -> dict:
+    return {p.name: sha256_hex(p.read_bytes()) for p in sorted(d.iterdir())}
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_degrade_refuses_to_write_over_its_input(sdr_dir, capsys, spelling):
+    # --out naming --in's directory, also by another path, fails before any
+    # image is read and leaves every input byte as it was
+    before = dir_digests(sdr_dir)
+    out = sdr_dir if spelling == "same" else sdr_dir / ".." / sdr_dir.name
+    rc = main(["degrade", "--in", str(sdr_dir), "--out", str(out)])
+    assert rc == EXIT_FAIL
+    assert f"{out} would overwrite the input {sdr_dir}" in capsys.readouterr().err
+    assert dir_digests(sdr_dir) == before
+
+
+def test_infer_refuses_to_write_over_its_input(pair_dir, tiny_model_cfg, tmp_path, capsys):
+    # a preview over the SDR input, or an HDR output over the checkpoint,
+    # fails before anything is read; the inputs keep their bytes
+    ckpt = tmp_path / "model.pfm"
+    assert main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--iters", "0",
+                 "--model-config", str(tiny_model_cfg)]) == EXIT_OK
+    sdr = pair_dir / "s0.ppm"
+    before = {p: p.read_bytes() for p in (sdr, ckpt)}
+    for out, preview, clobbered in ((tmp_path / "pred.pfm", sdr, sdr),
+                                    (ckpt, None, ckpt)):
+        capsys.readouterr()
+        argv = ["infer", "--checkpoint", str(ckpt), "--in", str(sdr), "--out", str(out)]
+        rc = main(argv + (["--preview", str(preview)] if preview else []))
+        assert rc == EXIT_FAIL
+        assert f"{clobbered} would overwrite the input {clobbered}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in before} == before
+    assert not (tmp_path / "pred.pfm").exists()
+
+
+@pytest.mark.parametrize("flag,name", [("--out", "s0.pfm"), ("--log", "s1.ppm")])
+def test_train_refuses_to_write_over_its_input(pair_dir, tiny_model_cfg, tmp_path, capsys,
+                                               flag, name):
+    # a checkpoint or log over a label or SDR input of --data fails before
+    # training; the data keep their bytes
+    before = dir_digests(pair_dir)
+    target = pair_dir / name
+    outputs = {"--out": tmp_path / "m.ckpt", "--log": tmp_path / "loss.log", flag: target}
+    argv = ["train", "--data", str(pair_dir), "--iters", "1", "--patch-size", "16",
+            "--model-config", str(tiny_model_cfg)]
+    for key, path in outputs.items():
+        argv += [key, str(path)]
+    assert main(argv) == EXIT_FAIL
+    assert f"{target} would overwrite the input {target}" in capsys.readouterr().err
+    assert dir_digests(pair_dir) == before
+
+
 DELETED_RECIPE_KEYS = ["exposure_scale=5.0", "crf_gamma=1.0", "clip_low=0.1",
                        "clip_high=0.9", "quant_bits=3", "seed=9"]
 

@@ -140,12 +140,13 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     # 270 is not a multiple of 4: the local net runs on 272 padded rows and
     # the global net on the 270 cropped ones; count_macs must count both.
     # count_macs is the nominal count: global.mod1 runs on the pooled mod0
-    # features (one pixel).  The dense layers run as one _dense_block call,
-    # and so do local.skip0 and local.skip1 (one layer over two parts);
-    # local.fuse runs as two convs, over hT and then over the dense stack.
-    # Each SFT branch (sft0, sft1) runs as one _pointwise_mlp call, and so do
-    # global.mlp0..3 and, pooled, global.mod0.  The modulation folds into
-    # global.mlp2's bias by one more conv over one pixel (G^2 MACs)
+    # features (one pixel).  The dense layers run as one _dense_block call.
+    # Every 1x1 layer runs as a _pointwise_mlp call: local.skip0 and
+    # local.skip1 (one step over two parts), local.fuse as two calls (over
+    # hT, then over the dense stack) and global.mod1; each SFT branch (sft0,
+    # sft1) is one call, and so are global.mlp0..3 and, pooled, global.mod0.
+    # The modulation folds into global.mlp2's bias by one more 1x1 step over
+    # one pixel (G^2 MACs)
     cfg = ModelConfig()
     net = make_net(cfg)
     for t in net.weights.values():
@@ -160,15 +161,15 @@ def test_count_macs_matches_executed_convs(monkeypatch):
         executed.append(n * oc * oh * ow * icg * k * k)
         return out
 
-    def counting_dense_block(xs, weights, *args, **kw):
-        out = dense_block(xs, weights, *args, **kw)
+    def counting_dense_block(x, weights, *args, **kw):
+        out = dense_block(x, weights, *args, **kw)
         n, _, oh, ow = out.shape
         executed.append(sum(n * oh * ow * w.data.size for w in weights))
         return out
 
     def counting_pointwise_mlp(x, steps, **kw):
         out = pointwise_mlp(x, steps, **kw)
-        n, _, h, w = x.shape
+        n, _, h, w = (x if isinstance(x, Tensor) else x[0]).shape
         executed.append(sum(n * h * w * s[0].data.size for s in steps))
         return out
 
@@ -349,9 +350,10 @@ def test_activation_census_no_normalization():
 
 @pytest.mark.parametrize("requires_grad", [False, True], ids=["inference", "training"])
 def test_forward_builds_no_channel_concat(requires_grad):
-    # the dense layers and local.skip* read a channel concat as one
-    # _dense_block node, and local.fuse as one conv per part, so no forward
-    # copies one into a "concat" node
+    # the dense layers read a channel concat as one _dense_block node,
+    # local.skip* as one _pointwise_mlp node over two parts and local.fuse as
+    # one _pointwise_mlp node per part, so no forward copies one into a
+    # "concat" node
     net = make_net(ModelConfig(), seed=16)
     for t in net.weights.values():
         t.requires_grad = requires_grad
@@ -362,11 +364,36 @@ def test_forward_builds_no_channel_concat(requires_grad):
     assert "conv2d" in trace and "concat" not in trace
 
 
+@pytest.mark.parametrize("requires_grad", [False, True], ids=["inference", "training"])
+def test_1x1_layers_run_only_as_pointwise_steps(monkeypatch, requires_grad):
+    # no forward hands conv2d a 1x1 kernel, and the dense branch is the one
+    # _dense_block call, over the single input tensor
+    net = make_net(ModelConfig(), seed=16)
+    for t in net.weights.values():
+        t.requires_grad = requires_grad
+    conv, dense_block = T.conv2d, T._dense_block
+    kernels, dense_inputs = [], []
+
+    def recording_conv(x, weight, *args, **kw):
+        kernels.append(weight.shape[2])
+        return conv(x, weight, *args, **kw)
+
+    def recording_dense_block(x, *args, **kw):
+        dense_inputs.append(x)
+        return dense_block(x, *args, **kw)
+
+    monkeypatch.setattr(T, "conv2d", recording_conv)
+    monkeypatch.setattr(T, "_dense_block", recording_dense_block)
+    net.forward(Tensor(np.random.default_rng(17).random((1, 3, 12, 20)).astype(np.float32)))
+    assert kernels and 1 not in kernels
+    assert len(dense_inputs) == 1 and isinstance(dense_inputs[0], Tensor)
+
+
 def test_dense_branch_gathers_each_part_once(monkeypatch):
     # a default no-grad forward gathers the input and each dense output but
     # the last once: dense_layers column walks in all, not one per layer
-    # and part (15 for the default 5 layers).  Only the dense branch's call
-    # is counted: the local.skip* calls (one layer each) walk in the op too
+    # and part (15 for the default 5 layers).  Only walks inside the dense
+    # branch's call are counted
     cfg = ModelConfig()
     net = make_net(cfg, seed=18)
     for t in net.weights.values():
@@ -376,14 +403,14 @@ def test_dense_branch_gathers_each_part_once(monkeypatch):
     inside = []
 
     def counting_band_cols(x, k):
-        if inside and inside[-1]:
+        if inside:
             walks.append(x.shape[1])
         return band_cols(x, k)
 
-    def marked_dense_block(xs, weights, *args, **kw):
-        inside.append(len(weights) == cfg.dense_layers)  # the dense branch's call
+    def marked_dense_block(x, weights, *args, **kw):
+        inside.append(True)
         try:
-            return dense_block(xs, weights, *args, **kw)
+            return dense_block(x, weights, *args, **kw)
         finally:
             inside.pop()
 

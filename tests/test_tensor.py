@@ -463,7 +463,7 @@ def test_band_cols_bit_equal_to_padded_gather(monkeypatch, k, band_rows):
         rows = band_rows or h
         set_band_rows(monkeypatch, rows, 3, k, w, np.float32)
         got = [(b, r0, r1, cols.copy()) for b, r0, r1, cols in T._band_cols(x, k)]
-        ref = list(padded_band_cols(x, k, h if k == 1 else rows))
+        ref = list(padded_band_cols(x, k, rows))
         assert [g[:3] for g in got] == [r[:3] for r in ref]
         for g, r in zip(got, ref):
             np.testing.assert_array_equal(g[3], r[3])
@@ -519,7 +519,7 @@ def test_conv_rejects_bad_slope_and_bias_shape():
     with pytest.raises(ValueError, match="slope"):
         T.conv2d(x, w, slope=1.0)
     # the bias is per channel only, of no other shape, the output's included:
-    # a conv over a channel concat is one _dense_block node
+    # a 1x1 layer over a channel concat is one _pointwise_mlp node
     for shape in ((1, 3, 4, 5), (2, 3, 4, 5)):
         with pytest.raises(ValueError, match=r"bias must be \(1,3,1,1\)"):
             T.conv2d(x, w, Tensor(np.zeros(shape, dtype=np.float32)))
@@ -542,23 +542,27 @@ def value_and_grads(fn, arrays, gy):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_conv_over_parts_with_full_bias_matches_concat(dtype):
-    # the one-layer dense op over the parts [a, b] equals the leaky conv of
-    # concat(a, b), for 1x1 and 3x3 kernels at batch 2; values and gradients
+    # the one-step pointwise op over the parts [a, b] equals the leaky 1x1
+    # conv of concat(a, b) at batch 2, with and without a bias; values and
+    # gradients
     rng = np.random.default_rng(70)
     a, b = rng.normal(0, 1, (2, 3, 5, 6)), rng.normal(0, 1, (2, 2, 5, 6))
-    for k in (1, 3):
-        w, bias = rng.normal(0, 1, (4, 5, k, k)), rng.normal(0, 1, (1, 4, 1, 1))
-        gy = rng.normal(0, 1, (2, 4, 5, 6)).astype(dtype)
-        arrays = [t.astype(dtype) for t in (a, b, w, bias)]
-
+    w, bias = rng.normal(0, 1, (4, 5, 1, 1)), rng.normal(0, 1, (1, 4, 1, 1))
+    gy = rng.normal(0, 1, (2, 4, 5, 6)).astype(dtype)
+    arrays = [t.astype(dtype) for t in (a, b, w, bias)]
+    for with_bias in (True, False):
         def over_parts(a, b, w, bias):
-            return T._dense_block([a, b], [w], [bias], slope=0.2)
+            return T._pointwise_mlp([a, b], [(w, bias if with_bias else None, 0.2)])
 
         def whole(a, b, w, bias):
-            return T.leaky_relu(T.conv2d(T.concat_channels(a, b), w, bias), 0.2)
+            y = T.conv2d(T.concat_channels(a, b), w, bias if with_bias else None)
+            return T.leaky_relu(y, 0.2)
         for got, ref in zip(value_and_grads(over_parts, arrays, gy),
                             value_and_grads(whole, arrays, gy)):
-            close(got, ref, dtype)
+            if ref is None:  # the bias, when it is not read
+                assert got is None
+            else:
+                close(got, ref, dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -692,15 +696,15 @@ def dense_arrays(rng, n, c, g, layers, h, w, k=3):
     return x, ws, bs
 
 
-def per_part_dense(xs, weights, biases, slope=0.2):
+def per_part_dense(x, weights, biases, slope=0.2):
     """The dense stack as one conv2d per layer over the channel concat of
-    the input parts and the earlier layer outputs, and a channel concat of
-    the layer outputs."""
-    feats = list(xs)
+    the input and the earlier layer outputs, and a channel concat of the
+    layer outputs."""
+    feats = [x]
     for wt, bt in zip(weights, biases):
-        x = feats[0] if len(feats) == 1 else T.concat_channels(*feats)
-        feats.append(T.conv2d(x, wt, bt, slope=slope))
-    outs = feats[len(xs):]
+        inp = feats[0] if len(feats) == 1 else T.concat_channels(*feats)
+        feats.append(T.conv2d(inp, wt, bt, slope=slope))
+    outs = feats[1:]
     return outs[0] if len(outs) == 1 else T.concat_channels(*outs)
 
 
@@ -713,21 +717,8 @@ def test_dense_block_gradient_check():
     gy = rng.normal(0, 1, (1, 6, 5, 6))
 
     def f(x, w0, w1, b0, b1):
-        return T.sum_all(T.mul(T._dense_block([x], [w0, w1], [b0, b1], slope=0.2), Tensor(gy)))
+        return T.sum_all(T.mul(T._dense_block(x, [w0, w1], [b0, b1], slope=0.2), Tensor(gy)))
     assert T.gradient_check(f, tensors, eps=1e-6) <= 1e-6
-
-
-def test_dense_block_over_two_parts_gradient_check():
-    # float64 central differences for both parts, the weight and the bias of
-    # one layer over [a, b] (a 3x3 conv over their concat)
-    rng = np.random.default_rng(94)
-    a, b = t64(rng, (2, 2, 4, 5)), t64(rng, (2, 3, 4, 5))
-    w, bias = t64(rng, (4, 5, 3, 3)), t64(rng, (1, 4, 1, 1))
-    gy = rng.normal(0, 1, (2, 4, 4, 5))
-
-    def f(a, b, w, bias):
-        return T.sum_all(T.mul(T._dense_block([a, b], [w], [bias], slope=0.2), Tensor(gy)))
-    assert T.gradient_check(f, [a, b, w, bias], eps=1e-6) <= 1e-6
 
 
 @pytest.mark.parametrize("band_rows", [None, 1], ids=["whole", "1row"])
@@ -747,11 +738,11 @@ def test_dense_block_matches_per_part_composition(monkeypatch, layers, shape, x_
     gy = rng.normal(0, 1, (n, layers * g, h, w))
     for dtype in (np.float64, np.float32):
         results = []
-        for fn in (lambda xs, ws, bs: T._dense_block(xs, ws, bs, slope=0.2), per_part_dense):
+        for fn in (lambda x, ws, bs: T._dense_block(x, ws, bs, slope=0.2), per_part_dense):
             xt = Tensor(x.astype(dtype), requires_grad=x_grad)
             wts = [Tensor(a.astype(dtype), requires_grad=True) for a in ws]
             bts = [Tensor(a.astype(dtype), requires_grad=True) for a in bs]
-            y = fn([xt], wts, bts)
+            y = fn(xt, wts, bts)
             T.backward(T.sum_all(T.mul(y, Tensor(gy.astype(dtype)))))
             results.append([y.data, xt.grad] + [t.grad for t in wts + bts])
         got, ref = results
@@ -763,37 +754,10 @@ def test_dense_block_matches_per_part_composition(monkeypatch, layers, shape, x_
                 close(a, b, dtype)
 
 
-@pytest.mark.parametrize("grad_part", [0, 1], ids=["a_grad", "b_grad"])
-@pytest.mark.parametrize("layers", [1, 2])
-def test_dense_block_with_one_of_two_parts_requiring_grad(layers, grad_part):
-    # over the parts [a, b], only one of which requires grad: that part's
-    # gradient, the stack and every dW and db match the concat composition,
-    # and the other part gets no gradient
-    rng = np.random.default_rng(95 + layers)
-    g, shape = 4, (2, 5, 7)
-    arrays = [rng.normal(0, 1, (shape[0], c, *shape[1:])) for c in (2, 3)]
-    _, ws, bs = dense_arrays(rng, shape[0], 5, g, layers, *shape[1:])
-    gy = rng.normal(0, 1, (shape[0], layers * g, *shape[1:]))
-    for dtype in (np.float64, np.float32):
-        results = []
-        for fn in (lambda xs, ws, bs: T._dense_block(xs, ws, bs, slope=0.2), per_part_dense):
-            parts = [Tensor(a.astype(dtype), requires_grad=i == grad_part)
-                     for i, a in enumerate(arrays)]
-            wts = [Tensor(a.astype(dtype), requires_grad=True) for a in ws]
-            bts = [Tensor(a.astype(dtype), requires_grad=True) for a in bs]
-            y = fn(parts, wts, bts)
-            T.backward(T.sum_all(T.mul(y, Tensor(gy.astype(dtype)))))
-            assert parts[1 - grad_part].grad is None
-            results.append([y.data, parts[grad_part].grad] + [t.grad for t in wts + bts])
-        for a, b in zip(*results):
-            assert a.dtype == dtype and a.shape == b.shape
-            close(a, b, dtype)
-
-
 def test_dense_block_rejects_bad_shapes_and_slope():
     rng = np.random.default_rng(93)
     x, ws, bs = dense_arrays(rng, 1, 3, 4, 2, 5, 5)
-    x, ws, bs = [Tensor(x)], [Tensor(a) for a in ws], [Tensor(a) for a in bs]
+    x, ws, bs = Tensor(x), [Tensor(a) for a in ws], [Tensor(a) for a in bs]
     with pytest.raises(ValueError, match="dense layer 1: weight"):
         T._dense_block(x, [ws[0], ws[0]], bs, slope=0.2)
     with pytest.raises(ValueError, match="dense layer 0: bias"):
@@ -805,12 +769,6 @@ def test_dense_block_rejects_bad_shapes_and_slope():
             T._dense_block(x, ws, bs, slope=slope)
     with pytest.raises(ValueError, match="odd"):
         T._dense_block(x, [Tensor(np.zeros((4, 3, 2, 2)))], bs[:1], slope=0.2)
-    # parts whose batch or size differ from the first part's
-    w1, b1 = Tensor(np.zeros((4, 5, 1, 1))), Tensor(np.zeros((1, 4, 1, 1)))
-    for other in ((2, 2, 5, 5), (1, 2, 4, 5), (1, 2, 5, 6)):
-        with pytest.raises(ValueError, match="batch or size"):
-            T._dense_block([Tensor(np.zeros((1, 3, 5, 5))), Tensor(np.zeros(other))],
-                           [w1], [b1], slope=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +778,10 @@ def test_dense_block_rejects_bad_shapes_and_slope():
 def mlp_form(form, rng, n, h, w):
     """(banded fn, composed fn, arrays, widest activation) of one use of
     _pointwise_mlp: a three-layer leaky chain (the global net), a chain
-    whose 2c-channel output modulates `into` per pixel (an SFT branch), and
-    the pooled mean of a leaky layer (mod0)."""
+    whose 2c-channel output modulates `into` per pixel (an SFT branch), the
+    pooled mean of a leaky layer (mod0), and a chain over two input parts,
+    the first fixed (no gradient), ending in a step with no bias (the parts
+    of local.skip*, the bias-free dense half of local.fuse)."""
     x = rng.normal(0, 1, (n, 3, h, w))
     if form == "chain":
         arrays = [x, rng.normal(0, 0.5, (6, 3, 1, 1)), rng.normal(0, 0.5, (1, 6, 1, 1)),
@@ -847,6 +807,19 @@ def mlp_form(form, rng, n, h, w):
             s = T.conv2d(T.leaky_relu(T.conv2d(x, w0, b0), 0.2), w1, b1)
             return T.add(T.mul(into, T.narrow_channels(s, 0, 4)), T.narrow_channels(s, 4, 4))
         return banded, composed, arrays, 8
+    if form == "parts":
+        fixed = rng.normal(0, 1, (n, 2, h, w))
+        arrays = [x, rng.normal(0, 0.5, (6, 5, 1, 1)), rng.normal(0, 0.5, (1, 6, 1, 1)),
+                  rng.normal(0, 0.5, (4, 6, 1, 1))]
+
+        def banded(x, w0, b0, w1):
+            parts = [Tensor(fixed.astype(x.dtype)), x]
+            return T._pointwise_mlp(parts, [(w0, b0, 0.2), (w1, None, None)])
+
+        def composed(x, w0, b0, w1):
+            z = T.concat_channels(Tensor(fixed.astype(x.dtype)), x)
+            return T.conv2d(T.leaky_relu(T.conv2d(z, w0, b0), 0.2), w1)
+        return banded, composed, arrays, 6
     arrays = [x, rng.normal(0, 0.5, (6, 3, 1, 1)), rng.normal(0, 0.5, (1, 6, 1, 1))]
 
     def banded(x, w0, b0):
@@ -857,7 +830,7 @@ def mlp_form(form, rng, n, h, w):
     return banded, composed, arrays, 6
 
 
-MLP_FORMS = ["chain", "into", "pool"]
+MLP_FORMS = ["chain", "into", "pool", "parts"]
 
 
 @pytest.mark.parametrize("form", MLP_FORMS)
@@ -894,6 +867,56 @@ def test_pointwise_mlp_matches_composition(monkeypatch, form, shape, band_px):
                             value_and_grads(composed, typed, gy)):
             assert got.dtype == dtype and got.shape == ref.shape
             close(got, ref, dtype)
+
+
+def test_dense_block_over_two_parts_gradient_check():
+    # float64 central differences for both parts, the weight and the bias of
+    # one leaky 1x1 step over [a, b] (local.skip*'s op)
+    rng = np.random.default_rng(94)
+    a, b = t64(rng, (2, 2, 4, 5)), t64(rng, (2, 3, 4, 5))
+    w, bias = t64(rng, (4, 5, 1, 1)), t64(rng, (1, 4, 1, 1))
+    gy = rng.normal(0, 1, (2, 4, 4, 5))
+
+    def f(a, b, w, bias):
+        return T.sum_all(T.mul(T._pointwise_mlp([a, b], [(w, bias, 0.2)]), Tensor(gy)))
+    assert T.gradient_check(f, [a, b, w, bias], eps=1e-6) <= 1e-6
+
+
+@pytest.mark.parametrize("grad_part", [0, 1], ids=["a_grad", "b_grad"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_dense_block_with_one_of_two_parts_requiring_grad(layers, grad_part):
+    # a chain of `layers` leaky 1x1 steps over the parts [a, b], only one of
+    # which requires grad: that part's gradient, the output and every dW and
+    # db match the concat composition, and the other part gets no gradient
+    rng = np.random.default_rng(95 + layers)
+    n, h, w = 2, 5, 7
+    arrays = [rng.normal(0, 1, (n, c, h, w)) for c in (2, 3)]
+    ws = [rng.normal(0, 0.3, (4, 5 if i == 0 else 4, 1, 1)) for i in range(layers)]
+    bs = [rng.normal(0, 0.3, (1, 4, 1, 1)) for _ in range(layers)]
+    gy = rng.normal(0, 1, (n, 4, h, w))
+
+    def over_parts(parts, wts, bts):
+        return T._pointwise_mlp(parts, [(wt, bt, 0.2) for wt, bt in zip(wts, bts)])
+
+    def composed(parts, wts, bts):
+        y = T.concat_channels(*parts)
+        for wt, bt in zip(wts, bts):
+            y = T.conv2d(y, wt, bt, slope=0.2)
+        return y
+    for dtype in (np.float64, np.float32):
+        results = []
+        for fn in (over_parts, composed):
+            parts = [Tensor(a.astype(dtype), requires_grad=i == grad_part)
+                     for i, a in enumerate(arrays)]
+            wts = [Tensor(a.astype(dtype), requires_grad=True) for a in ws]
+            bts = [Tensor(a.astype(dtype), requires_grad=True) for a in bs]
+            y = fn(parts, wts, bts)
+            T.backward(T.sum_all(T.mul(y, Tensor(gy.astype(dtype)))))
+            assert parts[1 - grad_part].grad is None
+            results.append([y.data, parts[grad_part].grad] + [t.grad for t in wts + bts])
+        for a, b in zip(*results):
+            assert a.dtype == dtype and a.shape == b.shape
+            close(a, b, dtype)
 
 
 def test_pointwise_mlp_holds_only_its_output_and_bands():
@@ -935,3 +958,8 @@ def test_pointwise_mlp_rejects_bad_shapes_and_slope():
         T._pointwise_mlp(x, [(w, b, None)], into=Tensor(np.zeros((2, 4, 4, 4))))
     with pytest.raises(ValueError, match="pool and into"):
         T._pointwise_mlp(x, [(w, b, None)], into=Tensor(np.zeros((2, 2, 4, 4))), pool=True)
+    # parts whose batch or size differ from the first part's
+    w5 = Tensor(np.zeros((4, 5, 1, 1)))
+    for other in ((1, 2, 4, 4), (2, 2, 3, 4), (2, 2, 4, 5)):
+        with pytest.raises(ValueError, match="batch or size"):
+            T._pointwise_mlp([x, Tensor(np.zeros(other))], [(w5, b, None)])
