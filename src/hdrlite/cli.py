@@ -50,18 +50,21 @@ def _print_kv(obj):
 def _read_config(cls, path, what: str):
     if path is None:
         return cls()
-    cfg, extra = kvtext.loads(cls, Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{what} {path} is not UTF-8 text (byte {e.start})") from None
+    cfg, extra = kvtext.loads(cls, text)
     if extra:
         raise ValueError(f"unknown {what} keys: {sorted(extra)}")
     return cfg
 
 
-def _load_model_config(path) -> mod.ModelConfig:
-    return _read_config(mod.ModelConfig, path, "model config")
-
-
-def _load_degrade_config(path) -> D.DegradationConfig:
-    return _read_config(D.DegradationConfig, path, "recipe")
+def _seed(text: str) -> int:
+    """The --seed of degrade and bench, as np.random.default_rng takes it."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _list_images(directory, suffixes) -> list[Path]:
@@ -101,7 +104,7 @@ def _parse_resolution(text: str):
 # ---------------------------------------------------------------------------
 
 def cmd_degrade(args) -> int:
-    cfg = _load_degrade_config(args.config)
+    cfg = _read_config(D.DegradationConfig, args.config, "recipe")
     _echo("degrade", {"in": args.in_dir, "out": args.out_dir}, cfg, {"seed": args.seed})
     _refuse_overwrite([args.out_dir], [args.in_dir])
     files = _list_images(args.in_dir, SDR_EXTS)
@@ -173,11 +176,11 @@ def _load_pairs(data_dir):
 
 
 def cmd_train(args) -> int:
-    model_cfg = _load_model_config(args.model_config)
+    model_cfg = _read_config(mod.ModelConfig, args.model_config, "model config")
     train_cfg = TR.TrainConfig(max_iters=args.iters, patch_size=args.patch_size,
                                lr0=args.lr, seed=args.seed,
                                apply_degradation=not args.no_degrade)
-    degrade_cfg = _load_degrade_config(args.degrade_config)
+    degrade_cfg = _read_config(D.DegradationConfig, args.degrade_config, "recipe")
     _echo("train", {"data": args.data, "out": args.out}, train_cfg, degrade_cfg, model_cfg)
     _refuse_overwrite([args.out, args.log], _list_images(args.data, HDR_EXTS + SDR_EXTS))
     pairs, paths = _load_pairs(args.data)
@@ -267,7 +270,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_info(args) -> int:
-    cfg = _load_model_config(args.model_config)
+    cfg = _read_config(mod.ModelConfig, args.model_config, "model config")
     w, h = _parse_resolution(args.resolution)
     _echo("info", {"resolution": f"{w}x{h}"}, cfg)
     rows = mod.layer_breakdown(cfg, h, w)
@@ -280,7 +283,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_model_config(args.model_config)
+    cfg = _read_config(mod.ModelConfig, args.model_config, "model config")
     w, h = _parse_resolution(args.resolution)
     _echo("bench", {"resolution": f"{w}x{h}", "repeats": args.repeats}, cfg)
     _print_kv(M.bench_forward(cfg, h, w, repeats=args.repeats, seed=args.seed))
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--config", default=None, help="degradation recipe (key=value)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("stats", help="dataset exposure statistics")
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-config", default=None)
     p.add_argument("--resolution", default="1920x1080")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_bench)
     return ap
 

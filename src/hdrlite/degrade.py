@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kvtext
 from .imgio import Image, LINEAR_HDR, NONLINEAR_SDR, float_to_code
 
 # Generic wide-gamut -> sRGB style primary conversion (rows sum to ~1,
@@ -42,35 +43,16 @@ class DegradationConfig:
     cst_matrix: tuple[(float,) * 9] = tuple(DEFAULT_CST.ravel().tolist())  # row-major
 
     def __post_init__(self):
-        for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
-            v = getattr(self, name)
-            try:
-                pair = tuple(v)
-            except TypeError:
-                pair = None
-            if pair is None or len(pair) != 2:
-                raise ValueError(f"{name} must be a (lo, hi) pair, got {v!r}")
-            object.__setattr__(self, name, pair)  # a list becomes a hashable tuple
-        m = np.asarray(self.cst_matrix, dtype=object).ravel()
-        if not all(isinstance(v, (int, float, np.integer, np.floating))
-                   and not isinstance(v, bool) for v in m):
-            raise ValueError(f"cst_matrix must hold real numbers, got {self.cst_matrix!r}")
-        m = m.astype(np.float64)
-        if m.size != 9 or not np.isfinite(m).all() or abs(np.linalg.det(m.reshape(3, 3))) < 1e-12:
+        kvtext.check_types(self)
+        m = np.array(self.cst_matrix).reshape(3, 3)
+        if not np.isfinite(m).all() or abs(np.linalg.det(m)) < 1e-12:
             raise ValueError("cst_matrix must be a finite, invertible 3x3 matrix")
-        object.__setattr__(self, "cst_matrix", tuple(m.tolist()))
         for name, qs in (("jpeg_qf1_range", self.jpeg_qf1_range),
                          ("jpeg_qf2", (self.jpeg_qf2,))):
-            v = getattr(self, name)
-            if not all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) for q in qs):
-                raise ValueError(f"{name} must hold integers, got {v!r}")
             if not all(1 <= q <= 100 for q in qs):
-                raise ValueError(f"{name} must lie in [1, 100], got {v}")
+                raise ValueError(f"{name} must lie in [1, 100], got {getattr(self, name)}")
         for name in ("noise_sigma_range", "jpeg_qf1_range", "rescale_range"):
             lo, hi = getattr(self, name)
-            if not all(isinstance(v, (int, float, np.integer, np.floating))
-                       and not isinstance(v, bool) for v in (lo, hi)):
-                raise ValueError(f"{name} must hold real numbers, got ({lo!r}, {hi!r})")
             if not np.isfinite([lo, hi]).all():
                 raise ValueError(f"{name} must be finite, got ({lo}, {hi})")
             if lo > hi:

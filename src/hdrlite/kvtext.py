@@ -5,13 +5,18 @@ A file is one ``key=value`` line per field; blank lines and ``#`` comments are
 skipped, and a key given twice is an error.  Tuples are comma-separated with
 exactly as many values as their declared type has (nine for the row-major
 ``cst_matrix``), booleans are true/false/1/0/yes/no in any case, and every
-conversion error names its key.  A config checks its own values when built.
+conversion error names its key.  ``kvtext`` also owns the rule for what a
+config field's declared type admits: a config calls ``check_types`` when
+built, then checks only its own value ranges.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 from collections.abc import Mapping
+
+import numpy as np
 
 _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
@@ -43,11 +48,42 @@ def _convert(text: str, typ):
     return typ(text)
 
 
+# What a field of each scalar type admits, as "<field> must be <one>/hold <many>".
+_ADMITS = {int: ((int, np.integer), "an integer", "integers"),
+           float: ((int, float, np.integer, np.floating), "a real number", "real numbers"),
+           bool: ((bool, np.bool_), "a bool", "bools")}
+field_types = functools.cache(typing.get_type_hints)  # resolved once per class
+
+
+def _admits(typ, v) -> bool:
+    return isinstance(v, _ADMITS[typ][0]) and (typ is bool or not isinstance(v, bool))
+
+
+def check_types(obj):
+    """Check each field of the frozen dataclass ``obj`` against its declared
+    type, raising a ValueError that names the field.  Numbers may be numpy
+    scalars but not bools; a ``tuple[...]`` field takes any sequence or array
+    of that many values, stored as a tuple of the declared types."""
+    for name, typ in field_types(type(obj)).items():
+        v, types = getattr(obj, name), typing.get_args(typ)
+        if not types:
+            if not _admits(typ, v):
+                raise ValueError(f"{name} must be {_ADMITS[typ][1]}, got {v!r}")
+            continue
+        vals = np.asarray(v, dtype=object).ravel()
+        if len(vals) != len(types):
+            raise ValueError(f"{name} must hold {len(types)} values, got {v!r}")
+        for t, x in zip(types, vals):
+            if not _admits(t, x):
+                raise ValueError(f"{name} must hold {_ADMITS[t][2]}, got {v!r}")
+        object.__setattr__(obj, name, tuple(t(x) for t, x in zip(types, vals)))
+
+
 def loads(cls, text: str):
     """Parse ``text`` into a ``cls`` instance, which checks itself when built,
     converting each value by the field's declared type.  Returns (instance,
     {key: raw text}) where the dict holds the keys ``cls`` has no field for."""
-    hints = typing.get_type_hints(cls)
+    hints = field_types(cls)
     kwargs, extra = {}, {}
     for line in text.splitlines():
         line = line.strip()

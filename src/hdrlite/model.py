@@ -47,15 +47,11 @@ class ModelConfig:
     use_partial_conv: bool = True
 
     def __post_init__(self):
+        kvtext.check_types(self)
         for key in ("dense_layers", "dense_growth", "unet_base_channels", "groups",
                     "global_mlp_channels"):
-            v = getattr(self, key)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {v!r}")
-            if v < 1:
-                raise ValueError(f"{key} must be >= 1, got {v}")
-        if not isinstance(self.use_partial_conv, (bool, np.bool_)):
-            raise ValueError(f"use_partial_conv must be a bool, got {self.use_partial_conv!r}")
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.unet_base_channels % self.groups:
             raise ValueError("unet_base_channels must be divisible by groups")
 
@@ -368,22 +364,28 @@ def load_checkpoint(path):
         off += n
         return chunk
 
+    def take_text(n, what):
+        try:
+            return take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{what} is not UTF-8 text (byte {e.start})") from None
+
     if take(4) != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic)")
     (version,) = struct.unpack("<H", take(2))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (cfg_len,) = struct.unpack("<I", take(4))
-    cfg, extra = kvtext.loads(ModelConfig, take(cfg_len).decode("utf-8"))
+    cfg, extra = kvtext.loads(ModelConfig, take_text(cfg_len, "checkpoint header"))
     for key, value in _RETIRED_KEYS.items():
         text = extra.pop(key, str(value))
         if text != str(value):
             raise ValueError(f"{key}={text}: the architecture fixes {key} at {value}")
     (count,) = struct.unpack("<I", take(4))
     weights = {}
-    for _ in range(count):
+    for i in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        name = take_text(name_len, f"the name of checkpoint record {i}")
         if name in weights:
             raise ValueError(f"duplicate checkpoint record {name!r}")
         dims = struct.unpack("<4I", take(16))

@@ -366,11 +366,6 @@ def depth_to_space(x: Tensor) -> Tensor:
     return _node(out.reshape(n, c, 2 * h, 2 * w), "depth_to_space", (x,), bwd)
 
 
-def _reflect_index(n: int, pad: int):
-    idx = np.arange(n + pad)
-    return np.where(idx >= n, 2 * (n - 1) - idx, idx)
-
-
 def pad_reflect(x: Tensor, ph: int, pw: int) -> Tensor:
     """Reflect-pad the bottom/right edges by (ph, pw)."""
     if ph == 0 and pw == 0:
@@ -381,11 +376,12 @@ def pad_reflect(x: Tensor, ph: int, pw: int) -> Tensor:
     out = np.pad(x.data, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
 
     def bwd(g):
-        tmp = np.zeros((n, c, h, w + pw), dtype=g.dtype)
-        np.add.at(tmp, (slice(None), slice(None), _reflect_index(h, ph)), g)
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), slice(None), slice(None), _reflect_index(w, pw)), tmp)
-        _accum(x, gx)
+        # padded row h + k mirrors row h - 2 - k (columns likewise): fold the
+        # mirrored rows back, then the mirrored columns
+        gx = g[:, :, :h].copy()
+        gx[:, :, h - 1 - ph:h - 1] += g[:, :, h:][:, :, ::-1]
+        gx[..., w - 1 - pw:w - 1] += gx[..., w:][..., ::-1]
+        _accum(x, gx[..., :w])
 
     return _node(out, "pad_reflect", (x,), bwd)
 

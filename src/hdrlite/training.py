@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kvtext
 from . import tensor as T
 from .degrade import DegradationConfig, conventional_degrade
 from .imgio import Image, NONLINEAR_SDR
@@ -39,19 +40,12 @@ class TrainConfig:
     apply_degradation: bool = True
 
     def __post_init__(self):
-        if isinstance(self.lr0, bool) or not isinstance(self.lr0, (int, float, np.integer,
-                                                                  np.floating)):
-            raise ValueError(f"lr0 must be a real number, got {self.lr0!r}")
+        kvtext.check_types(self)
         if not 0 < self.lr0 < math.inf:
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
         for key, least in (("patch_size", 3), ("max_iters", 0), ("seed", 0)):
-            v = getattr(self, key)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {v!r}")
-            if v < least:
-                raise ValueError(f"{key} must be >= {least}, got {v}")
-        if not isinstance(self.apply_degradation, (bool, np.bool_)):
-            raise ValueError(f"apply_degradation must be a bool, got {self.apply_degradation!r}")
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
 
 class TrainingDiverged(RuntimeError):

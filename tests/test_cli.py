@@ -771,3 +771,45 @@ def test_info_and_bench_print_no_run_stats(tiny_model_cfg, capsys):
     assert "\nseconds=" not in out  # bench reports median_seconds= instead
     assert float(next(l for l in out.splitlines()
                       if l.startswith("peak_rss_mb=")).split("=")[1]) > 1
+
+
+@pytest.mark.parametrize("flag", ["--model-config", "--config", "--degrade-config"])
+def test_a_config_file_that_is_not_utf8_fails_naming_the_file(flag, pair_dir, tiny_model_cfg,
+                                                              tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    raw = bytearray(tiny_model_cfg.read_bytes() if flag == "--model-config"
+                    else b"jpeg_qf2=90\n")
+    raw[0] = 0xFF
+    bad.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    argv = {"--model-config": ["info"],
+            "--config": ["degrade", "--in", str(pair_dir), "--out", str(out)],
+            "--degrade-config": ["train", "--data", str(pair_dir), "--out", str(out)]}[flag]
+    assert main(argv + [flag, str(bad)]) == EXIT_FAIL
+    assert f"{bad} is not UTF-8 text (byte 0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["degrade", "bench"])
+def test_a_negative_seed_is_a_usage_error_naming_the_flag(command, sdr_dir, tmp_path, capsys,
+                                                          monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("hdrlite.imgio.read_image", no_read)
+    out = tmp_path / "out"
+    argv = {"degrade": ["degrade", "--in", str(sdr_dir), "--out", str(out)],
+            "bench": ["bench", "--resolution", "24x16"]}[command]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--seed", "-1"])
+    assert e.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_keeps_the_train_config_seed_check(pair_dir, tmp_path, capsys):
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(pair_dir), "--out", str(out), "--iters", "0",
+                 "--seed", "-1"]) == EXIT_FAIL
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()

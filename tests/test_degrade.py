@@ -5,7 +5,7 @@ import pytest
 import scipy.fft
 import scipy.ndimage
 
-from hdrlite.cli import _load_degrade_config
+from hdrlite.cli import _read_config
 from hdrlite.degrade import (
     DEFAULT_CST, DegradationConfig, _Q_CHROMA, _Q_LUMA, _RGB_TO_YCC, _YCC_TO_RGB,
     _dct_roundtrip, _down2, _qf_table, _resize_bilinear, add_camera_noise,
@@ -365,7 +365,7 @@ def test_config_kv_comments_and_errors(tmp_path):
     def recipe(text):
         path = tmp_path / "recipe.txt"
         path.write_text(text)
-        return _load_degrade_config(path)
+        return _read_config(DegradationConfig, path, "recipe")
 
     cfg = recipe("# comment\n\njpeg_qf2=90\n")
     assert cfg.jpeg_qf2 == 90

@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from hdrlite import training as TR
 from hdrlite.cli import EXIT_FAIL, main
 from hdrlite.degrade import DegradationConfig
-from hdrlite.kvtext import dumps, items, loads
+from hdrlite.kvtext import dumps, field_types, items, loads
 from hdrlite.model import ModelConfig, load_checkpoint, save_checkpoint
 
 # The header block that checkpoints written by `hdrlite train` carry: the
@@ -247,3 +249,42 @@ def test_configs_accept_numpy_scalars_and_lists():
     assert TR.TrainConfig(patch_size=np.int64(32), seed=np.uint8(3)).patch_size == 32
     recipe = DegradationConfig(jpeg_qf1_range=(np.int64(50), 90), jpeg_qf2=np.int16(60))
     assert recipe == DegradationConfig(jpeg_qf1_range=(50, 90), jpeg_qf2=60)
+
+
+def _wrong_typed_values():
+    """(config, field, value) for every field of the three configs: a string,
+    a bool unless the field is a bool, and for a tuple field bools, strings
+    and one value too few or too many, all read off the declared types."""
+    for cls in (ModelConfig, TR.TrainConfig, DegradationConfig):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            n = len(typing.get_args(hints[f.name]))
+            values = ["1"] + ([True] if hints[f.name] is not bool else [])
+            if n:
+                values += [("1",) * n, (True,) * n, (1,) * (n - 1), (1,) * (n + 1)]
+            yield from (pytest.param(cls, f.name, v, id=f"{cls.__name__}.{f.name}={v!r}")
+                        for v in values)
+
+
+@pytest.mark.parametrize("cls,field,value", _wrong_typed_values())
+def test_every_config_field_rejects_a_wrong_type_by_name(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        cls(**{field: value})
+
+
+def test_tuple_fields_store_their_declared_element_types():
+    cfg = DegradationConfig(jpeg_qf1_range=np.array([50, 90], dtype=np.uint8),
+                            rescale_range=[np.float32(0.5), 1],
+                            noise_sigma_range=np.array([[0.0, 0.001]]))
+    assert cfg.jpeg_qf1_range == (50, 90) and cfg.rescale_range == (0.5, 1.0)
+    assert cfg.noise_sigma_range == (0.0, 0.001)
+    for name, typ in (("jpeg_qf1_range", int), ("rescale_range", float),
+                      ("noise_sigma_range", float), ("cst_matrix", float)):
+        assert all(type(v) is typ for v in getattr(cfg, name))
+    with pytest.raises(ValueError, match="^cst_matrix must hold 9 values"):
+        DegradationConfig(cst_matrix=np.eye(4))
+
+
+def test_field_types_are_resolved_once_per_class():
+    assert field_types(ModelConfig) is field_types(ModelConfig)
+    assert field_types(DegradationConfig)["cst_matrix"] == tuple[(float,) * 9]

@@ -567,6 +567,22 @@ def test_checkpoint_rejects_a_record_whose_size_overflows(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("where,message", [
+    ("header", "checkpoint header is not UTF-8 text"),
+    ("record", "the name of checkpoint record 0 is not UTF-8 text"),
+])
+def test_checkpoint_rejects_text_that_is_not_utf8(tmp_path, where, message):
+    net = make_net(small_cfg())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, net)
+    raw = bytearray(path.read_bytes())
+    header_len = struct.unpack_from("<I", raw, 6)[0]
+    raw[10 if where == "header" else 14 + header_len + 4] = 0xFF  # a first byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        load_checkpoint(path)
+
+
 def test_network_missing_weight_names_the_key():
     weights = dict(make_net(small_cfg()).weights)
     del weights["local.head.weight"]

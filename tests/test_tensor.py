@@ -392,6 +392,26 @@ def _(rng):
                                       T.crop(T.pad_reflect(x, 3, 2), 1, 1, 5, 5))), [x]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h,w,ph,pw", [(5, 7, 3, 2), (4, 4, 0, 3), (6, 9, 5, 0), (3, 3, 2, 2)])
+def test_pad_reflect_backward_bit_equal_to_add_at(h, w, ph, pw, dtype):
+    rng = np.random.default_rng(h * w + ph)
+    x = Tensor(rng.standard_normal((2, 3, h, w)).astype(dtype), requires_grad=True)
+    y = T.pad_reflect(x, ph, pw)
+    g = rng.standard_normal(y.shape).astype(dtype)
+    y._backward(g)
+    # oracle: scatter-add each padded row, then each column, to its source
+    rows, cols = np.arange(h + ph), np.arange(w + pw)
+    rows = np.where(rows >= h, 2 * (h - 1) - rows, rows)
+    cols = np.where(cols >= w, 2 * (w - 1) - cols, cols)
+    tmp = np.zeros((2, 3, h, w + pw), dtype=dtype)
+    np.add.at(tmp, (slice(None), slice(None), rows), g)
+    want = np.zeros_like(x.data)
+    np.add.at(want, (slice(None), slice(None), slice(None), cols), tmp)
+    assert x.grad.dtype == want.dtype
+    np.testing.assert_array_equal(x.grad.view(np.uint8), want.view(np.uint8))
+
+
 @case("grad_map")
 def _(rng):
     x = t64(rng, (1, 3, 4, 4))
