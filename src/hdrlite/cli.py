@@ -89,6 +89,31 @@ def _refuse_overwrite(outputs, inputs):
             raise ValueError(f"{out} would overwrite the input {read[Path(out).resolve()]}")
 
 
+def _check_output_files(outputs):
+    """Raise when a file of {flag: path} (None is skipped) is a directory, lies
+    in no existing directory, or is the file that an earlier flag names."""
+    seen = {}
+    for flag, out in outputs.items():
+        if out is None:
+            continue
+        path = Path(out).resolve()
+        if path.is_dir():
+            raise ValueError(f"{flag} {out} is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"{flag} {out}: directory {path.parent} does not exist")
+        if path in seen:
+            raise ValueError(f"{flag} {out} names the same file as {seen[path]}")
+        seen[path] = f"{flag} {out}"
+
+
+def _read_image(path) -> imgio.Image:
+    """imgio.read_image, with the path named in a decode error."""
+    try:
+        return imgio.read_image(path)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _parse_resolution(text: str):
     try:
         w, h = (int(t) for t in text.lower().split("x"))
@@ -142,7 +167,7 @@ def cmd_stats(args) -> int:
     if not files:
         print("error: no input images", file=sys.stderr)
         return EXIT_FAIL
-    images = (imgio.read_image(p) for p in files)
+    images = (_read_image(p) for p in files)
     _print_kv(D.dataset_stats(images, over_code=args.over_code,
                               under_code=args.under_code))
     return EXIT_OK
@@ -167,7 +192,7 @@ def _load_pairs(data_dir):
     for hdr_path in _hdr_by_stem(data_dir).values():
         sdr_path = hdr_path.with_suffix(".ppm")
         if sdr_path.exists():
-            pairs.append((imgio.read_image(hdr_path), imgio.read_image(sdr_path)))
+            pairs.append((_read_image(hdr_path), _read_image(sdr_path)))
             paths.append((hdr_path, sdr_path))
         else:
             unpaired.append(hdr_path.name)
@@ -182,6 +207,7 @@ def cmd_train(args) -> int:
                                apply_degradation=not args.no_degrade)
     degrade_cfg = _read_config(D.DegradationConfig, args.degrade_config, "recipe")
     _echo("train", {"data": args.data, "out": args.out}, train_cfg, degrade_cfg, model_cfg)
+    _check_output_files({"--out": args.out, "--log": args.log})
     _refuse_overwrite([args.out, args.log], _list_images(args.data, HDR_EXTS + SDR_EXTS))
     pairs, paths = _load_pairs(args.data)
     if not pairs:
@@ -213,11 +239,12 @@ def cmd_infer(args) -> int:
     if args.preview is not None and Path(args.preview).suffix not in SDR_EXTS:
         raise ValueError(f"--preview {args.preview}: the preview is written only "
                          f"as a {' or '.join(SDR_EXTS)} file")
+    _check_output_files({"--out": args.out_path, "--preview": args.preview})
     _refuse_overwrite([args.out_path, args.preview], [args.in_path, args.checkpoint])
     net, extra = mod.load_checkpoint(args.checkpoint)
     _echo("infer", {"checkpoint": args.checkpoint, "in": args.in_path,
                     "out": args.out_path}, net.cfg)
-    sdr = imgio.read_image(args.in_path)
+    sdr = _read_image(args.in_path)
     hdr = M.reconstruct_hdr(net, sdr)
     imgio.write_image(args.out_path, hdr)
     print(f"wrote {args.out_path}")

@@ -481,15 +481,24 @@ def _in_frame(size: int, d: int):
     return lo, max(min(size, size - d), lo)
 
 
-def _same_conv(x, wmat, k: int):
+def _same_conv(x, wmat, k: int, out=None, add: bool = False):
     """'Same' grouped correlation of the (n, c, h, w) array x with
-    wmat (groups, ocg, icg*k*k): one matmul batched over groups per band."""
+    wmat (groups, ocg, icg*k*k): one matmul batched over groups per band,
+    written into out (new when None, or a channel slice of a larger array)
+    or, with add set, made in one reused band temporary and added into it."""
     n, c, h, w = x.shape
     groups, ocg, _ = wmat.shape
-    out = np.empty((n, groups * ocg, h, w), dtype=x.dtype)
+    if out is None:
+        out = np.empty((n, groups * ocg, h, w), dtype=x.dtype)
+    tmp = None
     for b, r0, r1, cols in _band_cols(x, k):
-        np.matmul(wmat, cols.reshape(groups, -1, cols.shape[1]),
-                  out=out[b, :, r0:r1].reshape(groups, ocg, -1))
+        dst = out[b, :, r0:r1].reshape(groups, ocg, -1)
+        if add and tmp is None:  # the first band is the largest
+            tmp = np.empty(dst.size, dtype=out.dtype)
+        prod = tmp[:dst.size].reshape(dst.shape) if add else dst
+        np.matmul(wmat, cols.reshape(groups, -1, cols.shape[1]), out=prod)
+        if add:
+            dst += prod
     return out
 
 
@@ -598,16 +607,17 @@ def _dense_block(x: Tensor, weights, biases, *, slope: float) -> Tensor:
 
     The stack is one preactivation buffer, filled in place (Pleiss et al.,
     "Memory-Efficient Implementation of DenseNets", 2017).  Each part (x,
-    then d_0, ..., d_{L-2}) is gathered once: per band of its columns, one
-    GEMM with the rows of every layer that reads it, stacked, is added into
-    those layers' slices of the buffer.  After each part, the first layer
-    that read it is final, and the leaky ReLU runs on it in place, band by
-    band, before it is gathered as the next part.
+    then d_0, ..., d_{L-2}) is gathered once: one _same_conv with the rows
+    of every layer that reads it, stacked, writes (x) or adds (the rest)
+    into those layers' slices of the buffer.  After each part, the first
+    layer that read it is final: its bias and leaky ReLU run on it in place
+    before it is gathered as the next part.
 
-    Backward runs the layers in reverse.  Each layer's preactivation
-    gradient gives the gradient of all of its input parts in one adjoint
-    conv (x's rows only when x requires grad), and one band pass per part
-    gives the stacked weight gradient of the layers that read it.
+    Backward runs the layers in reverse over one gradient buffer, x's rows
+    then the stack's.  Each layer's preactivation gradient is added into
+    the rows of all of its input parts by one adjoint conv (x's rows only
+    when x requires grad), and one band pass per part gives the stacked
+    weight gradient of the layers that read it.
     """
     n, c, h, w = x.shape
     L = len(weights)
@@ -630,47 +640,30 @@ def _dense_block(x: Tensor, weights, biases, *, slope: float) -> Tensor:
         return a[:, (p - 1) * g:p * g], c + (p - 1) * g, g, p
 
     a = np.empty((n, L * g, h, w), dtype=x.dtype)
-    bias_col = np.concatenate([bt.data.reshape(g, 1) for bt in biases]).astype(a.dtype)
-    tmp = None  # the band GEMM's output, added into a
     for p in range(L):
         src, c0, cp, f = part(p)
-        m = (L - f) * g  # rows of layers f .. L-1, a contiguous slice of a
         wstack = np.concatenate([wt.data[:, c0:c0 + cp].reshape(g, -1)
                                  for wt in weights[f:]])
-        for b, r0, r1, cols in _band_cols(src, k):
-            dst = a[b, f * g:, r0:r1].reshape(m, -1)
-            if p == 0:  # x writes the buffer, then the biases
-                np.matmul(wstack, cols, out=dst)
-                dst += bias_col
-            else:
-                if tmp is None or tmp.size < dst.size:
-                    tmp = np.empty(dst.size, dtype=a.dtype)
-                t = tmp[:dst.size].reshape(dst.shape)
-                np.matmul(wstack, cols, out=t)
-                dst += t
-            _bias_leaky_inplace(a[b:b + 1, f * g:(f + 1) * g, r0:r1], None, slope)
-        del cols  # this part's column buffer, before the next part's
+        _same_conv(src, wstack[None], k, out=a[:, f * g:], add=p > 0)
+        _bias_leaky_inplace(a[:, f * g:(f + 1) * g], biases[f].data, slope)
 
     def bwd(G):
-        ga = np.array(G)  # becomes the preactivation gradient, layer by layer
-        gx = np.zeros_like(x.data) if x.requires_grad else None
+        lo = 0 if x.requires_grad else c  # the first row that gets a gradient
+        gall = np.concatenate([np.zeros_like(x.data, dtype=G.dtype), G], axis=1)
         for i in reversed(range(L)):
-            gi = ga[:, i * g:(i + 1) * g]
+            gi = gall[:, c + i * g:c + (i + 1) * g]
             gi[...] = _leaky_grad(gi, a[:, i * g:(i + 1) * g], slope)
             _accum(biases[i], gi.sum(axis=(0, 2, 3)).reshape(1, g, 1, 1))
-            if gx is not None:
-                d_in = _same_conv(gi, _adjoint_wmat(weights[i].data, 1), k)
-                gx += d_in[:, :c]
-                ga[:, :i * g] += d_in[:, c:]
-            elif i:
-                ga[:, :i * g] += _same_conv(gi, _adjoint_wmat(weights[i].data[:, c:], 1), k)
-        _accum(x, gx)
+            if c + i * g > lo:
+                _same_conv(gi, _adjoint_wmat(weights[i].data[:, lo:], 1), k,
+                           out=gall[:, lo:c + i * g], add=True)
+        _accum(x, gall[:, :c].copy())  # as a view it would keep all of gall alive
         if not any(wt.requires_grad for wt in weights):
             return
         dws = [np.zeros(wt.shape, dtype=G.dtype) for wt in weights]
         for p in range(L):
             src, c0, cp, f = part(p)
-            dw = _band_dw(src, ga[:, f * g:], 1, k).reshape(L - f, g, cp, k, k)
+            dw = _band_dw(src, gall[:, c + f * g:], 1, k).reshape(L - f, g, cp, k, k)
             for i in range(f, L):
                 dws[i][:, c0:c0 + cp] = dw[i - f]
         for wt, dw in zip(weights, dws):
@@ -690,13 +683,13 @@ def _pointwise_mlp(x, steps, *, into: Tensor | None = None,
     pixels, so that no layer's activation is built over the whole frame.
 
     x is a tensor, or a list of tensors of one batch and size read as their
-    channel concat band by band (one part is read in place).  Each step is
-    (weight, bias, slope): a 1x1 conv with its bias (or None), followed by
-    the leaky ReLU when slope is set.  The output is the last step's
-    activation, or with pool set its mean over the pixels, (n, c, 1, 1).
-    With into, an (n, c, h, w) tensor, the last step has 2c channels and
-    the output is into * alpha + beta with alpha and beta its two halves,
-    per pixel (spatial feature modulation).
+    channel concat (the first step adds one GEMM per part, read in place).
+    Each step is (weight, bias, slope): a 1x1 conv with its bias (or None),
+    followed by the leaky ReLU when slope is set.  The output is the last
+    step's activation, or with pool set its mean over the pixels,
+    (n, c, 1, 1).  With into, an (n, c, h, w) tensor, the last step has 2c
+    channels and the output is into * alpha + beta with alpha and beta its
+    two halves, per pixel (spatial feature modulation).
 
     A band holds about _MLP_BYTES of its widest activation, and bias,
     activation and modulation run on it while it is in cache.  When a
@@ -740,26 +733,31 @@ def _pointwise_mlp(x, steps, *, into: Tensor | None = None,
     band = max(1, min(hw, _MLP_BYTES // (widest * xs[0].data.itemsize)))
     band = -(-hw // -(-hw // band))  # the same number of bands, of equal width
 
-    # each step's, a temporary's, then the parts' concat when there are parts
-    widths = [ch for *_, ch in specs] + [widest] + [c] * (len(xs) > 1)
+    # each step's, then a temporary's
+    widths = [ch for *_, ch in specs] + [widest]
 
     def band_buffers():
         return [np.empty(band * ch, dtype=dtype) for ch in widths]
 
     def run(bufs, b, p0, p1):
-        """The activations of pixels [p0, p1) of image b: x's, then each
-        step's, in bufs."""
-        acts = [t.data[b].reshape(-1, hw)[:, p0:p1] for t in xs]
-        if len(acts) > 1:
-            acts = [np.concatenate(acts, out=bufs[-1][:c * (p1 - p0)].reshape(c, -1))]
-        tmp = bufs[len(specs)]
-        for (wt, bt, slope, ch), buf in zip(specs, bufs):
+        """The activations of pixels [p0, p1) of image b: the list of x's
+        parts (views), then each step's, in bufs."""
+        acts = [[t.data[b].reshape(-1, hw)[:, p0:p1] for t in xs]]
+        tmp = bufs[-1]
+        for i, ((wt, bt, slope, ch), buf) in enumerate(zip(specs, bufs)):
             z = buf[:ch * (p1 - p0)].reshape(ch, p1 - p0)
-            np.matmul(wt.data.reshape(ch, -1), acts[-1], out=z)
+            t = tmp[:z.size].reshape(z.shape)
+            wm = wt.data.reshape(ch, -1)
+            if i:
+                np.matmul(wm, acts[i], out=z)
+            else:  # one GEMM per part of x, added into z
+                np.matmul(wm[:, :offsets[1]], acts[0][0], out=z)
+                for part, o0, o1 in zip(acts[0][1:], offsets[1:], offsets[2:]):
+                    np.matmul(wm[:, o0:o1], part, out=t)
+                    z += t
             if bt is not None:
                 z += bt.data.reshape(-1, 1)
             if slope is not None:
-                t = tmp[:z.size].reshape(z.shape)
                 np.multiply(z, slope, out=t)
                 np.maximum(z, t, out=z)
             acts.append(z)
@@ -823,11 +821,13 @@ def _pointwise_mlp(x, steps, *, into: Tensor | None = None,
                     g = _leaky_grad(g, acts[i + 1], slope)
                 if dbs[i] is not None:
                     dbs[i] += g.sum(axis=1).reshape(dbs[i].shape)
-                if dws[i] is not None:
-                    dws[i] += (g @ acts[i].T).reshape(wt.shape)
                 if i:
+                    if dws[i] is not None:
+                        dws[i] += (g @ acts[i].T).reshape(wt.shape)
                     g = wt.data.reshape(ch, -1).T @ g
-            for gx, o0, o1 in zip(gxs, offsets, offsets[1:]):
+            for part, gx, o0, o1 in zip(acts[0], gxs, offsets, offsets[1:]):  # step 0's
+                if dws[0] is not None:
+                    dws[0][:, o0:o1, 0, 0] += g @ part.T
                 if gx is not None:
                     gx[b].reshape(-1, hw)[:, p0:p1] = w0[:, o0:o1].T @ g
         for t, gt in zip((*xs, into), (*gxs, gi)):

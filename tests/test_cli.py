@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hdrlite
-from hdrlite import training
+from hdrlite import imgio, model, training
 from hdrlite.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, main
 from hdrlite.imgio import (
     Image, LINEAR_HDR, NONLINEAR_SDR, read_image, write_image,
@@ -197,6 +197,89 @@ def test_train_refuses_to_write_over_its_input(pair_dir, tiny_model_cfg, tmp_pat
     assert main(argv) == EXIT_FAIL
     assert f"{target} would overwrite the input {target}" in capsys.readouterr().err
     assert dir_digests(pair_dir) == before
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The names of the image reads, checkpoint loads and training runs that
+    start during a test, in order."""
+    calls = []
+    for module, name in ((imgio, "read_image"), (model, "load_checkpoint"),
+                         (training, "train_loop")):
+        def spy(*args, _real=getattr(module, name), _name=name, **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["same_file", "out_directory", "out_no_directory",
+                                  "log_no_directory"])
+def test_train_checks_its_output_files_before_reading_pairs(pair_dir, tiny_model_cfg,
+                                                            tmp_path, capsys, reads, case):
+    # a checkpoint and a log naming one file (also by another spelling), a
+    # checkpoint that is a directory, or an output in a directory that does
+    # not exist fails before any pair is read or any iteration runs, naming
+    # the flag and the path
+    ckpt, log = tmp_path / "m.bin", tmp_path / "loss.log"
+    missing = (tmp_path / "missing").resolve()
+    if case == "same_file":
+        log = pair_dir / ".." / "m.bin"
+        message = f"--log {log} names the same file as --out {ckpt}"
+    elif case == "out_directory":
+        ckpt.mkdir()
+        message = f"--out {ckpt} is a directory"
+    elif case == "out_no_directory":
+        ckpt = tmp_path / "missing" / "m.bin"
+        message = f"--out {ckpt}: directory {missing} does not exist"
+    else:
+        log = tmp_path / "missing" / "loss.log"
+        message = f"--log {log}: directory {missing} does not exist"
+    rc = main(["train", "--data", str(pair_dir), "--out", str(ckpt), "--log", str(log),
+               "--iters", "2", "--patch-size", "16", "--model-config", str(tiny_model_cfg)])
+    assert rc == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert message in err
+    assert reads == [] and "final loss" not in out
+    assert not ckpt.is_file() and not log.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--preview"])
+@pytest.mark.parametrize("case", ["directory", "no_directory"])
+def test_infer_checks_its_output_files_before_reading(pair_dir, tmp_path, capsys, reads,
+                                                      flag, case):
+    # an output that is a directory, or in a directory that does not exist,
+    # fails before the checkpoint or the input is read
+    paths = {"--out": tmp_path / "pred.pfm", "--preview": tmp_path / "prev.ppm"}
+    bad = paths[flag]
+    if case == "directory":
+        bad.mkdir()
+        message = f"{flag} {bad} is a directory"
+    else:
+        bad = paths[flag] = tmp_path / "missing" / bad.name
+        message = f"{flag} {bad}: directory {bad.parent.resolve()} does not exist"
+    rc = main(["infer", "--checkpoint", str(tmp_path / "missing.ckpt"),
+               "--in", str(pair_dir / "s0.ppm"),
+               "--out", str(paths["--out"]), "--preview", str(paths["--preview"])])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert message in err and "missing.ckpt" not in err
+    assert reads == []
+    assert not any(p.is_file() for p in paths.values())
+
+
+@pytest.mark.parametrize("command", ["train", "stats"])
+def test_a_file_that_fails_to_decode_is_named(pair_dir, tiny_model_cfg, tmp_path, capsys,
+                                              command):
+    bad = pair_dir / "s1.ppm"
+    bad.write_bytes(bad.read_bytes()[:-10])
+    if command == "train":
+        argv = ["train", "--data", str(pair_dir), "--out", str(tmp_path / "m.ckpt"),
+                "--iters", "1", "--patch-size", "16", "--model-config", str(tiny_model_cfg)]
+    else:
+        argv = ["stats", "--in", str(pair_dir)]
+    assert main(argv) == EXIT_FAIL
+    assert f"error: {bad}: truncated PPM payload" in capsys.readouterr().err
 
 
 DELETED_RECIPE_KEYS = ["exposure_scale=5.0", "crf_gamma=1.0", "clip_low=0.1",

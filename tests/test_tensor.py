@@ -489,6 +489,29 @@ def test_band_cols_bit_equal_to_padded_gather(monkeypatch, k, band_rows):
             np.testing.assert_array_equal(g[3], r[3])
 
 
+@pytest.mark.parametrize("add", [False, True], ids=["write", "add"])
+@pytest.mark.parametrize("band_rows", [None, 1], ids=["whole", "1row"])
+@pytest.mark.parametrize("groups", [1, 2])
+def test_same_conv_into_a_channel_slice(monkeypatch, groups, band_rows, add):
+    # out= a channel slice of a batch-2 buffer: it holds the conv (plus its
+    # old values with add), exactly, and the other channels keep theirs.  A
+    # band reshape that copied instead of viewing would lose the write
+    k, c, oc, h, w = 3, 4, 6, 5, 7
+    rng = np.random.default_rng(130 + groups)
+    x = rng.normal(0, 1, (2, c, h, w))
+    wmat = rng.normal(0, 1, (groups, oc // groups, c // groups * k * k))
+    if band_rows:
+        set_band_rows(monkeypatch, band_rows, c, k, w, np.float64)
+    buf = rng.normal(0, 1, (2, 2 + oc + 3, h, w))
+    before = buf.copy()
+    view = buf[:, 2:2 + oc]
+    assert T._same_conv(x, wmat, k, out=view, add=add) is view
+    conv = T._same_conv(x, wmat, k)
+    np.testing.assert_array_equal(view, before[:, 2:2 + oc] + conv if add else conv)
+    np.testing.assert_array_equal(buf[:, :2], before[:, :2])
+    np.testing.assert_array_equal(buf[:, 2 + oc:], before[:, 2 + oc:])
+
+
 def conv_and_grads(x, w, b, gy, groups, fused):
     """Output and (dx, dw, db) of sum(gy * y) for y = conv2d with slope 0.2
     fused, or leaky_relu(conv2d(...), 0.2)."""
@@ -961,6 +984,26 @@ def test_pointwise_mlp_holds_only_its_output_and_bands():
         finally:
             tracemalloc.stop()
         assert peak < y.data.nbytes + (len(steps) + 1) * T._MLP_BYTES, (peak, len(steps))
+
+
+def test_pointwise_mlp_over_parts_keeps_no_concat(monkeypatch):
+    # a two-part forward with gradients (16 + 16 -> 16 leaky -> 8 channels,
+    # two bands of 2048 pixels at 64x64) holds its output and each band's
+    # step activations, and no band copy of the parts' concat
+    monkeypatch.setattr(T, "_MLP_BYTES", 2048 * 32 * 4)
+    rng = np.random.default_rng(122)
+    parts = [Tensor(rng.random((1, 16, 64, 64)).astype(np.float32), requires_grad=True)
+             for _ in range(2)]
+    steps = [(Tensor(rng.normal(0, 0.3, (oc, ic, 1, 1)).astype(np.float32), requires_grad=True),
+              None, slope) for oc, ic, slope in ((16, 32, 0.2), (8, 16, None))]
+    tracemalloc.start()
+    try:
+        y = T._pointwise_mlp(parts, steps)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    bands = 2 * 2048 * (16 + 8) * 4
+    assert held < y.data.nbytes + bands + (16 << 10), held
 
 
 def test_pointwise_mlp_rejects_bad_shapes_and_slope():
