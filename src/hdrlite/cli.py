@@ -189,7 +189,8 @@ def _load_pairs(data_dir):
     """HDR label + SDR input pairs matched by stem: stem.pfm/.hdr with
     stem.ppm, as (pairs, their (label, input) paths)."""
     pairs, paths, unpaired = [], [], []
-    for hdr_path in _hdr_by_stem(data_dir).values():
+    labels = _hdr_by_stem(data_dir)
+    for hdr_path in labels.values():
         sdr_path = hdr_path.with_suffix(".ppm")
         if sdr_path.exists():
             pairs.append((_read_image(hdr_path), _read_image(sdr_path)))
@@ -197,6 +198,8 @@ def _load_pairs(data_dir):
         else:
             unpaired.append(hdr_path.name)
     _warn_skipped("labels with no .ppm input", unpaired)
+    _warn_skipped("inputs with no .pfm/.hdr label",
+                  [p.name for p in _list_images(data_dir, SDR_EXTS) if p.stem not in labels])
     return pairs, paths
 
 

@@ -168,12 +168,20 @@ def tonemap_preview(hdr: Image) -> np.ndarray:
 # Inference and benchmarking
 # ---------------------------------------------------------------------------
 
+def _without_grad(net: Network) -> Network:
+    """net over grad-free views of its weight arrays (no copy): a forward
+    through it records no tape, whatever flags net's own weights carry, and
+    those flags are left as they are."""
+    return Network(net.cfg, {k: Tensor(t.data) for k, t in net.weights.items()})
+
+
 def reconstruct_hdr(net: Network, sdr: Image) -> Image:
-    """SDR in [0,1] -> relative linear HDR via the two-step network."""
+    """SDR in [0,1] -> relative linear HDR via the two-step network, run
+    with no tape (_without_grad)."""
     if sdr.domain != NONLINEAR_SDR:
         raise ValueError(f"reconstruct_hdr reads {NONLINEAR_SDR} images, got {sdr.domain}")
     x = Tensor(sdr.data.transpose(2, 0, 1)[None].astype(np.float32))
-    y = net.forward(x)
+    y = _without_grad(net).forward(x)
     linear = postprocess_gamma(y.data[0].transpose(1, 2, 0))
     return Image(linear.astype(np.float32), LINEAR_HDR)
 
@@ -184,9 +192,7 @@ def bench_forward(cfg: ModelConfig, h: int, w: int, repeats: int = 3,
     if repeats < 3:
         raise ValueError("need at least 3 repeats")
     rng = np.random.default_rng(seed)
-    net = kaiming_init(cfg, rng)
-    for t in net.weights.values():
-        t.requires_grad = False  # time the inference forward: no graph kept
+    net = _without_grad(kaiming_init(cfg, rng))  # time the forward alone: no tape
     x = Tensor(rng.random((1, 3, h, w)).astype(np.float32))
     net.forward(x)  # warm-up
     times = []

@@ -148,7 +148,9 @@ def count_params(cfg: ModelConfig) -> int:
 
 
 def count_macs(cfg: ModelConfig, h: int, w: int) -> int:
-    """Multiply-accumulate count of the convs one forward pass at h x w runs."""
+    """Nominal multiply-accumulate count of the layer table at h x w, each
+    layer at the size layer_breakdown gives it.  global.mod1 is counted at
+    the frame size, although the forward runs it on one pooled pixel."""
     return sum(macs for _, _, macs in layer_breakdown(cfg, h, w))
 
 

@@ -694,8 +694,10 @@ def _pointwise_mlp(x, steps, *, into: Tensor | None = None,
     A band holds about _MLP_BYTES of its widest activation, and bias,
     activation and modulation run on it while it is in cache.  When a
     gradient is needed, each band's activations are kept, in band-sized
-    arrays, and backward walks each band back; otherwise every band reuses
-    one set of band buffers, so no activation of the whole frame is held.
+    arrays, and backward walks each band back; the last step's is read back
+    from the output, unless into or pool is set.  When nothing requires
+    grad, every band reuses one set of band buffers and nothing is kept, so
+    no activation of the whole frame is held.
     (Recomputing each band in the backward instead, as in Chen et al.,
     "Training Deep Nets with Sublinear Memory Cost", 2016, measured slower
     at the 64x64 training patch.)
@@ -736,8 +738,8 @@ def _pointwise_mlp(x, steps, *, into: Tensor | None = None,
     # each step's, then a temporary's
     widths = [ch for *_, ch in specs] + [widest]
 
-    def band_buffers():
-        return [np.empty(band * ch, dtype=dtype) for ch in widths]
+    def band_buffers(k=len(widths)):
+        return [np.empty(band * ch, dtype=dtype) for ch in widths[:k]]
 
     def run(bufs, b, p0, p1):
         """The activations of pixels [p0, p1) of image b: the list of x's
@@ -773,14 +775,18 @@ def _pointwise_mlp(x, steps, *, into: Tensor | None = None,
         parents += [wt] if bt is None else [wt, bt]
     keep = any(t.requires_grad for t in parents)
     saved = []  # each band's activations, for the backward
+    # the number of steps whose band activations are kept: a plain op's
+    # output holds its last step's, so that step's band buffer and the
+    # temporary are reused across bands
+    kept = len(specs) - (into is None and not pool)
 
     def forward_bands():
         bufs = band_buffers()
         for b, p0, p1 in bands():
             acts = run(bufs, b, p0, p1)
             if keep:
-                saved.append(acts)
-                bufs = band_buffers()
+                saved.append(acts[:kept + 1])
+                bufs = band_buffers(kept) + bufs[kept:]
             yield b, p0, p1, acts[-1]
 
     if pool:
@@ -807,6 +813,8 @@ def _pointwise_mlp(x, steps, *, into: Tensor | None = None,
         gi = np.empty_like(into.data) if into is not None and into.requires_grad else None
         w0 = specs[0][0].data.reshape(specs[0][3], c)
         for (b, p0, p1), acts in zip(bands(), saved):
+            if kept < len(specs):
+                acts = acts + [out[b].reshape(cout, hw)[:, p0:p1]]
             if pool:
                 g = np.repeat(G[b].reshape(cout, 1) / hw, p1 - p0, axis=1)
             else:

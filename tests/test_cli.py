@@ -688,6 +688,16 @@ def test_train_names_labels_without_an_sdr_input(pair_dir, tiny_model_cfg, tmp_p
     assert "skipped labels with no .ppm input: lone.pfm" in capsys.readouterr().err
 
 
+def test_train_names_inputs_without_a_label(pair_dir, tiny_model_cfg, tmp_path, capsys):
+    write_image(pair_dir / "lone.ppm", make_pairs(1, 16)[0][1])  # no lone.pfm/.hdr
+    rc = main(["train", "--data", str(pair_dir), "--out", str(tmp_path / "m.ckpt"),
+               "--iters", "0", "--model-config", str(tiny_model_cfg)])
+    assert rc == EXIT_OK
+    err = capsys.readouterr().err
+    assert "skipped inputs with no .pfm/.hdr label: lone.ppm" in err
+    assert "skipped labels" not in err
+
+
 def test_eval_directory_mode_reads_only_hdr_files(pair_dir, tmp_path, capsys):
     # predictions equal to the labels of a pairs dir: each is scored against
     # its .pfm label (psnr=inf), never against the stem's SDR .ppm input

@@ -6,6 +6,7 @@ import pytest
 import scipy.ndimage
 
 from hdrlite import metrics
+from hdrlite import tensor as T
 from hdrlite.degrade import DegradationConfig
 from hdrlite.imgio import Image, LINEAR_HDR, NONLINEAR_SDR
 from hdrlite.metrics import (
@@ -13,8 +14,9 @@ from hdrlite.metrics import (
     evaluate_on_degraded, hdr_pair_metrics, psnr, reconstruct_hdr, ssim,
     to_metric_domain, tonemap_preview,
 )
-from hdrlite.model import ModelConfig, count_macs
-from hdrlite.training import TrainConfig, kaiming_init
+from hdrlite.model import ModelConfig, Network, count_macs
+from hdrlite.tensor import Tensor
+from hdrlite.training import TrainConfig, kaiming_init, loss_terms
 from tests.conftest import make_hdr_scene, make_pairs
 
 TINY = ModelConfig(dense_layers=2, dense_growth=4, unet_base_channels=4,
@@ -247,6 +249,39 @@ def test_evaluate_on_degraded_smoke():
     p, s = evaluate_on_degraded(net, pairs, DegradationConfig(), seed=0)
     assert np.isfinite(p)
     assert -1.0 <= s <= 1.0
+
+
+def test_evaluate_on_degraded_records_no_tape():
+    # weights fresh from kaiming_init require grad; the evaluation peaks
+    # about as low as over the same arrays without grad
+    net = kaiming_init(ModelConfig(), np.random.default_rng(12))
+    bare = Network(net.cfg, {k: Tensor(t.data) for k, t in net.weights.items()})
+    pairs = make_pairs(2, 96)
+    peaks, scores = [], []
+    for n in (net, bare):
+        tracemalloc.start()
+        try:
+            scores.append(evaluate_on_degraded(n, pairs, DegradationConfig(), seed=0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert scores[0] == scores[1]
+    assert peaks[0] <= 1.2 * peaks[1], peaks
+
+
+def test_inference_leaves_the_weights_trainable():
+    net = kaiming_init(TINY, np.random.default_rng(13))
+    sdr = sdr_image(14, 24, 20)
+    hdr = reconstruct_hdr(net, sdr)
+    evaluate_on_degraded(net, make_pairs(1, 32), DegradationConfig(), seed=0)
+    assert all(t.requires_grad for t in net.weights.values())
+    bare = Network(net.cfg, {k: Tensor(t.data) for k, t in net.weights.items()})
+    assert reconstruct_hdr(bare, sdr).data.tobytes() == hdr.data.tobytes()
+    x = Tensor(sdr.data.transpose(2, 0, 1)[None])
+    total, _, _ = loss_terms(net.forward(x), Tensor(np.ones_like(x.data)))
+    T.backward(total)
+    for name, t in net.weights.items():
+        assert t.grad is not None and t.grad.shape == t.shape, name
 
 
 def test_ablation_config_names(monkeypatch):

@@ -1006,6 +1006,28 @@ def test_pointwise_mlp_over_parts_keeps_no_concat(monkeypatch):
     assert held < y.data.nbytes + bands + (16 << 10), held
 
 
+@pytest.mark.parametrize("nsteps", [1, 2])
+def test_plain_pointwise_mlp_reads_its_last_activation_from_the_output(monkeypatch, nsteps):
+    # a plain op with gradients (16 -> [16 leaky ->] 8 channels, two bands of
+    # 2048 pixels at 64x64) holds its output and the band activations of its
+    # earlier steps, and no band copy of the last step's activation
+    monkeypatch.setattr(T, "_MLP_BYTES", 2048 * 16 * 4)
+    rng = np.random.default_rng(123)
+    x = Tensor(rng.random((1, 16, 64, 64)).astype(np.float32), requires_grad=True)
+    shapes = ((16, 16, 0.2), (8, 16, None))[-nsteps:]
+    steps = [(Tensor(rng.normal(0, 0.3, (oc, ic, 1, 1)).astype(np.float32), requires_grad=True),
+              Tensor(np.zeros((1, oc, 1, 1), np.float32), requires_grad=True), slope)
+             for oc, ic, slope in shapes]
+    tracemalloc.start()
+    try:
+        y = T._pointwise_mlp(x, steps)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    earlier = 2 * 2048 * sum(oc for oc, *_ in shapes[:-1]) * 4
+    assert held < y.data.nbytes + earlier + (16 << 10), held
+
+
 def test_pointwise_mlp_rejects_bad_shapes_and_slope():
     x = Tensor(np.zeros((2, 3, 4, 4)))
     w, b = Tensor(np.zeros((4, 3, 1, 1))), Tensor(np.zeros((1, 4, 1, 1)))
