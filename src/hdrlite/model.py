@@ -149,15 +149,15 @@ def count_params(cfg: ModelConfig) -> int:
 
 def count_macs(cfg: ModelConfig, h: int, w: int) -> int:
     """Nominal multiply-accumulate count of the layer table at h x w, each
-    layer at the size layer_breakdown gives it.  global.mod1 is counted at
-    the frame size, although the forward runs it on one pooled pixel."""
+    layer at the size layer_breakdown gives it.  The forward runs fewer:
+    global.mod1 on one pooled pixel, and local.up* with 4 of the 9 taps."""
     return sum(macs for _, _, macs in layer_breakdown(cfg, h, w))
 
 
 def layer_breakdown(cfg: ModelConfig, h: int, w: int):
-    """(name, params, macs) per layer, at the size the forward pass runs it:
-    local layers on the frame reflect-padded to a multiple of
-    2**UNET_LEVELS, global layers on the unpadded frame."""
+    """(name, params, nominal macs; see count_macs) per layer, at the size
+    the forward pass runs it: local layers on the frame reflect-padded to a
+    multiple of 2**UNET_LEVELS, global layers on the unpadded frame."""
     mult = 1 << UNET_LEVELS
     padded = (-(-h // mult) * mult, -(-w // mult) * mult)
     rows = []
@@ -196,14 +196,13 @@ class Network:
         set (fused into the op).  A 1x1 layer runs as one T._pointwise_mlp
         step, on x or on a list of tensors read as their channel concat.
         local.up* take the low-resolution input of the nearest 2x upsampling
-        they follow and run on it."""
+        they follow and run on it, as T._up2_conv: 4 of the 9 taps."""
         li = self.layers[name]
         weight, bias, slope = self._step(name, act=act)
         if li.kernel == 1:
             return T._pointwise_mlp(x, [(weight, bias, slope)])
         if name.startswith("local.up"):
-            y = T.conv2d(x, T.up2_conv_weight(weight), T.repeat_channels(bias, 4), slope=slope)
-            return T.depth_to_space(y)
+            return T._up2_conv(x, weight, bias, slope=slope)
         return T.conv2d(x, weight, bias, groups=li.groups, slope=slope)
 
     def pconv(self, name: str, x: Tensor, mask, *, act: bool = False):

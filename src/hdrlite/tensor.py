@@ -312,60 +312,6 @@ def up2(x: Tensor) -> Tensor:
     return _node(out, "up2", (x,), bwd)
 
 
-# _UP2_TAPS[a, u, i] = 1 where, at an output row of parity a, tap i of a 3x3
-# conv over up2(x) reads the row of x that tap u of a 3x3 conv over x reads
-# (taps at offsets -1, 0, +1).  up2(x)'s zero padding is x's zero padding.
-_UP2_TAPS = np.array([[[1, 0, 0], [0, 1, 1], [0, 0, 0]],
-                      [[0, 0, 0], [1, 1, 0], [0, 0, 1]]], dtype=np.float64)
-
-
-def up2_conv_weight(weight: Tensor) -> Tensor:
-    """Weights of a 3x3 conv on x equal to the 3x3 conv `weight` of up2(x)
-    (resize-convolution, Odena et al., "Deconvolution and Checkerboard
-    Artifacts", Distill 2016).
-
-    (oc, ic, 3, 3) -> (4*oc, ic, 3, 3): output channel 4*o + 2*a + b is phase
-    (a, b) of channel o, whose taps are the sums of the original taps that
-    read the same pixel of x; depth_to_space interleaves the phases.
-    """
-    oc, ic, k, k2 = weight.shape
-    if (k, k2) != (3, 3):
-        raise ValueError(f"up2_conv_weight needs 3x3 kernels, got {weight.shape}")
-    taps = _UP2_TAPS.astype(weight.dtype)
-
-    def bwd(g):
-        _accum(weight, np.einsum("aui,bvj,oabcuv->ocij", taps, taps,
-                                 g.reshape(oc, 2, 2, ic, 3, 3), optimize=True))
-
-    out = np.einsum("aui,bvj,ocij->oabcuv", taps, taps, weight.data, optimize=True)
-    return _node(out.reshape(4 * oc, ic, 3, 3), "up2_conv_weight", (weight,), bwd)
-
-
-def repeat_channels(x: Tensor, r: int) -> Tensor:
-    """Each channel repeated r times in a row (channel c -> r*c .. r*c + r-1)."""
-    n, c, h, w = x.shape
-
-    def bwd(g):
-        _accum(x, g.reshape(n, c, r, h, w).sum(axis=2))
-
-    return _node(np.repeat(x.data, r, axis=1), "repeat_channels", (x,), bwd)
-
-
-def depth_to_space(x: Tensor) -> Tensor:
-    """(n, 4c, h, w) -> (n, c, 2h, 2w): channel 4*o + 2*a + b becomes the
-    pixels (2i + a, 2j + b) of channel o."""
-    n, c4, h, w = x.shape
-    if c4 % 4:
-        raise ValueError(f"depth_to_space needs a multiple of 4 channels, got {c4}")
-    c = c4 // 4
-
-    def bwd(g):
-        _accum(x, g.reshape(n, c, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(x.shape))
-
-    out = x.data.reshape(n, c, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3)
-    return _node(out.reshape(n, c, 2 * h, 2 * w), "depth_to_space", (x,), bwd)
-
-
 def pad_reflect(x: Tensor, ph: int, pw: int) -> Tensor:
     """Reflect-pad the bottom/right edges by (ph, pw)."""
     if ph == 0 and pw == 0:
@@ -437,6 +383,7 @@ def _band_cols(x, k: int):
     """Yield (b, r0, r1, cols) for each band of output rows [r0, r1) of image
     b of a 'same' k x k correlation over the (n, c, h, w) array x:
     cols is the (c*k*k, (r1-r0)*w) column matrix, zero outside the frame.
+    Taps sit at offsets -(k//2) .. k-1-k//2, so -1 and 0 for the even k = 2.
 
     The k*k shifted windows of x are gathered into a buffer of about
     _COL_BYTES, and taps that fall outside the frame are zeros written into
@@ -483,7 +430,8 @@ def _in_frame(size: int, d: int):
 
 def _same_conv(x, wmat, k: int, out=None, add: bool = False):
     """'Same' grouped correlation of the (n, c, h, w) array x with
-    wmat (groups, ocg, icg*k*k): one matmul batched over groups per band,
+    wmat (groups, ocg, icg*k*k), taps placed as _band_cols places them (an
+    even k too): one matmul batched over groups per band,
     written into out (new when None, or a channel slice of a larger array)
     or, with add set, made in one reused band temporary and added into it."""
     n, c, h, w = x.shape
@@ -597,6 +545,56 @@ def _adjoint_wmat(weight, groups: int):
     ocg = oc // groups
     wflip = weight[:, :, ::-1, ::-1].reshape(groups, ocg, icg, k * k)
     return wflip.transpose(0, 2, 1, 3).reshape(groups, icg, ocg * k * k)
+
+
+# _UP2_PHASE[a, u, i] = 1 where, at output rows 2r + a, tap i of a 3x3 conv
+# over up2(x) (offsets -1, 0, +1) reads row r - 1 + a + u of x, the row that
+# tap u of the phase's 2x2 conv reads.  up2(x)'s zero padding is x's.
+_UP2_PHASE = np.array([[[1, 0, 0], [0, 1, 1]],
+                       [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+
+
+def _up2_conv(x: Tensor, weight: Tensor, bias: Tensor, *, slope: float) -> Tensor:
+    """leaky_relu(conv2d(up2(x), weight, bias), slope) for a 3x3 weight, run
+    on x (resize-convolution, Odena et al., Distill 2016).  Output phase
+    (a, b), the pixels (2i + a, 2j + b), reads a 2x2 window of x, so it is a
+    2x2 conv with taps summed from the 3x3 ones: 4 of the 9 (a sub-pixel
+    convolution, Shi et al., 2016).  The four run as one 2x2 'same' conv
+    with 4*oc outputs (channel 4*o + 2*a + b) over x zero-padded by one row
+    and column, bottom and right; phase (a, b) is its rows a..a+h-1 and
+    columns b..b+w-1.  Backward scatters g into that layout for one band
+    pass over the padded x (the weight gradient, folded back to 3x3) and
+    the adjoint 2x2 conv, whose rows and columns 1.. are x's gradient."""
+    n, c, h, w = x.shape
+    oc = weight.shape[0]
+    if weight.shape[1:] != (c, 3, 3):
+        raise ValueError(f"up-conv weights must be (oc, {c}, 3, 3) for {c} input "
+                         f"channels, got {weight.shape}")
+    _check_slope(slope)
+    taps = _UP2_PHASE.astype(weight.dtype)
+    w2 = np.einsum("aui,bvj,ocij->oabcuv", taps, taps, weight.data,
+                   optimize=True).reshape(4 * oc, c, 2, 2)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 1), (0, 1)))
+    y = _same_conv(xp, w2.reshape(1, 4 * oc, c * 4), 2).reshape(n, oc, 2, 2, h + 1, w + 1)
+    out = np.empty((n, oc, 2 * h, 2 * w), dtype=x.dtype)
+    for a, b in np.ndindex(2, 2):
+        out[:, :, a::2, b::2] = y[:, :, a, b, a:a + h, b:b + w]
+    _bias_leaky_inplace(out, bias.data, slope)
+
+    def bwd(g):
+        g = _leaky_grad(g, out, slope)
+        _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
+        gy = np.zeros((n, oc, 2, 2, h + 1, w + 1), dtype=g.dtype)
+        for a, b in np.ndindex(2, 2):
+            gy[:, :, a, b, a:a + h, b:b + w] = g[:, :, a::2, b::2]
+        gy = gy.reshape(n, 4 * oc, h + 1, w + 1)
+        if weight.requires_grad:
+            dw2 = _band_dw(xp, gy, 1, 2).reshape(oc, 2, 2, c, 2, 2)
+            _accum(weight, np.einsum("aui,bvj,oabcuv->ocij", taps, taps, dw2, optimize=True))
+        if x.requires_grad:
+            _accum(x, _same_conv(gy, _adjoint_wmat(w2, 1), 2)[:, :, 1:, 1:])
+
+    return _node(out, "up2_conv", (x, weight, bias), bwd)
 
 
 def _dense_block(x: Tensor, weights, biases, *, slope: float) -> Tensor:

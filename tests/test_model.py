@@ -146,12 +146,15 @@ def test_count_macs_matches_executed_convs(monkeypatch):
     # hT, then over the dense stack) and global.mod1; each SFT branch (sft0,
     # sft1) is one call, and so are global.mlp0..3 and, pooled, global.mod0.
     # The modulation folds into global.mlp2's bias by one more 1x1 step over
-    # one pixel (G^2 MACs)
+    # one pixel (G^2 MACs).  local.up0 and local.up1 run as _up2_conv calls:
+    # one 2x2 conv with 4*oc outputs of 4*ic inputs over each pixel of the
+    # (h+1, w+1) padded low-resolution input, 4 of the nominal 9 taps per phase
     cfg = ModelConfig()
     net = make_net(cfg)
     for t in net.weights.values():
         t.requires_grad = False  # an inference forward: no graph kept
     conv, dense_block, pointwise_mlp = T.conv2d, T._dense_block, T._pointwise_mlp
+    up2_conv = T._up2_conv
     executed = []
 
     def counting_conv(x, weight, *args, **kw):
@@ -159,6 +162,12 @@ def test_count_macs_matches_executed_convs(monkeypatch):
         n, oc, oh, ow = out.shape
         _, icg, k, _ = weight.shape
         executed.append(n * oc * oh * ow * icg * k * k)
+        return out
+
+    def counting_up2_conv(x, weight, *args, **kw):
+        out = up2_conv(x, weight, *args, **kw)
+        n, ic, h, w = x.shape
+        executed.append(n * (h + 1) * (w + 1) * 4 * weight.shape[0] * 4 * ic)
         return out
 
     def counting_dense_block(x, weights, *args, **kw):
@@ -174,6 +183,7 @@ def test_count_macs_matches_executed_convs(monkeypatch):
         return out
 
     monkeypatch.setattr(T, "conv2d", counting_conv)
+    monkeypatch.setattr(T, "_up2_conv", counting_up2_conv)
     monkeypatch.setattr(T, "_dense_block", counting_dense_block)
     monkeypatch.setattr(T, "_pointwise_mlp", counting_pointwise_mlp)
     net.forward(Tensor(np.zeros((1, 3, 270, 480), dtype=np.float32)))
@@ -182,7 +192,15 @@ def test_count_macs_matches_executed_convs(monkeypatch):
                              - sft_blocks - (mlp_layers - 1) + 1) == 26
     G = cfg.global_mlp_channels
     mod1 = G * 2 * G
-    assert sum(executed) == count_macs(cfg, 270, 480) - 270 * 480 * mod1 + mod1 + G * G
+    # each up-conv's nominal 9 taps per output pixel less the 16 = 4 phases x
+    # 4 taps per pixel of its padded (h+1, w+1) input
+    up_saved = 0
+    for lvl in range(2):
+        oc, h, w = cfg.unet_base_channels << lvl, 136 >> lvl, 240 >> lvl
+        up_saved += oc * 2 * oc * (9 * 2 * h * 2 * w - 16 * (h + 1) * (w + 1))
+    assert up_saved == 1_029_977_600
+    assert sum(executed) == (count_macs(cfg, 270, 480) - 270 * 480 * mod1 + mod1 + G * G
+                             - up_saved) == 8_740_218_112
     assert count_macs(cfg, 270, 480) == 10_367_385_600
 
 

@@ -621,38 +621,50 @@ def test_pooled_1x1_conv_matches_full_frame(dtype):
         close(got, ref, dtype)
 
 
+@pytest.mark.parametrize("band_rows", [None, 1, 2], ids=["whole", "1row", "2rows"])
+@pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("size", [(4, 5), (1, 1), (3, 2)])
-def test_low_resolution_up_conv_matches_up2_conv(size, dtype):
-    # the phase conv on x, interleaved, equals the 3x3 conv of up2(x); values
-    # and the gradients of x, the stored weights and the bias
+def test_up2_conv_matches_up2_then_conv(monkeypatch, size, dtype, batch, band_rows):
+    # the four 2x2 phase convs on x, interleaved, equal the leaky 3x3 conv of
+    # up2(x); values and the gradients of x, the stored weights and the bias.
+    # The forward gathers the (h+1, w+1) padded x: 1- and 2-row bands walk
+    # it band by band, the 2-row ones ending in a partial band when h is even
     rng = np.random.default_rng(72)
     h, w = size
     arrays = [rng.normal(0, 1, s).astype(dtype)
-              for s in ((2, 6, h, w), (4, 6, 3, 3), (1, 4, 1, 1))]
-    gy = rng.normal(0, 1, (2, 4, 2 * h, 2 * w)).astype(dtype)
-
-    def low_res(x, wt, b):
-        y = T.conv2d(x, T.up2_conv_weight(wt), T.repeat_channels(b, 4), slope=0.2)
-        return T.depth_to_space(y)
+              for s in ((batch, 6, h, w), (4, 6, 3, 3), (1, 4, 1, 1))]
+    gy = rng.normal(0, 1, (batch, 4, 2 * h, 2 * w)).astype(dtype)
+    if band_rows:
+        set_band_rows(monkeypatch, band_rows, 6, 2, w + 1, dtype)
 
     def full(x, wt, b):
         return T.leaky_relu(T.conv2d(T.up2(x), wt, b), 0.2)
-    for got, ref in zip(value_and_grads(low_res, arrays, gy),
+    for got, ref in zip(value_and_grads(lambda x, wt, b: T._up2_conv(x, wt, b, slope=0.2),
+                                        arrays, gy),
                         value_and_grads(full, arrays, gy)):
         assert got.dtype == dtype
         close(got, ref, dtype)
 
 
-def test_depth_to_space_layout_and_errors():
-    x = Tensor(np.arange(8, dtype=np.float32).reshape(1, 8, 1, 1))
-    y = T.depth_to_space(x)
-    assert y.shape == (1, 2, 2, 2)
-    np.testing.assert_array_equal(y.data[0, 1], [[4, 5], [6, 7]])
-    with pytest.raises(ValueError, match="multiple of 4"):
-        T.depth_to_space(Tensor(np.zeros((1, 6, 2, 2), dtype=np.float32)))
-    with pytest.raises(ValueError, match="3x3"):
-        T.up2_conv_weight(Tensor(np.zeros((2, 2, 1, 1), dtype=np.float32)))
+def test_up2_conv_gradient_check():
+    # float64 central differences, max relative error < 1e-4
+    rng = np.random.default_rng(73)
+    x, w, b = t64(rng, (2, 3, 3, 4)), t64(rng, (2, 3, 3, 3)), t64(rng, (1, 2, 1, 1))
+
+    def f(x, w, b):
+        y = T._up2_conv(x, w, b, slope=0.2)
+        return T.mean_all(T.mul(y, y))
+    assert T.gradient_check(f, [x, w, b], eps=1e-5) < 1e-4
+
+
+def test_up2_conv_rejects_bad_shapes():
+    # conv2d's own rejection of even kernels is test_conv_rejects_even_or_non_square_kernel
+    x = Tensor(np.zeros((1, 2, 4, 5), dtype=np.float32))
+    b = Tensor(np.zeros((1, 3, 1, 1), dtype=np.float32))
+    for shape in ((3, 2, 2, 2), (3, 2, 3, 1), (3, 4, 3, 3)):
+        with pytest.raises(ValueError, match=r"must be \(oc, 2, 3, 3\) for 2 input"):
+            T._up2_conv(x, Tensor(np.zeros(shape, dtype=np.float32)), b, slope=0.2)
 
 
 # ---------------------------------------------------------------------------
