@@ -283,7 +283,7 @@ def cmd_eval(args) -> int:
     ps, ss, failures = [], [], []
     for pp, rp in items:
         try:
-            p, s = M.hdr_pair_metrics(imgio.read_image(pp), imgio.read_image(rp))
+            p, s = M.hdr_pair_metrics(_read_image(pp), _read_image(rp))
         except Exception as e:  # per-pair skip-and-report policy, as in degrade
             failures.append(pp.stem)
             print(f"error: {pp.stem}: {e}", file=sys.stderr)

@@ -191,23 +191,25 @@ class Network:
                 raise ValueError(f"{name}: bad bias shape {b.shape}")
         self.weights = weights
 
-    def conv(self, name: str, x, *, act: bool = False) -> Tensor:
-        """The named conv layer on x, followed by the leaky ReLU when act is
-        set (fused into the op).  A 1x1 layer runs as one T._pointwise_mlp
-        step, on x or on a list of tensors read as their channel concat.
-        local.up* take the low-resolution input of the nearest 2x upsampling
-        they follow and run on it, as T._up2_conv: 4 of the 9 taps."""
+    def conv(self, name: str, x, *, act: bool = False, shift: Tensor | None = None) -> Tensor:
+        """The named conv layer on x, plus shift (3x3 layers only), followed by
+        the leaky ReLU when act is set, fused into the op.  A 1x1 layer runs
+        as one T._pointwise_mlp step, on x or on a list of tensors read as
+        their channel concat.  local.up* take the low-resolution input of the
+        nearest 2x upsampling they follow and run on it, as T._up2_conv."""
         li = self.layers[name]
         weight, bias, slope = self._step(name, act=act)
         if li.kernel == 1:
             return T._pointwise_mlp(x, [(weight, bias, slope)])
         if name.startswith("local.up"):
             return T._up2_conv(x, weight, bias, slope=slope)
-        return T.conv2d(x, weight, bias, groups=li.groups, slope=slope)
+        return T.conv2d(x, weight, bias, groups=li.groups, slope=slope, shift=shift)
 
-    def pconv(self, name: str, x: Tensor, mask, *, act: bool = False):
+    def pconv(self, name: str, x: Tensor, mask, *, act: bool = False,
+              shift: Tensor | None = None):
         weight, bias, slope = self._step(name, act=act)
-        return T.partial_conv(x, mask, weight, bias, groups=self.layers[name].groups, slope=slope)
+        return T.partial_conv(x, mask, weight, bias, groups=self.layers[name].groups,
+                              slope=slope, shift=shift)
 
     def _step(self, name: str, *, act: bool = False):
         """The named layer's (weight, bias, slope), with slope set for the
@@ -220,19 +222,17 @@ class Network:
         SFT-modulated by mprior when one is given (sft0, sft1 and h * alpha +
         beta as one banded op, so sft1's 2c-channel map is never built),
         conv1 and conv2 run as partial convs when mask is given (the mask
-        they update is returned), and the block ends in leaky_relu(h + y) as
-        one affine op."""
+        they update is returned), and the block's output leaky_relu(h + y)
+        is conv2's node: h is its shift, added before its activation."""
         y = h
         if mprior is not None:
             y = T._pointwise_mlp(mprior, [self._step(f"{prefix}.sft0", act=True),
                                           self._step(f"{prefix}.sft1")], into=h)
         if mask is None:
             y = self.conv(f"{prefix}.conv1", y, act=True)
-            y = self.conv(f"{prefix}.conv2", y)
-        else:
-            y, mask = self.pconv(f"{prefix}.conv1", y, mask, act=True)
-            y, mask = self.pconv(f"{prefix}.conv2", y, mask)
-        return T.affine(h, shift=y, slope=LEAKY_SLOPE), mask
+            return self.conv(f"{prefix}.conv2", y, act=True, shift=h), mask
+        y, mask = self.pconv(f"{prefix}.conv1", y, mask, act=True)
+        return self.pconv(f"{prefix}.conv2", y, mask, act=True, shift=h)
 
     # -- sub-networks --------------------------------------------------------
 
@@ -294,8 +294,8 @@ class Network:
 
         # local.fuse reads the channel concat of the dense outputs and hT.
         # Its hT part runs first, so hT is freed before the dense features
-        # exist, and its dense part, with no bias, is added as a full-shape
-        # shift
+        # exist, and its dense part, with no bias, is added to it before the
+        # leaky ReLU, on 3 channels
         dense_ch = cfg.dense_layers * cfg.dense_growth
         w_fuse, b_fuse, _ = self._step("local.fuse")
         out = T._pointwise_mlp(hT, [(T.narrow_channels(w_fuse, dense_ch, hT.shape[1]),
@@ -306,9 +306,9 @@ class Network:
         names = [f"local.dense{i}" for i in range(cfg.dense_layers)]
         dense = T._dense_block(x, [self.weights[f"{n}.weight"] for n in names],
                                [self.weights[f"{n}.bias"] for n in names], slope=LEAKY_SLOPE)
-        out = T.affine(T._pointwise_mlp(dense, [(T.narrow_channels(w_fuse, 0, dense_ch),
-                                                 None, None)]), shift=out, slope=LEAKY_SLOPE)
-        return T.crop(out, 0, 0, h0, w0)
+        w_dense = T.narrow_channels(w_fuse, 0, dense_ch)
+        out = T.add(T._pointwise_mlp(dense, [(w_dense, None, None)]), out)
+        return T.crop(T.leaky_relu(out, LEAKY_SLOPE), 0, 0, h0, w0)
 
     def forward(self, x: Tensor) -> Tensor:
         """Full two-step pass on one image (a batch of one: the global net's

@@ -124,24 +124,30 @@ def backward(loss: Tensor):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _node(a.data + b.data, "add", (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.shape))
 
     return _node(a.data - b.data, "sub", (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(a.data * b.data, "mul", (a, b), bwd)
 
@@ -183,43 +189,6 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
 
     out = x.data * slope
     return _node(np.maximum(x.data, out, out=out), "leaky_relu", (x,), bwd)
-
-
-def affine(x: Tensor, scale=None, shift: Tensor | None = None, *,
-           slope: float | None = None) -> Tensor:
-    """leaky_relu(x * scale + shift, slope) in one output array.
-
-    scale is a fixed array or number that carries no gradient (e.g. the
-    partial-conv mask and ratio, the loss weight) or None; a 4-D scale
-    broadcasts against x, a 0-d one scales all of it.  shift is a Tensor of
-    shape (1 or n, c, 1, 1) or x's shape, or None; slope None applies no
-    activation.  The shift and the activation run in conv2d's blocked
-    epilogue, and the backward builds the derivative from the output's sign.
-    """
-    n, c, h, w = x.shape
-    if scale is not None:
-        scale = np.asarray(scale, dtype=x.dtype)
-        if scale.ndim not in (0, 4) or any(d not in (1, e)
-                                           for d, e in zip(scale.shape, x.shape)):
-            raise ValueError(f"scale {scale.shape} does not broadcast to {x.shape}")
-    if shift is not None and shift.shape not in ((1, c, 1, 1), (n, c, 1, 1), x.shape):
-        raise ValueError(f"shift must be (1 or {n},{c},1,1) or {x.shape}, got {shift.shape}")
-    if slope is not None:
-        _check_slope(slope)
-
-    out = x.data * scale if scale is not None else x.data.copy()
-    if shift is not None or slope is not None:
-        _bias_leaky_inplace(out, None if shift is None else shift.data, slope)
-
-    def bwd(g):
-        if slope is not None:
-            g = _leaky_grad(g, out, slope)
-        if shift is not None:
-            _accum(shift, _unbroadcast(g, shift.shape))
-        if x.requires_grad:
-            _accum(x, g if scale is None else g * scale)
-
-    return _node(out, "affine", (x,) if shift is None else (x, shift), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +424,27 @@ def _same_conv(x, wmat, k: int, out=None, add: bool = False):
 _EPILOGUE_BYTES = 256 << 10
 
 
-def _bias_leaky_inplace(out, bias, slope):
-    """out += bias (None, (1 or n, c, 1, 1) or out's shape), then leaky ReLU when
-    slope is set, in place on the (n, c, h, w) array out: one pass over it,
-    in blocks of whole channel planes."""
+def _epilogue_inplace(out, bias, slope, scale=None, shift=None):
+    """out = leaky_relu(out * scale + bias + shift, slope) in place on the
+    (n, c, h, w) array out, each term skipped when None: scale (n, 1, h, w),
+    bias (1, c, 1, 1), shift out's shape.  One pass over out, in blocks of
+    whole channel planes."""
     n, c, h, w = out.shape
     planes = max(1, min(c, _EPILOGUE_BYTES // (h * w * out.itemsize)))
     tmp = np.empty((planes, h * w), dtype=out.dtype)
+    bb = None if bias is None else bias.reshape(c, 1)
     for b in range(n):
         ob = out[b].reshape(c, -1)
-        bb = None if bias is None else bias[b if bias.shape[0] > 1 else 0].reshape(c, -1)
+        sb = None if scale is None else scale[b].reshape(1, -1)
+        hb = None if shift is None else shift[b].reshape(c, -1)
         for c0 in range(0, c, planes):
             blk = ob[c0:c0 + planes]
+            if sb is not None:
+                blk *= sb
             if bb is not None:
                 blk += bb[c0:c0 + planes]
+            if hb is not None:
+                blk += hb[c0:c0 + planes]
             if slope is not None:
                 t = tmp[:len(blk)]
                 np.multiply(blk, slope, out=t)
@@ -476,19 +452,21 @@ def _bias_leaky_inplace(out, bias, slope):
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
-           groups: int = 1, slope: float | None = None) -> Tensor:
+           groups: int = 1, slope: float | None = None, scale=None,
+           shift: Tensor | None = None) -> Tensor:
     """Grouped convolution with an odd square kernel that slides one pixel at
     a time over the input zero-padded by k // 2, so the output has the input's
     size; plain, grouped and partial convs all run this one im2col + GEMM
     kernel (the network runs its 1x1 layers as _pointwise_mlp steps).
 
-    bias is (1, oc, 1, 1).  With slope set, leaky_relu(., slope) is applied
-    in place on the output array; its backward builds the derivative from
-    the output's sign.
-
-    Backward walks the same bands for dW += g @ cols^T.  The input gradient
-    is the same kernel run on g with the flipped, group-transposed weights
-    (a 'same' conv's adjoint is a 'same' conv), so it is a gather too.
+    Returns leaky_relu(conv(x) * scale + bias + shift, slope), each term
+    optional, made in one blocked pass over the conv's output: scale a fixed
+    (n, 1, h, w) array with no gradient, bias (1, oc, 1, 1), shift a Tensor
+    of the output's shape.  The backward takes the leaky derivative from the
+    output's sign and walks the same bands for dW += (g * scale) @ cols^T.
+    The input gradient is the same kernel run on g * scale with the flipped,
+    group-transposed weights (a 'same' conv's adjoint is a 'same' conv), so
+    it is a gather too.
     """
     n, c, h, w = x.shape
     oc, icg, k, k2 = weight.shape
@@ -500,22 +478,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ValueError(f"weight expects {icg * groups} input channels, got {c}")
     if bias is not None and bias.shape != (1, oc, 1, 1):
         raise ValueError(f"bias must be (1,{oc},1,1), got {bias.shape}")
+    if scale is not None:
+        scale = np.asarray(scale, dtype=x.dtype)
+        if scale.shape != (n, 1, h, w):
+            raise ValueError(f"scale must be {(n, 1, h, w)}, got {scale.shape}")
+    if shift is not None and shift.shape != (n, oc, h, w):
+        raise ValueError(f"shift must be {(n, oc, h, w)}, got {shift.shape}")
     if slope is not None:
         _check_slope(slope)
 
     ocg = oc // groups
     wmat = weight.data.reshape(groups, ocg, icg * k * k)
     out = _same_conv(x.data, wmat, k)
-    if bias is not None or slope is not None:
-        _bias_leaky_inplace(out, None if bias is None else bias.data, slope)
+    _epilogue_inplace(out, None if bias is None else bias.data, slope, scale,
+                      None if shift is None else shift.data)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    parents = tuple(t for t in (x, weight, bias, shift) if t is not None)
 
     def bwd(g):
         if slope is not None:
             g = _leaky_grad(g, out, slope)
+        if shift is not None:
+            _accum(shift, g)
         if bias is not None:
             _accum(bias, g.sum(axis=(0, 2, 3)).reshape(1, oc, 1, 1))
+        if scale is not None:
+            g = g * scale
         if weight.requires_grad:
             _accum(weight, _band_dw(x.data, g, groups, k).reshape(weight.shape))
         if x.requires_grad:
@@ -579,7 +567,7 @@ def _up2_conv(x: Tensor, weight: Tensor, bias: Tensor, *, slope: float) -> Tenso
     out = np.empty((n, oc, 2 * h, 2 * w), dtype=x.dtype)
     for a, b in np.ndindex(2, 2):
         out[:, :, a::2, b::2] = y[:, :, a, b, a:a + h, b:b + w]
-    _bias_leaky_inplace(out, bias.data, slope)
+    _epilogue_inplace(out, bias.data, slope)
 
     def bwd(g):
         g = _leaky_grad(g, out, slope)
@@ -643,7 +631,7 @@ def _dense_block(x: Tensor, weights, biases, *, slope: float) -> Tensor:
         wstack = np.concatenate([wt.data[:, c0:c0 + cp].reshape(g, -1)
                                  for wt in weights[f:]])
         _same_conv(src, wstack[None], k, out=a[:, f * g:], add=p > 0)
-        _bias_leaky_inplace(a[:, f * g:(f + 1) * g], biases[f].data, slope)
+        _epilogue_inplace(a[:, f * g:(f + 1) * g], biases[f].data, slope)
 
     def bwd(G):
         lo = 0 if x.requires_grad else c  # the first row that gets a gradient
@@ -849,13 +837,16 @@ def _pointwise_mlp(x, steps, *, into: Tensor | None = None,
 
 
 def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,
-                 groups: int = 1, slope: float | None = None):
-    """Mask-gated convolution with per-window renormalization.
+                 groups: int = 1, slope: float | None = None,
+                 shift: Tensor | None = None):
+    """Mask-gated convolution with per-window renormalization (Liu et al.,
+    "Image Inpainting for Irregular Holes Using Partial Convolutions", 2018).
 
     mask is a fixed (n,1,h,w) array in [0,1]; it gates the input, scales each
     window by area/mask_sum, and propagates as 1 wherever the window saw any
-    valid pixel.  The ratio, the bias and, with slope set, the leaky ReLU
-    are one affine op.  Returns (output, updated_mask).
+    valid pixel.  The gate is one mul node; the conv, the ratio, the bias,
+    shift (as conv2d takes it) and, with slope set, the leaky ReLU are one
+    conv2d node.  Returns (output, updated_mask).
 
     Out-of-bounds area counts as fully valid for the renormalization so an
     all-ones mask reproduces a plain convolution exactly, borders included;
@@ -877,8 +868,8 @@ def partial_conv(x: Tensor, mask, weight: Tensor, bias: Tensor | None = None, *,
     ratio = np.where(valid, (k * k) / np.maximum(msum + (k * k - inside), 1e-8), 0.0)
     new_mask = valid.astype(x.dtype)
 
-    y = conv2d(affine(x, mask), weight, None, groups=groups)
-    return affine(y, ratio, bias, slope=slope), new_mask
+    return conv2d(mul(x, Tensor(mask)), weight, bias, groups=groups, slope=slope,
+                  scale=ratio, shift=shift), new_mask
 
 
 # ---------------------------------------------------------------------------

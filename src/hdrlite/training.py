@@ -97,7 +97,7 @@ def loss_terms(pred: Tensor, target: Tensor):
     diff = T.sub(pred, target)
     l1 = T.mean_all(T.abs_(diff))
     lg = T.mean_all(T.abs_(T.grad_map(diff)))
-    total = T.add(l1, T.affine(lg, LOSS_GRAD_WEIGHT))
+    total = T.add(l1, T.mul(lg, Tensor(np.full((1, 1, 1, 1), LOSS_GRAD_WEIGHT, lg.dtype))))
     return total, l1, lg
 
 

@@ -268,18 +268,26 @@ def test_infer_checks_its_output_files_before_reading(pair_dir, tmp_path, capsys
     assert not any(p.is_file() for p in paths.values())
 
 
-@pytest.mark.parametrize("command", ["train", "stats"])
+@pytest.mark.parametrize("command", ["train", "stats", "eval"])
 def test_a_file_that_fails_to_decode_is_named(pair_dir, tiny_model_cfg, tmp_path, capsys,
                                               command):
-    bad = pair_dir / "s1.ppm"
-    bad.write_bytes(bad.read_bytes()[:-10])
+    # a truncated SDR input, or for eval a truncated reference: the error
+    # names the file (eval's also names the pair by its stem first)
+    bad = pair_dir / ("s1.pfm" if command == "eval" else "s1.ppm")
+    whole = bad.read_bytes()
+    bad.write_bytes(whole[:-10])
     if command == "train":
         argv = ["train", "--data", str(pair_dir), "--out", str(tmp_path / "m.ckpt"),
                 "--iters", "1", "--patch-size", "16", "--model-config", str(tiny_model_cfg)]
-    else:
+    elif command == "stats":
         argv = ["stats", "--in", str(pair_dir)]
+    else:
+        pred = tmp_path / "s1.pfm"
+        pred.write_bytes(whole)
+        argv = ["eval", "--pred", str(pred), "--ref", str(bad)]
     assert main(argv) == EXIT_FAIL
-    assert f"error: {bad}: truncated PPM payload" in capsys.readouterr().err
+    prefix = "error: s1: " if command == "eval" else "error: "
+    assert f"{prefix}{bad}: truncated {bad.suffix[1:].upper()} payload" in capsys.readouterr().err
 
 
 DELETED_RECIPE_KEYS = ["exposure_scale=5.0", "crf_gamma=1.0", "clip_low=0.1",

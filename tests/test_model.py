@@ -382,6 +382,22 @@ def test_forward_builds_no_channel_concat(requires_grad):
     assert "conv2d" in trace and "concat" not in trace
 
 
+@pytest.mark.parametrize("use_partial_conv,nodes", [(True, 40), (False, 38)],
+                         ids=["pconv", "sft"])
+def test_forward_node_count(use_partial_conv, nodes):
+    # one node per 3x3 layer: partial conv's ratio and each block's residual
+    # leaky_relu(h + y) run in conv2d's epilogue (a partial conv adds only its
+    # gate's mul), so a 12x20 forward, which needs no pad or crop, builds
+    # this many nodes
+    net = make_net(ModelConfig(use_partial_conv=use_partial_conv), seed=16)
+    x = Tensor(np.random.default_rng(17).random((1, 3, 12, 20)).astype(np.float32))
+    with T.trace_ops() as trace:
+        net.forward(x)
+    assert len(trace) == nodes
+    assert trace.count("conv2d") == 13  # each 3x3 layer but local.dense* and local.up*
+    assert trace.count("mul") == (5 if use_partial_conv else 1)  # gates, global.mlp2's fold
+
+
 @pytest.mark.parametrize("requires_grad", [False, True], ids=["inference", "training"])
 def test_1x1_layers_run_only_as_pointwise_steps(monkeypatch, requires_grad):
     # no forward hands conv2d a 1x1 kernel, and the dense branch is the one

@@ -25,7 +25,16 @@ def test_tracer_records_a_forward_pass_and_restores_every_hook():
         net.forward(x)
     finally:
         tracer.end_item(1.0)
-    stats = tracer.dump()["stats"]
+    dump = tracer.dump()
+    stats, counts = dump["stats"], dump["counts"]
     assert "model.local.head" in stats and "tensor.conv3x3" in stats
+    # TINY runs its encoder blocks as partial convs: each is a span, and
+    # calls the public conv2d, so the MACs of every 3x3 layer that conv2d
+    # runs (all but the dense branch and the up-convs) land in tensor.conv3x3*
+    assert stats["tensor.partial_conv"][0] == 2 * model.UNET_LEVELS
+    want = sum(macs for name, _, macs in model.layer_breakdown(TINY, 8, 8)
+               if net.layers[name].kernel == 3
+               and not name.startswith(("local.dense", "local.up")))
+    assert counts["conv3x3.macs"] + counts["conv3x3_grouped.macs"] == want
     assert vars(model.Network)["conv"] is conv
     assert all(vars(owner)[attr] is orig for owner, attr, orig, _ in tracer.patches)

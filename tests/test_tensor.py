@@ -512,23 +512,36 @@ def test_same_conv_into_a_channel_slice(monkeypatch, groups, band_rows, add):
     np.testing.assert_array_equal(buf[:, 2 + oc:], before[:, 2 + oc:])
 
 
-def conv_and_grads(x, w, b, gy, groups, fused):
-    """Output and (dx, dw, db) of sum(gy * y) for y = conv2d with slope 0.2
-    fused, or leaky_relu(conv2d(...), 0.2)."""
+def conv_and_grads(x, w, b, r, s, gy, groups, fused):
+    """Output and (dx, dw, db, ds) of sum(gy * y) for y = conv2d with slope
+    0.2, scale r and shift s fused, or the unfused composition
+    leaky_relu(add(add(mul(conv2d(x, w), r), b), s), 0.2).  r and s may be
+    None (ds is then None)."""
     xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    st = None if s is None else Tensor(s.copy(), requires_grad=True)
     if fused:
-        y = T.conv2d(xt, wt, bt, groups=groups, slope=0.2)
+        y = T.conv2d(xt, wt, bt, groups=groups, slope=0.2, scale=r, shift=st)
     else:
-        y = T.leaky_relu(T.conv2d(xt, wt, bt, groups=groups), 0.2)
+        y = T.conv2d(xt, wt, groups=groups)
+        if r is not None:
+            y = T.mul(y, Tensor(r))
+        y = T.add(y, bt)
+        if st is not None:
+            y = T.add(y, st)
+        y = T.leaky_relu(y, 0.2)
     T.backward(T.sum_all(T.mul(y, Tensor(gy))))
-    return y.data, xt.grad, wt.grad, bt.grad
+    return y.data, xt.grad, wt.grad, bt.grad, None if st is None else st.grad
 
 
+@pytest.mark.parametrize("scale_shift", [False, True], ids=["bias", "scale_shift"])
 @pytest.mark.parametrize("plane_blocks", [False, True], ids=["one_block", "plane_blocks"])
 @pytest.mark.parametrize("k,groups", [(1, 1), (3, 1), (3, 2), (5, 4)])
-def test_conv_fused_slope_bit_equal_to_leaky_relu(monkeypatch, k, groups, plane_blocks):
-    # exact equality of values and of dx, dW, db (tolerance 0), with the
-    # epilogue over all channel planes at once or over one plane at a time
+def test_conv_fused_slope_bit_equal_to_leaky_relu(monkeypatch, k, groups, plane_blocks,
+                                                  scale_shift):
+    # exact equality of values and of dx, dW, db and the shift's gradient
+    # (tolerance 0), with the epilogue over all channel planes at once or
+    # over one plane at a time; with scale_shift, a per-pixel scale (partial
+    # conv's ratio) and a full-shape shift (a residual block's input)
     if plane_blocks:
         monkeypatch.setattr(T, "_EPILOGUE_BYTES", 1)
     rng = np.random.default_rng(60 + k + groups)
@@ -537,35 +550,95 @@ def test_conv_fused_slope_bit_equal_to_leaky_relu(monkeypatch, k, groups, plane_
         w = rng.normal(0, 1, (8, 4 // groups, k, k)).astype(dtype)
         b = rng.normal(0, 1, (1, 8, 1, 1)).astype(dtype)
         gy = rng.normal(0, 1, (2, 8, 6, 7)).astype(dtype)
-        fused = conv_and_grads(x, w, b, gy, groups, fused=True)
-        plain = conv_and_grads(x, w, b, gy, groups, fused=False)
+        r = (rng.random((2, 1, 6, 7)) + 0.5).astype(dtype) if scale_shift else None
+        s = rng.normal(0, 1, (2, 8, 6, 7)).astype(dtype) if scale_shift else None
+        fused = conv_and_grads(x, w, b, r, s, gy, groups, fused=True)
+        plain = conv_and_grads(x, w, b, r, s, gy, groups, fused=False)
         assert (fused[0] < 0).any() and (fused[0] > 0).any()
         for got, ref in zip(fused, plain):
+            if ref is None:
+                assert got is None
+                continue
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, ref)
 
 
+@pytest.mark.parametrize("plane_blocks", [False, True], ids=["one_block", "plane_blocks"])
+def test_partial_conv_shift_bit_equal_to_residual_tail(monkeypatch, plane_blocks):
+    # partial_conv(..., slope, shift=h), a residual block's last layer as one
+    # conv2d node, equals leaky_relu(add(partial_conv(...), h)): values and
+    # the gradients of x, the weights, the bias and h (tolerance 0)
+    if plane_blocks:
+        monkeypatch.setattr(T, "_EPILOGUE_BYTES", 1)
+    rng = np.random.default_rng(62)
+    for dtype in (np.float32, np.float64):
+        arrays = [rng.normal(0, 1, sh).astype(dtype)
+                  for sh in ((2, 4, 6, 7), (4, 2, 3, 3), (1, 4, 1, 1), (2, 4, 6, 7))]
+        mask = rng.random((2, 1, 6, 7)) * (rng.random((2, 1, 6, 7)) > 0.3)
+        gy = rng.normal(0, 1, (2, 4, 6, 7)).astype(dtype)
+
+        def fused(x, w, b, h):
+            return T.partial_conv(x, mask, w, b, groups=2, slope=0.2, shift=h)[0]
+
+        def plain(x, w, b, h):
+            return T.leaky_relu(T.add(T.partial_conv(x, mask, w, b, groups=2)[0], h), 0.2)
+        got, ref = value_and_grads(fused, arrays, gy), value_and_grads(plain, arrays, gy)
+        assert (ref[0] < 0).any() and (ref[0] > 0).any()
+        for g, want in zip(got, ref):
+            assert g.dtype == dtype
+            np.testing.assert_array_equal(g, want)
+
+
 def test_conv_fused_slope_gradient_check():
-    # float64 central differences, max relative error <= 1e-6
+    # float64 central differences for x, the weights, the bias and the
+    # shift under a fixed per-pixel scale, max relative error <= 1e-6
     rng = np.random.default_rng(61)
     x, w, b = t64(rng, (2, 4, 5, 6)), t64(rng, (6, 2, 3, 3)), t64(rng, (1, 6, 1, 1))
+    s = t64(rng, (2, 6, 5, 6))
+    ratio = rng.random((2, 1, 5, 6)) + 0.5
 
-    def f(x, w, b):
-        y = T.conv2d(x, w, b, groups=2, slope=0.2)
+    def f(x, w, b, s):
+        y = T.conv2d(x, w, b, groups=2, slope=0.2, scale=ratio, shift=s)
         return T.mean_all(T.mul(y, y))
-    assert T.gradient_check(f, [x, w, b], eps=1e-5) <= 1e-6
+    assert T.gradient_check(f, [x, w, b, s], eps=1e-5) <= 1e-6
 
 
 def test_conv_rejects_bad_slope_and_bias_shape():
     x = Tensor(np.zeros((2, 2, 4, 5), dtype=np.float32))
     w = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
-    with pytest.raises(ValueError, match="slope"):
-        T.conv2d(x, w, slope=1.0)
+    for slope in (0.0, 1.0, 1.5, -0.2):
+        with pytest.raises(ValueError, match="slope"):
+            T.conv2d(x, w, slope=slope)
     # the bias is per channel only, of no other shape, the output's included:
     # a 1x1 layer over a channel concat is one _pointwise_mlp node
     for shape in ((1, 3, 4, 5), (2, 3, 4, 5)):
         with pytest.raises(ValueError, match=r"bias must be \(1,3,1,1\)"):
             T.conv2d(x, w, Tensor(np.zeros(shape, dtype=np.float32)))
+    # the shift has the output's shape, the scale one value per pixel
+    for shape in ((1, 3, 4, 5), (2, 3, 1, 1), (2, 2, 4, 5)):
+        with pytest.raises(ValueError, match=r"shift must be \(2, 3, 4, 5\)"):
+            T.conv2d(x, w, shift=Tensor(np.zeros(shape, dtype=np.float32)))
+    for shape in ((1, 1, 4, 5), (2, 3, 4, 5), (2, 1, 1, 1), (4, 5)):
+        with pytest.raises(ValueError, match=r"scale must be \(2, 1, 4, 5\)"):
+            T.conv2d(x, w, scale=np.ones(shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("fixed_first", [False, True], ids=["fixed_b", "fixed_a"])
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
+def test_binary_op_builds_no_gradient_term_for_a_fixed_operand(monkeypatch, op,
+                                                               fixed_first):
+    # a fixed operand (a partial-conv gate, the loss weight) gets no
+    # gradient term: the backward unbroadcasts one term, the other operand's
+    calls = []
+    unbroadcast = T._unbroadcast
+    monkeypatch.setattr(T, "_unbroadcast",
+                        lambda g, shape: calls.append(shape) or unbroadcast(g, shape))
+    x = Tensor(np.arange(6.0).reshape(1, 2, 1, 3), requires_grad=True)
+    fixed = Tensor(np.full((1, 1, 1, 1), 0.5))
+    T.backward(T.sum_all(op(fixed, x) if fixed_first else op(x, fixed)))
+    assert calls == [x.shape] and fixed.grad is None
+    sign = -1.0 if op is T.sub and fixed_first else 1.0
+    np.testing.assert_array_equal(x.grad, np.full(x.shape, 0.5 if op is T.mul else sign))
 
 
 def close(got, ref, dtype):
@@ -665,79 +738,6 @@ def test_up2_conv_rejects_bad_shapes():
     for shape in ((3, 2, 2, 2), (3, 2, 3, 1), (3, 4, 3, 3)):
         with pytest.raises(ValueError, match=r"must be \(oc, 2, 3, 3\) for 2 input"):
             T._up2_conv(x, Tensor(np.zeros(shape, dtype=np.float32)), b, slope=0.2)
-
-
-# ---------------------------------------------------------------------------
-# affine: leaky_relu(x * scale + shift) as one op
-# ---------------------------------------------------------------------------
-
-AFFINE_SHAPES = {  # (scale shape, shift shape) for x of shape (n, c, h, w)
-    "channel": lambda n, c, h, w: ((n, c, 1, 1), (n, c, 1, 1)),
-    "full": lambda n, c, h, w: ((n, c, h, w), (n, c, h, w)),
-    "pconv": lambda n, c, h, w: ((n, 1, h, w), (1, c, 1, 1)),
-}
-
-
-@pytest.mark.parametrize("batch", [1, 2])
-@pytest.mark.parametrize("kind", sorted(AFFINE_SHAPES))
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_affine_bit_equal_to_unfused(dtype, kind, batch):
-    # values and every gradient equal the unfused compositions (tolerance 0):
-    # a fixed scale and a shift add(mul(x, a), b), partial_conv's former
-    # leaky_relu(add(mul(y, ratio), bias)), the residual tail
-    # leaky_relu(add(h, y)) and the loss weight's 0-d scale mul(x, w)
-    rng = np.random.default_rng(80 + batch)
-    shape = (batch, 4, 5, 6)
-    sshape, bshape = AFFINE_SHAPES[kind](*shape)
-    x, a, b, r = (rng.normal(0, 1, s).astype(dtype) for s in (shape, sshape, bshape, sshape))
-    gy = rng.normal(0, 1, shape).astype(dtype)
-    pairs = [
-        (lambda x, b: T.affine(x, a, b),
-         lambda x, b: T.add(T.mul(x, Tensor(a)), b), (x, b)),
-        (lambda x, b: T.affine(x, r, b, slope=0.2),
-         lambda x, b: T.leaky_relu(T.add(T.mul(x, Tensor(r)), b), 0.2), (x, b)),
-        (lambda h, y: T.affine(h, shift=y, slope=0.2),
-         lambda h, y: T.leaky_relu(T.add(h, y), 0.2), (x, gy[::-1].copy())),
-        (lambda x: T.affine(x, 0.1),
-         lambda x: T.mul(x, Tensor(np.full((1, 1, 1, 1), 0.1, dtype=dtype))), (x,)),
-    ]
-    for fused, plain, arrays in pairs:
-        got = value_and_grads(fused, arrays, gy)
-        ref = value_and_grads(plain, arrays, gy)
-        for g, want in zip(got, ref):
-            assert g.dtype == dtype
-            np.testing.assert_array_equal(g, want)
-
-
-@pytest.mark.parametrize("slope", [None, 0.2], ids=["no_slope", "slope"])
-def test_affine_gradient_check(slope):
-    # float64 central differences for x and both shifts under fixed scales
-    # (a per-channel one and a per-pixel ratio), max relative error <= 1e-6;
-    # the loss is linear in y, so only kinks could spoil it
-    rng = np.random.default_rng(81)
-    x, a, b = t64(rng, (2, 3, 4, 5)), t64(rng, (2, 3, 1, 1)), t64(rng, (2, 3, 4, 5))
-    ratio = rng.random((2, 1, 4, 5)) + 0.5
-    gy = rng.normal(0, 1, x.shape)
-    scale = rng.normal(0, 1, (2, 3, 1, 1))
-
-    def f(x, a, b):
-        y = T.affine(T.affine(x, scale, b, slope=slope), ratio, a, slope=slope)
-        return T.sum_all(T.mul(y, Tensor(gy)))
-    assert T.gradient_check(f, [x, a, b], eps=1e-6) <= 1e-6
-
-
-def test_affine_rejects_bad_slope_and_shapes():
-    x = Tensor(np.zeros((2, 3, 4, 5), dtype=np.float32))
-    for slope in (0.0, 1.0, 1.5, -0.2):
-        with pytest.raises(ValueError, match="slope"):
-            T.affine(x, slope=slope)
-    with pytest.raises(ValueError, match="shift"):
-        T.affine(x, shift=Tensor(np.zeros((2, 3, 4, 1), dtype=np.float32)))
-    with pytest.raises(ValueError, match="scale"):
-        T.affine(x, np.ones((3, 1, 1, 1), dtype=np.float32))
-    for shape in ((1,), (1, 1), (1, 1, 1)):  # only 0-d and 4-D scales broadcast
-        with pytest.raises(ValueError, match="scale"):
-            T.affine(x, np.ones(shape, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
