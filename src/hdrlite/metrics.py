@@ -180,7 +180,7 @@ def reconstruct_hdr(net: Network, sdr: Image) -> Image:
     with no tape (_without_grad)."""
     if sdr.domain != NONLINEAR_SDR:
         raise ValueError(f"reconstruct_hdr reads {NONLINEAR_SDR} images, got {sdr.domain}")
-    x = Tensor(sdr.data.transpose(2, 0, 1)[None].astype(np.float32))
+    x = Tensor(sdr.data.transpose(2, 0, 1)[None])
     y = _without_grad(net).forward(x)
     linear = postprocess_gamma(y.data[0].transpose(1, 2, 0))
     return Image(linear.astype(np.float32), LINEAR_HDR)

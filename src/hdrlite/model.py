@@ -205,9 +205,8 @@ class Network:
             return T._up2_conv(x, weight, bias, slope=slope)
         return T.conv2d(x, weight, bias, groups=li.groups, slope=slope, shift=shift)
 
-    def pconv(self, name: str, x: Tensor, mask, *, act: bool = False,
-              shift: Tensor | None = None):
-        weight, bias, slope = self._step(name, act=act)
+    def pconv(self, name: str, x: Tensor, mask, *, shift: Tensor | None = None):
+        weight, bias, slope = self._step(name, act=True)
         return T.partial_conv(x, mask, weight, bias, groups=self.layers[name].groups,
                               slope=slope, shift=shift)
 
@@ -231,8 +230,8 @@ class Network:
         if mask is None:
             y = self.conv(f"{prefix}.conv1", y, act=True)
             return self.conv(f"{prefix}.conv2", y, act=True, shift=h), mask
-        y, mask = self.pconv(f"{prefix}.conv1", y, mask, act=True)
-        return self.pconv(f"{prefix}.conv2", y, mask, act=True, shift=h)
+        y, mask = self.pconv(f"{prefix}.conv1", y, mask)
+        return self.pconv(f"{prefix}.conv2", y, mask, shift=h)
 
     # -- sub-networks --------------------------------------------------------
 

@@ -34,7 +34,7 @@ def trace_ops():
 class Tensor:
     """A (n, c, h, w) array, optionally tracked for reverse-mode autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -45,7 +45,6 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.op = "leaf"
         self._parents: tuple = ()
         self._backward = None
 
@@ -66,12 +65,11 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self.op!r})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
 
 def _node(data, op: str, parents, backward=None) -> Tensor:
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    out.op = op
     if _op_trace is not None:
         _op_trace.append(op)
     if out.requires_grad:

@@ -186,8 +186,8 @@ def _sample_patch(rng, hdr: Image, sdr: Image, size: int):
     h, w = hdr.height, hdr.width
     y = int(rng.integers(0, h - size + 1))
     x = int(rng.integers(0, w - size + 1))
-    return (Image(hdr.data[y:y + size, x:x + size].copy(), hdr.domain),
-            Image(sdr.data[y:y + size, x:x + size].copy(), sdr.domain))
+    return (Image(hdr.data[y:y + size, x:x + size], hdr.domain),
+            Image(sdr.data[y:y + size, x:x + size], sdr.domain))
 
 
 def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -240,6 +240,7 @@ def train_loop(model_cfg: ModelConfig, train_cfg: TrainConfig,
             adam_step(net.weights, state, lr)
             seconds = time.perf_counter() - start
             rec = {"iter": it, "lr": lr, "l1": l1.item(), "lg": lg.item(), "total": tval}
+            del pred, total, l1, lg  # let this iteration's tape go before the next
             trace.append(rec)
             if log:
                 norms = "".join(f", {v:.6g}" for v in grad_norms(net.weights))

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ def sha256_hex(*blobs: bytes) -> str:
     for blob in blobs:
         h.update(blob)
     return h.hexdigest()
+
+
+def traced(fn, *args, **kw):
+    """(fn(*args, **kw), bytes still traced after it, peak bytes traced
+    during it), counted by tracemalloc from the call's start."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kw)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def make_pairs(count: int = 8, size: int = 64, exposure: float = 0.5):

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ from hdrlite.cli import EXIT_FAIL, EXIT_OK, EXIT_PARTIAL, main
 from hdrlite.imgio import (
     Image, LINEAR_HDR, NONLINEAR_SDR, read_image, write_image,
 )
-from tests.conftest import PINNED_WITH, make_hdr_scene, make_pairs, sha256_hex
+from tests.conftest import PINNED_WITH, make_hdr_scene, make_pairs, sha256_hex, traced
 
 TINY_MODEL = """\
 dense_layers=2
@@ -384,12 +383,8 @@ def test_stats_holds_one_decoded_image_at_a_time(tmp_path, capsys):
     capsys.readouterr()
     peaks = {}
     for count in (4, 16):
-        tracemalloc.start()
-        try:
-            assert main(["stats", "--in", str(tmp_path / f"n{count}")]) == EXIT_OK
-            peaks[count] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rc, _, peaks[count] = traced(main, ["stats", "--in", str(tmp_path / f"n{count}")])
+        assert rc == EXIT_OK
         reports[count] = capsys.readouterr().out
     assert peaks[16] <= 1.1 * peaks[4], peaks
     assert "images=16" in reports[16] and "resolutions=160x120" in reports[16]

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from hdrlite.metrics import (
 from hdrlite.model import ModelConfig, Network, count_macs
 from hdrlite.tensor import Tensor
 from hdrlite.training import TrainConfig, kaiming_init, loss_terms
-from tests.conftest import make_hdr_scene, make_pairs
+from tests.conftest import make_hdr_scene, make_pairs, traced
 
 TINY = ModelConfig(dense_layers=2, dense_growth=4, unet_base_channels=4,
                    global_mlp_channels=4, groups=2)
@@ -160,12 +159,7 @@ def test_ssim_memory_does_not_grow_with_the_square_of_a_side():
     # banded passes hold two (5, h, w) float64 stacks, 10 MiB here
     a = sdr_image(5, 16, 8192)
     b = sdr_image(6, 16, 8192)
-    tracemalloc.start()
-    try:
-        ssim(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(ssim, a, b)
     assert peak < 32 * 2 ** 20, peak
 
 
@@ -259,12 +253,9 @@ def test_evaluate_on_degraded_records_no_tape():
     pairs = make_pairs(2, 96)
     peaks, scores = [], []
     for n in (net, bare):
-        tracemalloc.start()
-        try:
-            scores.append(evaluate_on_degraded(n, pairs, DegradationConfig(), seed=0))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        score, _, peak = traced(evaluate_on_degraded, n, pairs, DegradationConfig(), seed=0)
+        scores.append(score)
+        peaks.append(peak)
     assert scores[0] == scores[1]
     assert peaks[0] <= 1.2 * peaks[1], peaks
 

@@ -1,7 +1,6 @@
 import dataclasses
 import re
 import struct
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +16,7 @@ from hdrlite.model import (
 )
 from hdrlite.tensor import Tensor
 from hdrlite.training import kaiming_init
+from tests.conftest import traced
 
 # Defaults are pinned: any change to the architecture must update these.
 PINNED_DEFAULT_PARAMS = 234_082
@@ -471,12 +471,7 @@ def test_forward_working_set_bound():
     plane = 68 * 100 * 4
     bound = ((3 + cfg.dense_layers * cfg.dense_growth) * plane + T._COL_BYTES
              + 3 * cfg.global_mlp_channels * plane)
-    tracemalloc.start()
-    try:
-        y = net.forward(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    y, _, peak = traced(net.forward, x)
     assert y.shape == x.shape
     assert peak < bound, (peak, bound)
 
@@ -493,12 +488,7 @@ def test_global_forward_holds_two_wide_planes():
     rng = np.random.default_rng(15)
     x, y = (Tensor(rng.random((1, 3, 66, 98)).astype(np.float32)) for _ in range(2))
     net.global_forward(y, x)
-    tracemalloc.start()
-    try:
-        net.global_forward(y, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(net.global_forward, y, x)
     assert peak < 2.5 * cfg.global_mlp_channels * 66 * 98 * 4, peak
 
 

@@ -1,4 +1,3 @@
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from hdrlite import tensor as T
 from hdrlite.tensor import Tensor
+from tests.conftest import traced
 
 
 def t64(rng, shape, rg=True):
@@ -989,12 +989,7 @@ def test_pointwise_mlp_holds_only_its_output_and_bands():
     for steps, kw in (([layer(20, 3, 0.2), layer(40, 20)], {"into": into}),
                       ([layer(48, 3, 0.2), layer(48, 48, 0.2), layer(48, 48, 0.2),
                         layer(3, 48)], {})):
-        tracemalloc.start()
-        try:
-            y = T._pointwise_mlp(x, steps, **kw)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        y, _, peak = traced(T._pointwise_mlp, x, steps, **kw)
         assert peak < y.data.nbytes + (len(steps) + 1) * T._MLP_BYTES, (peak, len(steps))
 
 
@@ -1008,12 +1003,7 @@ def test_pointwise_mlp_over_parts_keeps_no_concat(monkeypatch):
              for _ in range(2)]
     steps = [(Tensor(rng.normal(0, 0.3, (oc, ic, 1, 1)).astype(np.float32), requires_grad=True),
               None, slope) for oc, ic, slope in ((16, 32, 0.2), (8, 16, None))]
-    tracemalloc.start()
-    try:
-        y = T._pointwise_mlp(parts, steps)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    y, held, _ = traced(T._pointwise_mlp, parts, steps)
     bands = 2 * 2048 * (16 + 8) * 4
     assert held < y.data.nbytes + bands + (16 << 10), held
 
@@ -1030,12 +1020,7 @@ def test_plain_pointwise_mlp_reads_its_last_activation_from_the_output(monkeypat
     steps = [(Tensor(rng.normal(0, 0.3, (oc, ic, 1, 1)).astype(np.float32), requires_grad=True),
               Tensor(np.zeros((1, oc, 1, 1), np.float32), requires_grad=True), slope)
              for oc, ic, slope in shapes]
-    tracemalloc.start()
-    try:
-        y = T._pointwise_mlp(x, steps)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    y, held, _ = traced(T._pointwise_mlp, x, steps)
     earlier = 2 * 2048 * sum(oc for oc, *_ in shapes[:-1]) * 4
     assert held < y.data.nbytes + earlier + (16 << 10), held
 

@@ -10,7 +10,7 @@ from hdrlite.training import (
     adam_step, grad_norms, kaiming_init, loss_terms, lr_schedule, postprocess_gamma,
     preprocess_gamma, train_loop,
 )
-from tests.conftest import make_pairs
+from tests.conftest import make_pairs, traced
 
 TINY = ModelConfig(dense_layers=2, dense_growth=4, unet_base_channels=4,
                    global_mlp_channels=4, groups=2)
@@ -271,6 +271,17 @@ def test_train_log_line_has_seconds_and_group_grad_norms(tmp_path):
     np.testing.assert_allclose(norms, grad_norms(net.weights), rtol=1e-5)
     total = sum(float(np.sum(p.grad.astype(np.float64) ** 2)) for p in net.weights.values())
     assert sum(v * v for v in norms) == pytest.approx(total, rel=1e-4)
+
+
+def test_train_loop_holds_one_iterations_tape():
+    # each iteration's tape (activations, backward closures, node gradients)
+    # goes once its record is built, so a second or third iteration peaks as
+    # the first does; holding one tape through the next forward and
+    # backward read 1.48x here
+    pairs = make_pairs(2, 64)
+    peaks = [traced(train_loop, ModelConfig(), TrainConfig(max_iters=n, patch_size=64),
+                    pairs)[2] for n in (1, 3)]
+    assert peaks[1] <= 1.15 * peaks[0], peaks
 
 
 def test_train_loop_deterministic_per_seed():
